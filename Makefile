@@ -10,7 +10,11 @@ check: vet build race
 build:
 	$(GO) build ./...
 
+## vet: go vet plus the formatting gate — fails listing every file
+## `gofmt -l .` would rewrite.
 vet:
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files need formatting (run gofmt -w):"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 
 test:

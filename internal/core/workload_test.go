@@ -102,7 +102,7 @@ func TestSimulateSyntheticWorkload(t *testing.T) {
 	sc := replayTestScenario()
 	tally := obs.NewTally()
 	res, _, err := sc.SimulateOptions(context.Background(), 1, RunOptions{
-		Check: true,
+		Check:      true,
 		Collectors: func(int) obs.Collector { return tally },
 		Workload: &WorkloadSpec{
 			Kind: WorkloadSynthetic, Normal: 12, Servers: 2, P2P: 3, Infected: 3,
@@ -151,7 +151,7 @@ func TestSimulateTraceFileWorkload(t *testing.T) {
 	sc := replayTestScenario()
 	tally := obs.NewTally()
 	res, _, err := sc.SimulateOptions(context.Background(), 1, RunOptions{
-		Check: true,
+		Check:      true,
 		Collectors: func(int) obs.Collector { return tally },
 		Workload:   &WorkloadSpec{Kind: WorkloadTrace, Path: path},
 	})

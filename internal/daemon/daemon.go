@@ -138,6 +138,10 @@ type Job struct {
 	// settled is when the job reached a terminal state (zero while
 	// queued/running); the TTL garbage collector measures age from it.
 	settled time.Time
+	// collecting is set while the TTL garbage collector removes the
+	// job's directory: the job is already invisible to the API (404)
+	// but stays in the table until its directory is gone.
+	collecting bool
 	// lastStats is the current grid point's live replica-batch
 	// progress, refreshed by the sweep's Progress callback.
 	lastStats runner.Stats
@@ -313,7 +317,7 @@ func (s *Server) Submit(data []byte, priority int) (*Job, error) {
 func (s *Server) Cancel(id string) error {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
-	if !ok {
+	if !ok || j.collecting {
 		s.mu.Unlock()
 		return ErrNotFound
 	}
@@ -366,6 +370,11 @@ func (s *Server) nextJob() *Job {
 				continue // canceled while queued; already accounted
 			}
 			j.state = StateRunning
+			// Arm the watchdog heartbeat with the state change: a job
+			// must not count as stuck before its first tick just because
+			// topology construction takes a while, and a running job
+			// must never be skipped by the watchdog as unarmed.
+			j.lastBeat.Store(time.Now().UnixNano())
 			s.queuedCount--
 			s.persistLocked(j)
 			more := len(s.queue) > 0
@@ -399,11 +408,12 @@ func (s *Server) runJob(j *Job) {
 
 	s.mu.Lock()
 	j.cancel = cancel
+	if j.canceled || j.stuck {
+		// Cancel or the watchdog reached the job after nextJob marked it
+		// running but before its cancel func existed.
+		cancel()
+	}
 	s.mu.Unlock()
-	// Arm the watchdog heartbeat at the start: a job must not count as
-	// stuck before its first tick just because topology construction
-	// takes a while.
-	j.lastBeat.Store(time.Now().UnixNano())
 	j.broker.publish(StreamRecord{Type: "job", State: StateRunning})
 
 	h := s.pool.Start(jctx, 1, func(ctx context.Context, _ int) (runner.Report, error) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math/rand/v2"
 	"net/http"
 	"os"
@@ -155,7 +156,9 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	jobs := make([]*Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
-		jobs = append(jobs, j)
+		if !j.collecting {
+			jobs = append(jobs, j)
+		}
 	}
 	s.mu.Unlock()
 	sort.Slice(jobs, func(i, k int) bool { return jobs[i].seq < jobs[k].seq })
@@ -207,6 +210,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	data, err := os.ReadFile(filepath.Join(j.dir, "result.json"))
+	if errors.Is(err, fs.ErrNotExist) {
+		// The TTL garbage collector removed the job after lookup.
+		httpError(w, http.StatusNotFound, ErrNotFound)
+		return
+	}
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
@@ -313,11 +321,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// lookup returns the job by id, or nil.
+// lookup returns the job by id, or nil when there is none or the
+// garbage collector is removing it.
 func (s *Server) lookup(id string) *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.jobs[id]
+	if j := s.jobs[id]; j != nil && !j.collecting {
+		return j
+	}
+	return nil
 }
 
 // view snapshots a job into its API representation.

@@ -263,6 +263,41 @@ func TestTTLGarbageCollection(t *testing.T) {
 	waitJobState(t, ts.URL, w.ID, StateDone, 10*time.Second)
 }
 
+// TestTTLGarbageCollectionMidCollection: a request that arrives while
+// the collector removes a job's directory answers 404, never 500 —
+// both once the job is marked collecting and when the directory
+// vanished between the lookup and the read.
+func TestTTLGarbageCollectionMidCollection(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	v := submit(t, ts.URL, testSpec("midgc", 10, 5, 1, ""), "")
+	waitJobState(t, ts.URL, v.ID, StateDone, 10*time.Second)
+	status := func(path string) int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	if err := os.RemoveAll(filepath.Join(srv.jobsDir, v.ID)); err != nil {
+		t.Fatal(err)
+	}
+	if got := status("/jobs/" + v.ID + "/result"); got != http.StatusNotFound {
+		t.Errorf("result with its directory gone = %d, want 404", got)
+	}
+
+	srv.mu.Lock()
+	srv.jobs[v.ID].collecting = true
+	srv.mu.Unlock()
+	for _, path := range []string{"/jobs/" + v.ID, "/jobs/" + v.ID + "/result"} {
+		if got := status(path); got != http.StatusNotFound {
+			t.Errorf("GET %s mid-collection = %d, want 404", path, got)
+		}
+	}
+}
+
 // TestDrainLeavesResumableState pins the graceful-drain contract: after
 // Close, the HTTP side still answers — health reports draining with
 // 503, submissions bounce with 503 — and the interrupted job's disk

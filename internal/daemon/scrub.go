@@ -189,33 +189,44 @@ func (s *Server) quarantine(path, qdir, reason string) error {
 }
 
 // gcExpired removes settled jobs whose TTL has lapsed: the job
-// directory is deleted and the job leaves the table (its stream history
-// with it). Queued and running jobs are never touched.
+// directory is deleted, then the job leaves the table (its stream
+// history with it). While its directory is being removed the job is
+// marked collecting, so the API already answers 404 for it and nobody
+// sees the job gone from the table with its directory still on disk.
+// Queued and running jobs are never touched.
 func (s *Server) gcExpired(now time.Time) {
 	if s.cfg.TTL <= 0 {
 		return
 	}
 	s.mu.Lock()
 	var expired []*Job
-	for id, j := range s.jobs {
+	for _, j := range s.jobs {
 		switch j.state {
 		case StateDone, StateFailed, StateCanceled:
-			if !j.settled.IsZero() && now.Sub(j.settled) >= s.cfg.TTL {
+			if !j.collecting && !j.settled.IsZero() && now.Sub(j.settled) >= s.cfg.TTL {
+				j.collecting = true
 				expired = append(expired, j)
-				delete(s.jobs, id)
 			}
 		}
 	}
 	s.mu.Unlock()
 	for _, j := range expired {
-		// A canceled-while-queued job may still sit in the heap; the
-		// executor skips non-queued entries, so dropping it from the
-		// table here is safe.
 		if err := os.RemoveAll(j.dir); err != nil {
 			fmt.Fprintf(os.Stderr, "wormsimd: gc %s: %v\n", j.id, err)
 		}
 		s.gcRemoved.Add(1)
 	}
+	if len(expired) == 0 {
+		return
+	}
+	s.mu.Lock()
+	for _, j := range expired {
+		// A canceled-while-queued job may still sit in the heap; the
+		// executor skips non-queued entries, so dropping it from the
+		// table here is safe.
+		delete(s.jobs, j.id)
+	}
+	s.mu.Unlock()
 }
 
 // sweepStuck is the watchdog: a running job whose engines have not

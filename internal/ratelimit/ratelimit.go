@@ -11,9 +11,9 @@
 package ratelimit
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // IP is an IPv4 address in host byte order. The trace substrate uses
@@ -185,8 +185,10 @@ type WilliamsonThrottle struct {
 	workingSet int
 	period     int64
 
-	lru       *list.List // front = most recent; values are IP
-	inSet     map[IP]*list.Element
+	// recent is the working set, most recent first, at most workingSet
+	// distinct addresses. The set is a handful of entries (Williamson's
+	// default is 5), so a linear scan beats any index.
+	recent    []IP
 	queue     []IP
 	lastDrain int64
 }
@@ -201,23 +203,36 @@ func NewWilliamsonThrottle(workingSet int, period int64) (*WilliamsonThrottle, e
 	return &WilliamsonThrottle{
 		workingSet: workingSet,
 		period:     period,
-		lru:        list.New(),
-		inSet:      make(map[IP]*list.Element, workingSet),
+		recent:     make([]IP, 0, workingSet),
 		lastDrain:  -1,
 	}, nil
+}
+
+// touch makes dst the most recent working-set entry. i is dst's current
+// position, or -1 when dst is new: a new entry grows the set while it
+// has room and otherwise evicts the least recently used one.
+func (t *WilliamsonThrottle) touch(i int, dst IP) {
+	if i < 0 {
+		if len(t.recent) < t.workingSet {
+			t.recent = append(t.recent, 0)
+		}
+		i = len(t.recent) - 1
+	}
+	copy(t.recent[1:i+1], t.recent[:i])
+	t.recent[0] = dst
 }
 
 // Allow implements ContactLimiter: contacts in the working set pass and
 // refresh recency; new destinations are queued and blocked this tick.
 // Call Tick once per tick to drain the queue.
 func (t *WilliamsonThrottle) Allow(now int64, dst IP) bool {
-	if e, ok := t.inSet[dst]; ok {
-		t.lru.MoveToFront(e)
+	if i := slices.Index(t.recent, dst); i >= 0 {
+		t.touch(i, dst)
 		return true
 	}
-	if t.lru.Len() < t.workingSet {
+	if len(t.recent) < t.workingSet {
 		// Working set not yet full: admit directly.
-		t.inSet[dst] = t.lru.PushFront(dst)
+		t.touch(-1, dst)
 		return true
 	}
 	t.queue = append(t.queue, dst)
@@ -225,8 +240,10 @@ func (t *WilliamsonThrottle) Allow(now int64, dst IP) bool {
 }
 
 // Tick drains the delay queue: at most one queued destination is
-// admitted per drain period. Returns the destination released this tick
-// and true, or false if none.
+// admitted per drain period, evicting the least recently used
+// working-set entry (a destination queued twice is already in the set
+// by its second release, and is only refreshed). Returns the
+// destination released this tick and true, or false if none.
 func (t *WilliamsonThrottle) Tick(now int64) (IP, bool) {
 	if len(t.queue) == 0 {
 		return 0, false
@@ -237,13 +254,7 @@ func (t *WilliamsonThrottle) Tick(now int64) (IP, bool) {
 	t.lastDrain = now
 	dst := t.queue[0]
 	t.queue = t.queue[1:]
-	// Evict the LRU entry to make room.
-	if t.lru.Len() >= t.workingSet {
-		back := t.lru.Back()
-		t.lru.Remove(back)
-		delete(t.inSet, back.Value.(IP))
-	}
-	t.inSet[dst] = t.lru.PushFront(dst)
+	t.touch(slices.Index(t.recent, dst), dst)
 	return dst, true
 }
 

@@ -1,9 +1,9 @@
 package ratelimit
 
 import (
-	"container/list"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -97,28 +97,30 @@ type williamsonState struct {
 
 // MarshalState implements StateMarshaler.
 func (t *WilliamsonThrottle) MarshalState() ([]byte, error) {
-	st := williamsonState{
-		LRU:       make([]IP, 0, t.lru.Len()),
+	return json.Marshal(williamsonState{
+		LRU:       append([]IP{}, t.recent...),
 		Queue:     append([]IP{}, t.queue...),
 		LastDrain: t.lastDrain,
-	}
-	for e := t.lru.Front(); e != nil; e = e.Next() {
-		st.LRU = append(st.LRU, e.Value.(IP))
-	}
-	return json.Marshal(st)
+	})
 }
 
-// UnmarshalState implements StateMarshaler.
+// UnmarshalState implements StateMarshaler. A working set longer than
+// the throttle's size, or one naming an address twice, is rejected: no
+// sequence of Allow and Tick calls produces either.
 func (t *WilliamsonThrottle) UnmarshalState(data []byte) error {
 	var st williamsonState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return err
 	}
-	t.lru = list.New()
-	clear(t.inSet)
-	for _, ip := range st.LRU {
-		t.inSet[ip] = t.lru.PushBack(ip)
+	if len(st.LRU) > t.workingSet {
+		return fmt.Errorf("williamson throttle: working set of %d entries exceeds size %d", len(st.LRU), t.workingSet)
 	}
+	for i, ip := range st.LRU {
+		if slices.Contains(st.LRU[:i], ip) {
+			return fmt.Errorf("williamson throttle: working set lists %d twice", ip)
+		}
+	}
+	t.recent = append(t.recent[:0], st.LRU...)
 	t.queue = append(t.queue[:0], st.Queue...)
 	t.lastDrain = st.LastDrain
 	return nil

@@ -124,7 +124,7 @@ func goldenScenarios(t testing.TB) map[string]Config {
 			InitialInfected: 2, Ticks: 100, Seed: 23,
 			LimitedNodes: DeployBackbone(plRoles),
 			BaseRate:     1.5, Policy: PolicyDrop,
-			Immunize:     &Immunization{StartTick: -1, StartLevel: 0.1, Mu: 0.05},
+			Immunize: &Immunization{StartTick: -1, StartLevel: 0.1, Mu: 0.05},
 		},
 		// Two-level hierarchy with edge-uplink limiting and a
 		// probe-first worm: three one-way trips per infection.

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
@@ -63,8 +64,8 @@ func replayScenario(t testing.TB) Config {
 	}
 	return Config{
 		Graph: hg, Roles: hRoles, Subnet: hSubnet,
-		Strategy:         worm.NewRandomFactory(),
-		Ticks:            90, Seed: 7,
+		Strategy: worm.NewRandomFactory(),
+		Ticks:    90, Seed: 7,
 		MaxQueue:         50,
 		RecordInfections: true,
 		TrackSubnets:     true,
@@ -255,6 +256,32 @@ func TestReplaySnapshotRejectsWrongTrace(t *testing.T) {
 	noReplay.InitialInfected = 1
 	if _, err := Restore(noReplay, snap); !errors.Is(err, ErrSnapshot) {
 		t.Errorf("restore into a non-replay config: got %v, want ErrSnapshot", err)
+	}
+}
+
+// TestRestoreRejectsBadThrottleState: a snapshot whose Williamson
+// working set is longer than the throttle's size, or names an address
+// twice, must fail restore with ErrSnapshot.
+func TestRestoreRejectsBadThrottleState(t *testing.T) {
+	cfg := replayScenario(t)
+	_, snaps := runWithCheckpoints(t, cfg)
+	snap := snaps[len(snaps)/2]
+	if len(snap.Limiters) == 0 {
+		t.Fatal("replay snapshot carries no limiter state")
+	}
+	cases := []struct{ name, lru string }{
+		{"longer than the working set", "[1,2,3,4,5]"},
+		{"duplicate address", "[1,2,1]"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bad := *snap
+			bad.Limiters = slices.Clone(snap.Limiters)
+			bad.Limiters[0].State = json.RawMessage(`{"lru":` + c.lru + `,"queue":[],"last_drain":-1}`)
+			if _, err := Restore(cfg, &bad); !errors.Is(err, ErrSnapshot) {
+				t.Errorf("restore: got %v, want ErrSnapshot", err)
+			}
+		})
 	}
 }
 

@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -45,8 +47,8 @@ func WormFlow(r *Record) bool {
 // is the streaming adapter between trace time and the simulator's
 // discrete clock — the whole trace is never materialized; the look-ahead
 // held between calls is bounded by the source (one record for file
-// streams, one generator event horizon for synthetic streams),
-// independent of trace length.
+// streams, one generator event horizon per live host process for
+// synthetic streams), independent of trace length.
 //
 // Contacts must be called with successive ticks (0, 1, 2, ... — or
 // starting at n after Skip(n)); the returned slice is reused by the
@@ -56,7 +58,9 @@ type Replayer struct {
 	msPerTick int64
 	nextTick  int
 	buf       []Contact
-	fill      func(lo, hi int64, emit func(Contact)) error
+	// fill appends the contacts with trace time in [lo, hi) to buf,
+	// grouped by host ascending with each host's stream order preserved.
+	fill func(lo, hi int64, buf []Contact) ([]Contact, error)
 }
 
 // Contacts returns the tick's contact batch, grouped by host ascending
@@ -66,13 +70,12 @@ func (r *Replayer) Contacts(tick int) ([]Contact, error) {
 	if tick != r.nextTick {
 		return nil, fmt.Errorf("trace: replay tick %d out of order (stream is at tick %d)", tick, r.nextTick)
 	}
-	r.buf = r.buf[:0]
 	lo := int64(tick) * r.msPerTick
-	hi := lo + r.msPerTick
-	if err := r.fill(lo, hi, func(c Contact) { r.buf = append(r.buf, c) }); err != nil {
+	buf, err := r.fill(lo, lo+r.msPerTick, r.buf[:0])
+	r.buf = buf
+	if err != nil {
 		return nil, err
 	}
-	sort.SliceStable(r.buf, func(i, j int) bool { return r.buf[i].Host < r.buf[j].Host })
 	r.nextTick++
 	return r.buf, nil
 }
@@ -116,13 +119,13 @@ func NewRecordReplayer(rd io.Reader, msPerTick int64) (*Replayer, error) {
 		lastTime    int64
 		line        int
 	)
-	r := &Replayer{msPerTick: msPerTick}
-	r.fill = func(_, hi int64, emit func(Contact)) error {
+	// scan appends the contacts with trace time before hi, in time order.
+	scan := func(hi int64, buf []Contact) ([]Contact, error) {
 		if havePending {
 			if pendingTime >= hi {
-				return nil
+				return buf, nil
 			}
-			emit(pending)
+			buf = append(buf, pending)
 			havePending = false
 		}
 		for sc.Scan() {
@@ -133,10 +136,10 @@ func NewRecordReplayer(rd io.Reader, msPerTick int64) (*Replayer, error) {
 			}
 			rec, err := parseRecord(text)
 			if err != nil {
-				return fmt.Errorf("%w: line %d: %v", ErrBadRecord, line, err)
+				return buf, fmt.Errorf("%w: line %d: %v", ErrBadRecord, line, err)
 			}
 			if rec.Time < lastTime {
-				return fmt.Errorf("%w: line %d: record at %d ms after %d ms (replay requires time order)",
+				return buf, fmt.Errorf("%w: line %d: record at %d ms after %d ms (replay requires time order)",
 					ErrBadRecord, line, rec.Time, lastTime)
 			}
 			lastTime = rec.Time
@@ -147,16 +150,21 @@ func NewRecordReplayer(rd io.Reader, msPerTick int64) (*Replayer, error) {
 			c := Contact{Host: int32(h), Dst: rec.Dst, Worm: WormFlow(&rec)}
 			if rec.Time >= hi {
 				pending, pendingTime, havePending = c, rec.Time, true
-				return nil
+				return buf, nil
 			}
-			emit(c)
+			buf = append(buf, c)
 		}
 		if err := sc.Err(); err != nil {
-			return fmt.Errorf("trace: replay read: %w", err)
+			return buf, fmt.Errorf("trace: replay read: %w", err)
 		}
-		return nil
+		return buf, nil
 	}
-	return r, nil
+	fill := func(_, hi int64, buf []Contact) ([]Contact, error) {
+		buf, err := scan(hi, buf)
+		sort.SliceStable(buf, func(i, j int) bool { return buf[i].Host < buf[j].Host })
+		return buf, err
+	}
+	return &Replayer{msPerTick: msPerTick, fill: fill}, nil
 }
 
 // benignInternalProb is the fraction of benign synthetic-replay
@@ -167,9 +175,9 @@ func NewRecordReplayer(rd io.Reader, msPerTick int64) (*Replayer, error) {
 // packet path (queues, drops) alongside the limiter seam.
 const benignInternalProb = 0.10
 
-// synthContact is a generated contact waiting for its tick window.
+// synthContact is a generated contact held for a later tick window.
 type synthContact struct {
-	time int64
+	tick int64 // the window it falls in: trace time / msPerTick
 	dst  ratelimit.IP
 	worm bool
 }
@@ -199,17 +207,45 @@ const (
 
 // synthProc is one host's resumable traffic process: next is the time
 // of its next top-level event (browsing session, inbound request, P2P
-// contact, worm minute), and pend holds contacts already generated but
-// beyond the current tick window. pend is bounded by one event's span
-// (a session, a burst, one worm minute) — the constant-memory window of
-// the synthetic stream.
+// contact, worm minute), and pend[head:] is its look-ahead — contacts
+// already generated but beyond the current tick window. The look-ahead
+// is bounded by one event's span (a session, a burst, one worm minute),
+// the constant-memory window of the synthetic stream.
+//
+// The look-ahead is kept ordered by tick window, and in generation
+// order within a window, so emitting a tick pops a prefix: the held
+// contacts that reach the current window leave in exactly the order a
+// filter over generation order would yield them, without rescanning the
+// contacts that are still waiting. rng is the process's own source; it
+// is dropped with the process when the process retires (see done).
 type synthProc struct {
 	host    int32
 	kind    synthProcKind
+	blaster bool
 	rng     *rand.Rand
 	next    int64
 	pend    []synthContact
-	blaster bool
+	head    int
+}
+
+// done reports whether the process can emit nothing more: its next
+// event is past the trace horizon and its look-ahead is empty.
+func (p *synthProc) done(duration int64) bool {
+	return p.next >= duration && p.head == len(p.pend)
+}
+
+// synthStream is the synthetic replayer's state: the live processes in
+// ascending host order (an infected host's background process before
+// its worm process) and scratch buffers shared by all of them.
+type synthStream struct {
+	cfg       GenConfig
+	msPerTick int64
+	procs     []synthProc
+	// fresh collects one advance call's contacts for later windows in
+	// generation order; sorted and counts are orderByTick's scratch.
+	fresh  []synthContact
+	sorted []synthContact
+	counts []int32
 }
 
 // NewSyntheticReplayer streams the generator's traffic profile
@@ -221,52 +257,96 @@ type synthProc struct {
 // edge trace never records — that is what propagates infection inside
 // the simulated subnet — and a benignInternalProb slice of benign
 // contacts stays internal for the same reason.
+//
+// A process whose first event lies past cfg.Duration is never kept,
+// and a process retires (leaves the process list, its source with it)
+// once done; most normal hosts draw no event within a short horizon.
+// Each process is seeded from one reused spare source — Seed(seed)
+// yields the same stream as rand.New(rand.NewSource(seed)) — which
+// passes to the process only when the process is kept.
 func NewSyntheticReplayer(cfg GenConfig, msPerTick int64) (*Replayer, error) {
+	s, err := newSynthStream(cfg, msPerTick)
+	if err != nil {
+		return nil, err
+	}
+	return &Replayer{msPerTick: msPerTick, fill: s.fill}, nil
+}
+
+// newSynthStream seeds every host's processes and keeps the ones with
+// an event inside the horizon (see NewSyntheticReplayer).
+func newSynthStream(cfg GenConfig, msPerTick int64) (*synthStream, error) {
 	if msPerTick <= 0 {
 		return nil, fmt.Errorf("trace: replay ms per tick %d must be positive", msPerTick)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var procs []*synthProc
-	add := func(h int, kind synthProcKind, salt int64) *synthProc {
-		p := &synthProc{
-			host: int32(h),
-			kind: kind,
-			rng:  rand.New(rand.NewSource(cfg.Seed ^ salt ^ (0x5E3779B97F4A7C15 * int64(h+1)))),
+	s := &synthStream{cfg: cfg, msPerTick: msPerTick}
+	var spare *rand.Rand
+	start := func(h int, kind synthProcKind, salt int64) synthProc {
+		seed := cfg.Seed ^ salt ^ (0x5E3779B97F4A7C15 * int64(h+1))
+		if spare == nil {
+			spare = rand.New(rand.NewSource(seed))
+		} else {
+			spare.Seed(seed)
 		}
-		procs = append(procs, p)
-		return p
+		return synthProc{host: int32(h), kind: kind, rng: spare}
+	}
+	keep := func(p synthProc) {
+		if p.next < cfg.Duration {
+			s.procs = append(s.procs, p)
+			spare = nil // the process owns the source now
+		}
 	}
 	for h := 0; h < cfg.NumHosts(); h++ {
 		switch cfg.HostClass(h) {
 		case ClassNormal:
-			p := add(h, procNormal, replaySaltNormal)
+			p := start(h, procNormal, replaySaltNormal)
 			p.next = expDelay(p.rng, float64(Hour)/normalSessionsPerHour)
+			keep(p)
 		case ClassServer:
-			p := add(h, procServerIn, replaySaltServerIn)
+			p := start(h, procServerIn, replaySaltServerIn)
 			p.next = expDelay(p.rng, float64(Minute)/serverInboundPerMinute)
-			q := add(h, procServerOut, replaySaltServerOut)
+			keep(p)
+			q := start(h, procServerOut, replaySaltServerOut)
 			q.next = expDelay(q.rng, float64(Hour)/serverOutboundPerHour)
+			keep(q)
 		case ClassP2P:
-			p := add(h, procP2P, replaySaltP2P)
+			p := start(h, procP2P, replaySaltP2P)
 			p.next = expDelay(p.rng, float64(Minute)/p2pContactsPerMinute)
+			keep(p)
 		case ClassInfected:
-			p := add(h, procNormal, replaySaltNormal)
+			p := start(h, procNormal, replaySaltNormal)
 			p.next = expDelay(p.rng, float64(Hour)/normalSessionsPerHour)
-			w := add(h, procWorm, replaySaltWorm)
+			keep(p)
+			w := start(h, procWorm, replaySaltWorm)
 			w.blaster = w.rng.Float64() < cfg.BlasterFraction
 			w.next = cfg.WormOnset / Minute * Minute
+			keep(w)
 		}
 	}
-	r := &Replayer{msPerTick: msPerTick}
-	r.fill = func(_, hi int64, emit func(Contact)) error {
-		for _, p := range procs {
-			p.advance(&cfg, hi, emit)
+	return s, nil
+}
+
+// fill advances every live process through the window [lo, hi) in host
+// order and retires the ones that are done.
+func (s *synthStream) fill(lo, hi int64, buf []Contact) ([]Contact, error) {
+	tick := lo / s.msPerTick
+	live := 0
+	for i := range s.procs {
+		p := &s.procs[i]
+		buf = s.advance(p, tick, hi, buf)
+		if p.done(s.cfg.Duration) {
+			continue
 		}
-		return nil
+		if live != i {
+			s.procs[live] = *p
+		}
+		live++
 	}
-	return r, nil
+	clear(s.procs[live:]) // drop retired processes' sources
+	s.procs = s.procs[:live]
+	return buf, nil
 }
 
 // benignTarget draws a benign contact's destination: usually external,
@@ -278,29 +358,26 @@ func (p *synthProc) benignTarget(cfg *GenConfig) ratelimit.IP {
 	return externalIP(p.rng)
 }
 
-// advance emits the process's contacts with time < hi: first the held
-// look-ahead entries that fell into the window, then every top-level
-// event with start time < hi (an event's trailing contacts land in
-// pend for later windows). Successive windows must be contiguous —
-// Replayer guarantees that.
-func (p *synthProc) advance(cfg *GenConfig, hi int64, emit func(Contact)) {
-	kept := p.pend[:0]
-	for _, c := range p.pend {
-		if c.time < hi {
-			emit(Contact{Host: p.host, Dst: c.dst, Worm: c.worm})
-		} else {
-			kept = append(kept, c)
-		}
+// advance appends to buf the process's contacts for window tick, which
+// ends at trace time hi: first the held look-ahead prefix that reached
+// the window, then every top-level event with start time < hi in
+// generation order. An event's contacts for later windows are collected
+// in s.fresh and merged into the look-ahead by hold. Successive windows
+// must be contiguous — Replayer guarantees that.
+func (s *synthStream) advance(p *synthProc, tick, hi int64, buf []Contact) []Contact {
+	for ; p.head < len(p.pend) && p.pend[p.head].tick <= tick; p.head++ {
+		c := p.pend[p.head]
+		buf = append(buf, Contact{Host: p.host, Dst: c.dst, Worm: c.worm})
 	}
-	p.pend = kept
+	cfg := &s.cfg
 	push := func(t int64, dst ratelimit.IP, wormScan bool) {
 		if t >= cfg.Duration {
 			return
 		}
 		if t < hi {
-			emit(Contact{Host: p.host, Dst: dst, Worm: wormScan})
+			buf = append(buf, Contact{Host: p.host, Dst: dst, Worm: wormScan})
 		} else {
-			p.pend = append(p.pend, synthContact{time: t, dst: dst, worm: wormScan})
+			s.fresh = append(s.fresh, synthContact{tick: t / s.msPerTick, dst: dst, worm: wormScan})
 		}
 	}
 	for p.next < hi && p.next < cfg.Duration {
@@ -375,6 +452,79 @@ func (p *synthProc) advance(cfg *GenConfig, hi int64, emit func(Contact)) {
 				push(st, tgt, true)
 			}
 			p.next += Minute
+		}
+	}
+	if len(s.fresh) > 0 {
+		s.hold(p)
+	}
+	return buf
+}
+
+// countingSpan bounds orderByTick's counting pass: contacts whose
+// windows span more than countingSpan windows per contact are ordered
+// by a stable sort instead, so the count table stays O(contacts).
+const countingSpan = 8
+
+// orderByTick returns fresh ordered by tick window, generation order
+// kept within a window: one counting pass over the window offsets
+// places the contacts into sorted, unless the windows span far more
+// than there are contacts (a worm minute at millisecond ticks), where
+// fresh is sorted stably in place. counts is scratch for the counting
+// pass. The counting pass carries the common case: with the stable sort
+// alone, the collateral-campus benchmark ran twice as slow (median
+// 6.8 s against 3.4 s over 10 alternating runs on a 2-vCPU VM).
+func orderByTick(fresh, sorted []synthContact, counts []int32) ([]synthContact, []int32) {
+	lo, hi := fresh[0].tick, fresh[0].tick
+	for _, c := range fresh[1:] {
+		lo, hi = min(lo, c.tick), max(hi, c.tick)
+	}
+	span := hi - lo + 1
+	if span > countingSpan*int64(len(fresh)) {
+		slices.SortStableFunc(fresh, func(a, b synthContact) int { return cmp.Compare(a.tick, b.tick) })
+		return fresh, counts
+	}
+	counts = slices.Grow(counts[:0], int(span+1))[:span+1]
+	clear(counts)
+	for _, c := range fresh {
+		counts[c.tick-lo+1]++
+	}
+	for i := 1; i < len(counts); i++ {
+		counts[i] += counts[i-1]
+	}
+	sorted = sorted[:len(fresh)]
+	for _, c := range fresh {
+		sorted[counts[c.tick-lo]] = c
+		counts[c.tick-lo]++
+	}
+	return sorted, counts
+}
+
+// hold merges s.fresh — contacts generated after everything already
+// held — into p's tick-ordered look-ahead. Within a window the held
+// contacts stay ahead of the fresh ones, so the look-ahead remains in
+// generation order per window.
+func (s *synthStream) hold(p *synthProc) {
+	s.sorted = slices.Grow(s.sorted[:0], len(s.fresh))
+	var fresh []synthContact
+	fresh, s.counts = orderByTick(s.fresh, s.sorted, s.counts)
+	s.fresh = s.fresh[:0]
+	if p.head > 0 && 2*p.head >= len(p.pend) {
+		// Compact once the popped prefix outweighs the live part, so the
+		// slice stays within twice the look-ahead at amortized O(1) per
+		// contact.
+		p.pend, p.head = p.pend[:copy(p.pend, p.pend[p.head:])], 0
+	}
+	// Merge from the back in place: a held contact moves behind a fresh
+	// one only when its window is strictly later.
+	i := len(p.pend) - 1
+	p.pend = append(p.pend, fresh...)
+	for j, k := len(fresh)-1, len(p.pend)-1; j >= 0; k-- {
+		if i >= p.head && p.pend[i].tick > fresh[j].tick {
+			p.pend[k] = p.pend[i]
+			i--
+		} else {
+			p.pend[k] = fresh[j]
+			j--
 		}
 	}
 }

@@ -2,10 +2,17 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/ratelimit"
 	"repro/internal/worm"
 )
 
@@ -291,6 +298,161 @@ func TestReplayerConstantMemory(t *testing.T) {
 	long := perTick(3 * Hour)
 	if long > 2*short+8 {
 		t.Errorf("per-tick allocations scale with trace length: %.1f (3h) vs %.1f (10m)", long, short)
+	}
+}
+
+// TestSyntheticReplayerStreamDigest pins the synthetic stream bit for
+// bit: a SHA-256 over every tick's (Host, Dst, Worm) batch, recorded
+// before the look-ahead became tick-ordered. The tick lengths cover
+// each ordering path of a worm minute's scans: at 1 ms they span far
+// more windows than there are scans (the stable-sort fallback), at
+// 250 ms and 1 s the counting pass places them, and at one minute every
+// scan falls in its event's own window. The normal-only and P2P-only
+// populations are large enough that sessions and search bursts overlap:
+// a later event's contacts then join held contacts in the same future
+// window, and must queue behind them.
+func TestSyntheticReplayerStreamDigest(t *testing.T) {
+	mixed := GenConfig{
+		Duration:        3 * Minute,
+		Seed:            7,
+		NormalClients:   24,
+		Servers:         3,
+		P2PClients:      4,
+		Infected:        4,
+		BlasterFraction: 0.5,
+		WormOnset:       20 * Second,
+	}
+	normal := GenConfig{Duration: Hour, Seed: 11, NormalClients: 2000}
+	p2p := GenConfig{Duration: 30 * Minute, Seed: 11, P2PClients: 200}
+	cases := []struct {
+		name      string
+		cfg       GenConfig
+		msPerTick int64
+		contacts  int
+		digest    string
+	}{
+		{"mixed/1ms", mixed, 1, 5253, "6ada1e1dcf7bb39cc33104e8ab91a549b894ebfd804f319d59fd17668c9fc2c5"},
+		{"mixed/250ms", mixed, 250, 5253, "e3f1987d375eef88a955740a8ffe9391b286466e3ef778662d2ac44591462121"},
+		{"mixed/1s", mixed, 1000, 5253, "bcd7b85ba37bb48b719959cf9fc68fbf4f1f46dfe267f61fab6fdc45e2c5b4fd"},
+		{"mixed/1min", mixed, 60000, 5253, "ab4a1b0e9dbaf9f211d28748da4629ce0667cf6ce64720c60f090dbc429cd0c8"},
+		{"normal/1s", normal, 1000, 6060, "9eb51e593ffc22b278606abc84560f6b74d2f420e68a03f16d4b87a8c10b6eef"},
+		{"p2p/250ms", p2p, 250, 63769, "61eb7e0178904345e172a60a4edc42ec25d74df4259318f6ca7da91db57c7422"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rp, err := NewSyntheticReplayer(c.cfg, c.msPerTick)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			var rec [9]byte
+			n := 0
+			ticks := int((c.cfg.Duration + c.msPerTick - 1) / c.msPerTick)
+			for tick := 0; tick < ticks; tick++ {
+				batch, err := rp.Contacts(tick)
+				if err != nil {
+					t.Fatal(err)
+				}
+				binary.LittleEndian.PutUint32(rec[:4], uint32(len(batch)))
+				h.Write(rec[:4])
+				for _, ct := range batch {
+					binary.LittleEndian.PutUint32(rec[:4], uint32(ct.Host))
+					binary.LittleEndian.PutUint32(rec[4:8], uint32(ct.Dst))
+					rec[8] = 0
+					if ct.Worm {
+						rec[8] = 1
+					}
+					h.Write(rec[:])
+				}
+				n += len(batch)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); n != c.contacts || got != c.digest {
+				t.Errorf("stream changed: %d contacts, digest %s; want %d, %s", n, got, c.contacts, c.digest)
+			}
+		})
+	}
+}
+
+// TestSyntheticReplayerOrderByTick: both ordering paths — the counting
+// pass and the stable-sort fallback — must equal a stable sort by
+// window, on ordered and unordered input.
+func TestSyntheticReplayerOrderByTick(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var sorted []synthContact
+	var counts []int32
+	for _, c := range []struct {
+		n    int
+		span int64
+	}{{1, 1}, {5, 1}, {40, 3}, {40, 300}, {100, 800}, {100, 5000}, {7, 100000}} {
+		for rep := 0; rep < 20; rep++ {
+			fresh := make([]synthContact, c.n)
+			for i := range fresh {
+				fresh[i] = synthContact{tick: 1000 + rng.Int63n(c.span), dst: ratelimit.IP(i)}
+			}
+			if rep == 0 {
+				slices.SortStableFunc(fresh, func(a, b synthContact) int { return cmp.Compare(a.tick, b.tick) })
+			}
+			want := slices.Clone(fresh)
+			slices.SortStableFunc(want, func(a, b synthContact) int { return cmp.Compare(a.tick, b.tick) })
+			sorted = slices.Grow(sorted[:0], c.n)
+			var got []synthContact
+			got, counts = orderByTick(fresh, sorted, counts)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d span=%d: orderByTick = %v, want %v", c.n, c.span, got, want)
+			}
+		}
+	}
+}
+
+// TestSyntheticReplayerRetires: processes with nothing left to emit
+// leave the process list, and retirement does not disturb the stream.
+func TestSyntheticReplayerRetires(t *testing.T) {
+	// Every first event lies past a 1 ms horizon: exponential delays
+	// are at least 1 ms, and the worm starts after the horizon.
+	idle := testGen(1)
+	idle.WormOnset = Minute
+	s, err := newSynthStream(idle, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.procs) != 0 {
+		t.Fatalf("%d processes kept for a population with no event in the horizon", len(s.procs))
+	}
+
+	cfg := testGen(3 * Minute)
+	cfg.NormalClients = 60
+	ticks := int(cfg.Duration / 1000)
+	const cut = 100
+	straight, err := newSynthStream(cfg, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := len(straight.procs)
+	a := &Replayer{msPerTick: 1000, fill: straight.fill}
+	want := drain(t, a, ticks)
+	if len(straight.procs) != 0 {
+		t.Errorf("%d processes still live past the horizon", len(straight.procs))
+	}
+
+	skipped, err := newSynthStream(cfg, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &Replayer{msPerTick: 1000, fill: skipped.fill}
+	if _, err := b.Skip(cut); err != nil {
+		t.Fatal(err)
+	}
+	if live := len(skipped.procs); live == 0 || live >= initial {
+		t.Fatalf("%d of %d processes live at tick %d; the test needs retirements mid-run", live, initial, cut)
+	}
+	for tick := cut; tick < ticks; tick++ {
+		batch, err := b.Contacts(tick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(append([]Contact(nil), batch...), want[tick]) {
+			t.Fatalf("tick %d after Skip(%d) diverges from the straight drain", tick, cut)
+		}
 	}
 }
 
