@@ -45,9 +45,13 @@ chaos:
 ## the spectral-radius epidemic-threshold oracle (sub-critical specs
 ## must die out, super-critical ones must take off). Fixed seed keeps
 ## failures reproducible; rerun any failure with
-## `wormsim -specfuzz N -seed S`.
+## `wormsim -specfuzz N -seed S`. Then ~10 s of coverage-guided
+## fuzzing of the spec decoder (FuzzSpecDecode: no input panics, every
+## accepted spec reaches a canonical fixed point); a crasher lands in
+## internal/spec/testdata/fuzz/ and replays under `go test`.
 fuzz-smoke:
 	$(GO) test -run 'TestFuzzSmoke|TestSpectralThreshold' -v ./internal/spec
+	$(GO) test -run xxx -fuzz '^FuzzSpecDecode$$' -fuzztime 10s ./internal/spec
 
 ## daemon-smoke: the wormsimd service gate — the full HTTP round-trip
 ## (submit, JSONL/SSE stream, result, cancel, 429 backpressure, shared

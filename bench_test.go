@@ -178,7 +178,7 @@ func BenchmarkMultiRunParallel(b *testing.B) {
 
 // BenchmarkEngineThroughput measures raw simulator performance: one
 // 1000-node, 100-tick congested run per iteration, *including* engine
-// construction (routing tables, link enumeration, hop table). The
+// construction (link enumeration, structural router). The
 // construction-free per-tick numbers live in internal/sim's
 // BenchmarkEngineTick (`make bench`), with reference values recorded
 // in BENCH_engine.json.

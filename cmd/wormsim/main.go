@@ -192,8 +192,8 @@ func run(ctx context.Context, args []string) error {
 	case "twolevel":
 		// A BRITE-style AS internet with ~n hosts in 256-host stub
 		// subnets; 5% of ASes are transit-only. This is the scale
-		// topology: above ~4k nodes the engine routes it structurally
-		// (no dense hop table), so -n 100000 and beyond stay cheap.
+		// topology: the router stores only a core × core table, so
+		// -n 100000 and beyond stay cheap.
 		stubs := max(*n/256, 4)
 		sc.Topology = core.ASInternet(topology.TwoLevelConfig{
 			ASes: stubs * 20 / 19, AttachM: 2, TransitFraction: 0.05, HostsPerStub: 256,

@@ -130,40 +130,3 @@ func TestScenarioWorkers(t *testing.T) {
 		t.Error("Workers=4 series diverged from serial")
 	}
 }
-
-func TestScenarioStructuralThreshold(t *testing.T) {
-	bad := RunOptions{StructuralThreshold: -2}
-	if err := bad.Validate(); err == nil {
-		t.Error("StructuralThreshold=-2 should fail options validation")
-	}
-
-	// The threshold is a representation knob only: forcing the dense
-	// table (-1) and forcing the structural router (1, below any real
-	// topology size) must produce byte-identical series.
-	sc := smallScenario()
-	want, _, err := sc.SimulateOptions(context.Background(), 2, RunOptions{StructuralThreshold: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := sc.SimulateOptions(context.Background(), 2, RunOptions{StructuralThreshold: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Infected, want.Infected) || !reflect.DeepEqual(got.Backlog, want.Backlog) {
-		t.Error("structural routing series diverged from the dense table")
-	}
-
-	// A prebuilt Net carries its threshold: running it under options
-	// that resolve to a different threshold must be rejected, not
-	// silently routed with the wrong representation.
-	net, err := sc.BuildNetThreshold(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := sc.SimulateOptions(context.Background(), 1, RunOptions{Net: net, StructuralThreshold: -1}); err == nil {
-		t.Error("prebuilt net with mismatched threshold should fail validation")
-	}
-	if _, _, err := sc.SimulateOptions(context.Background(), 1, RunOptions{Net: net, StructuralThreshold: 1}); err != nil {
-		t.Errorf("prebuilt net with matching threshold rejected: %v", err)
-	}
-}

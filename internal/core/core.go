@@ -363,16 +363,6 @@ func (n *Net) Key() string { return n.key }
 // RunOptions.Net. Any scenario whose NetKey equals this scenario's can
 // run over the returned Net.
 func (s *Scenario) BuildNet() (*Net, error) {
-	return s.BuildNetThreshold(0)
-}
-
-// BuildNetThreshold is BuildNet with an explicit structural threshold,
-// interpreted like RunOptions.StructuralThreshold (0 default, -1 dense
-// table at every size, >0 the switch point). Batches running over the
-// returned Net must use the same threshold in their RunOptions — a
-// mismatched pair is rejected at validation, since the knob could not
-// apply to the prebuilt routing state.
-func (s *Scenario) BuildNetThreshold(threshold int) (*Net, error) {
 	key, err := s.NetKey()
 	if err != nil {
 		return nil, err
@@ -381,7 +371,7 @@ func (s *Scenario) BuildNetThreshold(threshold int) (*Net, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Net{key: key, graph: g, roles: roles, subnet: subnet, net: sim.BuildNetThreshold(g, threshold)}, nil
+	return &Net{key: key, graph: g, roles: roles, subnet: subnet, net: sim.BuildNet(g)}, nil
 }
 
 // applyDefense translates one DefenseSpec onto the simulation config.
@@ -609,7 +599,6 @@ func (s *Scenario) SimulateOptions(ctx context.Context, runs int, o RunOptions) 
 		return nil, runner.Stats{}, err
 	}
 	cfg.Workers = o.Workers
-	cfg.StructuralThreshold = o.StructuralThreshold
 	cfg.CollectorFactory = o.Collectors
 	cfg.Check = o.Check
 	if o.Workload != nil {

@@ -25,7 +25,6 @@ func BindRunFlags(fs *flag.FlagSet, o *RunOptions) {
 	fs.StringVar(&o.Checkpoint, "checkpoint", o.Checkpoint, "directory for periodic per-replica snapshots (empty = off)")
 	fs.IntVar(&o.CheckpointEvery, "checkpoint-every", o.CheckpointEvery, "ticks between checkpoints (0 = default 10)")
 	fs.StringVar(&o.Resume, "resume", o.Resume, "resume replicas from this checkpoint directory (or single .ckpt file when runs=1)")
-	fs.IntVar(&o.StructuralThreshold, "structural-threshold", o.StructuralThreshold, "node count at which routing switches to the structural router (0 = library default, -1 = dense table at every size; results are identical)")
 	fs.Func("trace-replay", "drive scans from a trace-replay workload: a trace file path, or 'synthetic' for the generator's traffic profile (empty = β draws)", func(v string) error {
 		w := ensureWorkload(o)
 		if v == WorkloadSynthetic {
@@ -61,8 +60,7 @@ var runFlagNames = map[string]bool{
 	"jobs": true, "workers": true, "timeout": true, "check": true,
 	"keep-going": true, "retries": true, "retry-backoff": true,
 	"replica-timeout": true, "checkpoint": true, "checkpoint-every": true,
-	"resume": true, "structural-threshold": true,
-	"trace-replay": true, "trace-tick-ms": true,
+	"resume": true, "trace-replay": true, "trace-tick-ms": true,
 }
 
 // MergeRunFlags overlays the run flags the user explicitly set on the
@@ -100,8 +98,6 @@ func MergeRunFlags(fs *flag.FlagSet, base, cli RunOptions) RunOptions {
 			out.CheckpointEvery = cli.CheckpointEvery
 		case "resume":
 			out.Resume = cli.Resume
-		case "structural-threshold":
-			out.StructuralThreshold = cli.StructuralThreshold
 		case "trace-replay":
 			// The flag decides the source; everything else (tick
 			// mapping, populations) stays with the spec's workload.

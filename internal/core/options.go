@@ -65,14 +65,6 @@ type RunOptions struct {
 	// single-replica batches, one checkpoint file. A checkpoint that
 	// exists but fails verification fails its replica explicitly.
 	Resume string
-	// StructuralThreshold sets the node count at which routing switches
-	// from the dense all-pairs hop table to the structural router
-	// (sim.Config.StructuralThreshold): 0 picks the library default
-	// (sim.DefaultStructuralThreshold), -1 forces the dense table at
-	// every size (an ablation/debugging knob), and any positive value
-	// is the switch point. Results are identical either way; this
-	// trades construction memory against per-hop lookup cost.
-	StructuralThreshold int
 	// Workload, when non-nil, replaces the worm's β-draw scan source
 	// with a trace-replay workload (see WorkloadSpec): worm scans and
 	// benign background flows stream from a synthetic traffic profile
@@ -123,8 +115,6 @@ func (o *RunOptions) Validate() error {
 		return fmt.Errorf("core: -replica-timeout must be >= 0, got %v", o.ReplicaTimeout)
 	case o.CheckpointEvery < 0:
 		return fmt.Errorf("core: -checkpoint-every must be >= 0 (0 = default), got %d", o.CheckpointEvery)
-	case o.StructuralThreshold < -1:
-		return fmt.Errorf("core: -structural-threshold must be >= -1 (-1 = dense routing at every size, 0 = default), got %d", o.StructuralThreshold)
 	}
 	if o.Workload != nil {
 		return o.Workload.Validate()
@@ -259,15 +249,6 @@ func WithCheckpoints(dir string, every int) RunOption {
 // ignored.
 func WithResume(path string) RunOption {
 	return func(o *RunOptions) { o.Resume = path }
-}
-
-// WithStructuralThreshold sets the node count at which routing switches
-// from the dense all-pairs hop table to the structural router: 0 picks
-// the library default, -1 forces the dense table at every size. Results
-// are identical either way (a memory/speed trade); a prebuilt Net must
-// have been built with the same threshold.
-func WithStructuralThreshold(n int) RunOption {
-	return func(o *RunOptions) { o.StructuralThreshold = n }
 }
 
 // WithWorkload replaces the worm's β-draw scan source with a

@@ -49,8 +49,7 @@ type TickMetrics struct {
 	PacketsGenerated int `json:"packets_generated"`
 	// PacketsDelivered counts packets that reached their destination.
 	PacketsDelivered int `json:"packets_delivered"`
-	// PacketsDropped counts packets lost to DropTail, drop policy, or
-	// unreachable destinations.
+	// PacketsDropped counts packets lost to DropTail or drop policy.
 	PacketsDropped int `json:"packets_dropped"`
 	// Backlog is the number of packets queued on links at tick end.
 	Backlog int `json:"backlog"`

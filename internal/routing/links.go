@@ -69,31 +69,9 @@ func (l *Links) From(i int) int { return int(l.from[i]) }
 // To returns the destination node of directed link i.
 func (l *Links) To(i int) int { return int(l.to[i]) }
 
-// HopTable fuses t's next-hop table with the link enumeration: entry
-// u*N+d is the index of the directed link from u toward destination d,
-// or -1 when d is unreachable or d == u. One lookup replaces the
-// next-hop load plus neighbor search on the simulator's per-packet
-// path. The table is immutable and safe to share across goroutines; at
-// 4·N² bytes it is the same size as t's own tables.
-func (l *Links) HopTable(t *Table) []int32 {
-	hop := make([]int32, l.n*l.n)
-	for u := 0; u < l.n; u++ {
-		row := hop[u*l.n : (u+1)*l.n]
-		for d := range row {
-			nh := t.NextHop(u, d)
-			if nh < 0 || d == u {
-				row[d] = -1
-				continue
-			}
-			row[d] = int32(l.Index(u, nh))
-		}
-	}
-	return hop
-}
-
 // Index returns the index of directed link u -> v, or -1 when v is not
 // a neighbor of u. Binary search over u's sorted destinations: O(log
-// deg(u)), no allocation — cheap enough for per-packet routing.
+// deg(u)), no allocation.
 func (l *Links) Index(u, v int) int {
 	lo, hi := int(l.start[u]), int(l.start[u+1])
 	v32 := int32(v)

@@ -5,14 +5,14 @@
 // routing table entries the link occupies" and is used to scale each
 // rate-limited link's packet budget.
 //
-// Two next-hop representations exist. The dense form
-// (Links.HopTable) stores every (source, destination) next hop in one
-// O(N²) slice — exact, including tie-breaks, and the right choice for
-// paper-sized graphs. Structural (NewStructural) serves host-majority
-// graphs (star, hierarchical, two-level, m=1 power-law) with host
-// up-links plus a core-only table — O(N + core²), same hop counts,
-// possibly different equal-length tie-breaks; the simulation engine
-// switches to it above a node-count threshold (DESIGN.md §9).
+// The simulation engine routes with Structural (NewStructural): host
+// up-links, final-hop down-links and a bit-packed core-only table,
+// O(N + core²) instead of Build's O(N²) arrays. Hosts are leaves, so a
+// BFS over the core dequeues core nodes in the same order as Build's
+// full-graph BFS and Structural names the very link Build's next hop
+// does, equal-length tie-breaks included (DESIGN.md §9). Build's Table
+// stays the analysis path (Dist, PathCoverage, LinkWeights) and the
+// tests' reference.
 package routing
 
 import (

@@ -6,44 +6,41 @@ import (
 	"repro/internal/topology"
 )
 
-// Structural is the memory-lean routing mode for host-and-core
-// topologies (topology.TwoLevel, Hierarchical, and any graph whose
-// population is mostly degree-1 hosts hanging off a router core, which
-// includes m=1 preferential-attachment trees). Instead of the dense
-// per-pair hop table — 4·N² bytes, hopeless at 100k+ nodes — it stores
-// next hops structurally: a host's only move is its uplink, so
-// shortest paths decompose as host → edge router → (core path) → edge
-// router → host, and only the core × core hop table is materialised.
-// A degree-1 host can never be an intermediate node of a shortest path
-// between other nodes, so core-subgraph shortest paths equal full-graph
-// shortest paths and every Structural route has optimal hop count.
+// Structural is the simulator's router: it returns, for every (node,
+// destination) pair of a connected graph, the same directed link as
+// Build's all-pairs BFS table, from O(N + C²·w/8) state instead of
+// O(N²). A host — a degree-1 node hanging off a router — has one move,
+// its uplink, so shortest paths decompose as host → edge router →
+// (core path) → edge router → host and only the core × core hop table
+// is materialised. Because hosts are leaves, a BFS over the core alone
+// dequeues core nodes in the same order as Build's full-graph BFS, and
+// each core node's parent (its next hop) is the same neighbor: the
+// router matches the dense table exactly, tie-breaks included. Graphs
+// with few hosts (m≥2 preferential attachment, rings, grids) simply
+// have a larger core.
 //
-// The core table itself is slot-compressed: a core node's next hop
-// toward any destination is one of its core neighbors, so instead of a
-// 4-byte directed-link index per (node, destination) pair it stores the
+// The core table is slot-compressed: a core node's next hop toward
+// any destination is one of its core neighbors, so instead of a 4-byte
+// directed-link index per (node, destination) pair it stores the
 // *position* of that neighbor within the node's core adjacency list,
-// bit-packed at bits.Len(deg-1) bits per entry. Degree-1 core nodes
-// (stub routers with a single transit uplink) cost zero bits — their
-// next hop is always their only neighbor. On the two-level AS graphs
-// the simulator scales on, this shrinks the core table from 4 B to a
-// fraction of a bit per entry; at 10M hosts (~41k core nodes) the
-// dense int32 table alone would be ~6.8 GB, the packed one a few
-// hundred MB. The packed form requires a connected core (every slot
-// must decode to a real hop); disconnected cores fall back to the
-// dense int32 table, keeping the -1 "unreachable" sentinel.
+// bit-packed at bits.Len(deg-1) bits per entry — never more than the
+// 32 bits a dense int32 entry takes. Degree-1 core nodes (stub routers
+// with a single transit uplink) cost zero bits: their next hop is
+// always their only neighbor. On the two-level AS graphs the simulator
+// scales on this shrinks the core table to a fraction of a bit per
+// entry; at 10M hosts (~41k core nodes) a dense int32 core table would
+// be ~6.8 GB, the packed one a few hundred MB.
 //
-// Memory is O(N + C²·w/8) for C core nodes and w packed bits instead
-// of O(N²). A Structural is immutable after NewStructural and safe to
-// share across goroutines.
+// A Structural is immutable after NewStructural and safe to share
+// across goroutines.
 type Structural struct {
 	links *Links
 	nc    int
-	// attach[u] is the core router a degree-1 host u hangs off, -1 for
-	// core nodes; upLink[u] is the directed-link index u -> attach[u].
-	attach []int32
-	upLink []int32
-	// coreID[v] is v's dense core index (-1 for hosts).
-	coreID []int32
+	// node[v] is what routing needs to know about v, in one 12-byte
+	// record: at a million hosts a lookup toward a random destination
+	// then misses cache once, not once per field. A host's own exit is
+	// its only link, links.start[v].
+	node []nodeRoute
 
 	// CSR adjacency of the core-induced subgraph in each node's
 	// insertion order (matching Build's BFS tie-breaking discipline).
@@ -53,79 +50,78 @@ type Structural struct {
 	coreAdj   []int32
 	fwdLink   []int32
 
-	// Packed mode (connected core). Column cd holds, for every core
-	// node cu, the slot of cu's next-hop neighbor toward cd within cu's
-	// core adjacency list, at wbits[cu] bits (bits.Len(deg-1); zero for
-	// degree<=1). rowOff[cu] is the bit offset of cu's field within a
-	// column; colBits = rowOff[nc] is the column stride. The entry for
-	// cu == cd is never read (HopLink short-circuits it).
+	// Column cd holds, for every core node cu, the slot of cu's
+	// next-hop neighbor toward cd within cu's core adjacency list, at
+	// wbits[cu] bits (bits.Len(deg-1); zero for degree<=1). rowOff[cu]
+	// is the bit offset of cu's field within a column; colBits =
+	// rowOff[nc] is the column stride. The entry for cu == cd is never
+	// read (HopLink short-circuits it).
 	hopBits []uint64
 	rowOff  []int32
 	wbits   []uint8
 	colBits int
-
-	// Legacy mode (disconnected core): coreHop[ci*nc+cj] is the
-	// directed-link index of ci's next hop toward cj (-1 when ci == cj
-	// or unreachable). nil in packed mode.
-	coreHop []int32
 }
 
-// NewStructural builds the structural router for g, or returns nil when
-// the graph does not qualify: structural routing pays O(core²) memory,
-// so it requires at least half the nodes to be degree-1 hosts. Callers
-// fall back to the dense HopTable on nil.
+// nodeRoute is one node's routing record.
+type nodeRoute struct {
+	// attach is the core router a degree-1 host hangs off, -1 for core
+	// nodes.
+	attach int32
+	// core is the node's dense core index, or for a host its router's:
+	// the core column a packet toward the node routes by.
+	core int32
+	// down is the directed-link index attach -> host, the final hop
+	// toward a host (-1 for core nodes).
+	down int32
+}
+
+// NewStructural builds the router for g, or returns nil when g's core
+// is disconnected — which happens exactly when g is: the packed table
+// has no "unreachable" sentinel, and the engine rejects disconnected
+// graphs anyway.
 func NewStructural(g *topology.Graph, links *Links) *Structural {
 	n := g.N()
-	s := &Structural{
-		links:  links,
-		attach: make([]int32, n),
-		upLink: make([]int32, n),
-		coreID: make([]int32, n),
-	}
-	hosts := 0
+	s := &Structural{links: links, node: make([]nodeRoute, n)}
+	coreNode := make([]int32, 0, n)
 	for u := 0; u < n; u++ {
-		s.attach[u] = -1
-		s.upLink[u] = -1
-		s.coreID[u] = -1
+		s.node[u] = nodeRoute{attach: -1, down: -1}
 		adj := g.Neighbors(u)
 		if len(adj) == 1 && len(g.Neighbors(int(adj[0]))) > 1 {
-			s.attach[u] = adj[0]
-			s.upLink[u] = int32(links.OutStart(u))
-			hosts++
-		}
-	}
-	if hosts*2 < n {
-		return nil
-	}
-	coreNode := make([]int32, 0, n-hosts)
-	for u := 0; u < n; u++ {
-		if s.attach[u] < 0 {
-			s.coreID[u] = int32(len(coreNode))
+			s.node[u].attach = adj[0]
+		} else {
+			s.node[u].core = int32(len(coreNode))
 			coreNode = append(coreNode, int32(u))
 		}
 	}
 	nc := len(coreNode)
 	s.nc = nc
 
+	// Per core node: its core neighbors, in insertion order, feed the
+	// CSR; one pass over its sorted outgoing links records the final
+	// hop down to each host it serves.
 	s.coreStart = make([]int32, nc+1)
 	s.coreAdj = make([]int32, 0, nc*4)
 	s.fwdLink = make([]int32, 0, nc*4)
 	for ci, u := range coreNode {
 		s.coreStart[ci] = int32(len(s.coreAdj))
 		for _, v := range g.Neighbors(int(u)) {
-			if cv := s.coreID[v]; cv >= 0 {
-				s.coreAdj = append(s.coreAdj, cv)
+			if s.node[v].attach < 0 {
+				s.coreAdj = append(s.coreAdj, s.node[v].core)
 				s.fwdLink = append(s.fwdLink, int32(links.Index(int(u), int(v))))
+			}
+		}
+		for li := links.start[u]; li < links.start[u+1]; li++ {
+			if h := &s.node[links.to[li]]; h.attach == u {
+				h.down, h.core = li, int32(ci)
 			}
 		}
 	}
 	s.coreStart[nc] = int32(len(s.coreAdj))
 
-	if s.coreConnected() {
-		s.buildPacked()
-	} else {
-		s.buildLegacy()
+	if !s.coreConnected() {
+		return nil
 	}
+	s.buildPacked()
 	return s
 }
 
@@ -159,8 +155,8 @@ func (s *Structural) coreConnected() bool {
 
 // buildPacked fills the slot-compressed hop columns. The BFS per
 // destination visits neighbors in CSR (graph insertion) order — the
-// same tie-breaking as the legacy dense build, so a decoded slot is
-// always the identical directed link the dense table would store.
+// same tie-breaking as Build, so a decoded slot is always the
+// directed link Build's table names.
 func (s *Structural) buildPacked() {
 	nc := s.nc
 	s.wbits = make([]uint8, nc)
@@ -223,46 +219,6 @@ func (s *Structural) buildPacked() {
 	}
 }
 
-// buildLegacy fills the dense int32 core hop table — the fallback for
-// disconnected cores, where -1 entries mark unreachable pairs.
-func (s *Structural) buildLegacy() {
-	nc := s.nc
-	s.coreHop = make([]int32, nc*nc)
-	for i := range s.coreHop {
-		s.coreHop[i] = -1
-	}
-	// revLink[k] is the directed-link index neighbor -> core node for
-	// CSR entry k: the value a BFS from a destination writes into the
-	// hop table.
-	revLink := make([]int32, len(s.coreAdj))
-	for cu := 0; cu < nc; cu++ {
-		for k := s.coreStart[cu]; k < s.coreStart[cu+1]; k++ {
-			cv := s.coreAdj[k]
-			for j := s.coreStart[cv]; j < s.coreStart[cv+1]; j++ {
-				if s.coreAdj[j] == int32(cu) {
-					revLink[k] = s.fwdLink[j]
-					break
-				}
-			}
-		}
-	}
-	queue := make([]int32, 0, nc)
-	for cd := 0; cd < nc; cd++ {
-		queue = append(queue[:0], int32(cd))
-		for len(queue) > 0 {
-			cv := queue[0]
-			queue = queue[1:]
-			for k := s.coreStart[cv]; k < s.coreStart[cv+1]; k++ {
-				cw := s.coreAdj[k]
-				if cw != int32(cd) && s.coreHop[int(cw)*nc+cd] < 0 {
-					s.coreHop[int(cw)*nc+cd] = revLink[k]
-					queue = append(queue, cw)
-				}
-			}
-		}
-	}
-}
-
 // packSlot writes the w low bits of val at bit offset off. Fields may
 // straddle a word boundary; words are assumed zero-initialised.
 func packSlot(words []uint64, off int, w uint8, val int32) {
@@ -290,32 +246,22 @@ func unpackSlot(words []uint64, off int, w uint8) int32 {
 }
 
 // HopLink returns the directed-link index of u's next hop toward
-// destination d, or -1 when u == d or d is unreachable — the same
-// contract as an entry of Links.HopTable, computed structurally.
+// destination d, or -1 when u == d: the link Build(g).NextHop(u, d)
+// names.
 func (s *Structural) HopLink(u, d int) int32 {
 	if u == d {
 		return -1
 	}
-	if s.attach[u] >= 0 {
-		return s.upLink[u] // a host's only exit
+	nu := s.node[u]
+	if nu.attach >= 0 {
+		return s.links.start[u] // a host's only exit
 	}
-	cu := s.coreID[u]
-	var cd int32
-	if a := s.attach[d]; a >= 0 {
-		if int(a) == u {
-			return int32(s.links.Index(u, d)) // final hop down to the host
-		}
-		cd = s.coreID[a]
-	} else {
-		cd = s.coreID[d]
+	nd := s.node[d]
+	if int(nd.attach) == u {
+		return nd.down // final hop down to the host
 	}
-	if cu == cd {
-		return -1
-	}
-	if s.coreHop != nil {
-		return s.coreHop[int(cu)*s.nc+int(cd)]
-	}
-	slot := unpackSlot(s.hopBits, int(cd)*s.colBits+int(s.rowOff[cu]), s.wbits[cu])
+	cu := nu.core
+	slot := unpackSlot(s.hopBits, int(nd.core)*s.colBits+int(s.rowOff[cu]), s.wbits[cu])
 	return s.fwdLink[int(s.coreStart[cu])+int(slot)]
 }
 
@@ -323,19 +269,4 @@ func (s *Structural) HopLink(u, d int) int32 {
 func (s *Structural) Core() int { return s.nc }
 
 // Hosts returns the number of degree-1 hosts routed structurally.
-func (s *Structural) Hosts() int { return len(s.attach) - s.nc }
-
-// Packed reports whether the core hop table is in the bit-packed slot
-// form (connected core) rather than the dense int32 fallback.
-func (s *Structural) Packed() bool { return s.coreHop == nil }
-
-// CoreTableBytes returns the memory footprint of the core hop table in
-// bytes — the quantity the packed representation exists to shrink.
-// Exposed for benchmarks and the B/host accounting in BENCH_engine.json.
-func (s *Structural) CoreTableBytes() int {
-	if s.coreHop != nil {
-		return 4 * len(s.coreHop)
-	}
-	return 8*len(s.hopBits) + 4*len(s.fwdLink) + 4*len(s.coreStart) +
-		4*len(s.coreAdj) + 4*len(s.rowOff) + len(s.wbits)
-}
+func (s *Structural) Hosts() int { return len(s.node) - s.nc }

@@ -1,20 +1,32 @@
-package routing
+package routing_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
+	"repro/internal/routing"
+	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/worm"
 )
 
-// structuralGraphs are small host-and-core topologies the structural
-// router must handle; small enough that exhaustive all-pairs
-// verification against the dense BFS table is cheap.
-func structuralGraphs(t *testing.T) map[string]*topology.Graph {
-	t.Helper()
-	star, err := topology.Star(40)
-	if err != nil {
-		t.Fatal(err)
+// TestStructuralMatchesDense: on every connected graph the structural
+// router must name, for every (u, d), exactly the directed link of
+// Build's BFS next hop — not merely an equal-length route. The graphs
+// span host-majority shapes (star, hierarchical, two-level, m=1
+// preferential attachment) and graphs with few or no hosts, where the
+// core is most of the graph and equal-length ties abound (m=2 and m=3
+// preferential attachment, an even ring, a grid). A disconnected graph
+// has a disconnected core: the router is nil and the engine refuses
+// the graph.
+func TestStructuralMatchesDense(t *testing.T) {
+	must := func(g *topology.Graph, err error) *topology.Graph {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
 	}
 	hg, _, _, err := topology.Hierarchical(topology.HierarchicalConfig{
 		Backbones: 2, EdgesPer: 4, HostsPerSubnet: 12,
@@ -28,150 +40,76 @@ func structuralGraphs(t *testing.T) map[string]*topology.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An m=1 preferential-attachment tree: most nodes are degree-1
-	// leaves, so it qualifies even without an explicit host tier.
-	ba1, err := topology.BarabasiAlbert(150, 1, rand.New(rand.NewSource(3)))
-	if err != nil {
+	edge := topology.New(2)
+	if err := edge.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	return map[string]*topology.Graph{
-		"star": star, "hierarchical": hg, "twolevel": tl, "ba-m1": ba1,
+	// Two disjoint stars: hubs 0 and 1, hosts 2-7 on hub 0, 8-13 on
+	// hub 1.
+	split := topology.New(14)
+	for h := 2; h < 14; h++ {
+		if err := split.AddEdge(h/8, h); err != nil {
+			t.Fatal(err)
+		}
 	}
-}
 
-// TestStructuralMatchesDense: every structural route must reach its
-// destination in exactly the dense table's shortest-path hop count
-// (tie-breaks may differ; optimality may not).
-func TestStructuralMatchesDense(t *testing.T) {
-	for name, g := range structuralGraphs(t) {
-		t.Run(name, func(t *testing.T) {
-			links := EnumerateLinks(g)
-			s := NewStructural(g, links)
+	cases := []struct {
+		name      string
+		g         *topology.Graph
+		minHosts  int // lower bound on degree-1 hosts, pins the shape
+		connected bool
+	}{
+		{"star", must(topology.Star(40)), 39, true},
+		{"hierarchical", hg, 96, true},
+		{"twolevel", tl, 1, true},
+		{"ba-m1", must(topology.BarabasiAlbert(150, 1, rand.New(rand.NewSource(3)))), 75, true},
+		{"ba-m2", must(topology.BarabasiAlbert(120, 2, rand.New(rand.NewSource(5)))), 0, true},
+		{"ba-m3", must(topology.BarabasiAlbert(120, 3, rand.New(rand.NewSource(6)))), 0, true},
+		{"ring", must(topology.Ring(24)), 0, true},
+		{"grid", must(topology.Grid(9, 9)), 0, true},
+		{"edge", edge, 0, true},
+		{"disconnected", split, 12, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g
+			links := routing.EnumerateLinks(g)
+			s := routing.NewStructural(g, links)
+			if !tc.connected {
+				if s != nil {
+					t.Fatal("NewStructural accepted a disconnected core")
+				}
+				_, err := sim.New(sim.Config{
+					Graph: g, Beta: 0.5, ScansPerTick: 1, Strategy: worm.NewRandomFactory(),
+					InitialInfected: 1, Ticks: 1,
+				})
+				if !errors.Is(err, topology.ErrDisconnected) {
+					t.Fatalf("sim.New on a disconnected graph: err %v, want %v", err, topology.ErrDisconnected)
+				}
+				return
+			}
 			if s == nil {
-				t.Fatalf("%s: NewStructural returned nil for a qualifying graph", name)
+				t.Fatal("NewStructural returned nil for a connected graph")
 			}
-			if s.Hosts()+s.Core() != g.N() {
-				t.Fatalf("hosts %d + core %d != n %d", s.Hosts(), s.Core(), g.N())
+			if s.Hosts()+s.Core() != g.N() || s.Hosts() < tc.minHosts {
+				t.Fatalf("hosts %d + core %d vs n %d (want >= %d hosts)", s.Hosts(), s.Core(), g.N(), tc.minHosts)
 			}
-			tab := Build(g)
+			tab := routing.Build(g)
 			n := g.N()
 			for u := 0; u < n; u++ {
-				if s.HopLink(u, u) != -1 {
-					t.Fatalf("HopLink(%d,%d) = %d, want -1", u, u, s.HopLink(u, u))
+				if got := s.HopLink(u, u); got != -1 {
+					t.Fatalf("HopLink(%d,%d) = %d, want -1", u, u, got)
 				}
 				for d := 0; d < n; d++ {
 					if d == u {
 						continue
 					}
-					at, hops := u, 0
-					for at != d {
-						li := s.HopLink(at, d)
-						if li < 0 {
-							t.Fatalf("route %d->%d: stuck at %d after %d hops", u, d, at, hops)
-						}
-						if links.From(int(li)) != at {
-							t.Fatalf("route %d->%d: hop link %d starts at %d, not %d",
-								u, d, li, links.From(int(li)), at)
-						}
-						at = links.To(int(li))
-						hops++
-						if hops > n {
-							t.Fatalf("route %d->%d: did not terminate", u, d)
-						}
-					}
-					if want := tab.Dist(u, d); hops != want {
-						t.Fatalf("route %d->%d: %d hops, shortest path has %d", u, d, hops, want)
+					if got, want := s.HopLink(u, d), int32(links.Index(u, tab.NextHop(u, d))); got != want {
+						t.Fatalf("HopLink(%d,%d) = %d, dense next hop %d is link %d",
+							u, d, got, tab.NextHop(u, d), want)
 					}
 				}
 			}
 		})
-	}
-}
-
-// TestStructuralPackedMatchesLegacy: on connected cores the
-// bit-packed slot columns must decode to exactly the directed links
-// the legacy dense int32 table stores — not merely equal-length
-// routes. The engine's golden series pin byte-identical output, so the
-// packed representation may not even change tie-breaks.
-func TestStructuralPackedMatchesLegacy(t *testing.T) {
-	for name, g := range structuralGraphs(t) {
-		t.Run(name, func(t *testing.T) {
-			links := EnumerateLinks(g)
-			s := NewStructural(g, links)
-			if s == nil {
-				t.Fatalf("%s: NewStructural returned nil", name)
-			}
-			if !s.Packed() {
-				t.Fatalf("%s: connected core should use the packed table", name)
-			}
-			legacy := *s
-			legacy.hopBits = nil
-			legacy.buildLegacy()
-			n := g.N()
-			for u := 0; u < n; u++ {
-				for d := 0; d < n; d++ {
-					if got, want := s.HopLink(u, d), legacy.HopLink(u, d); got != want {
-						t.Fatalf("HopLink(%d,%d) packed %d, legacy %d", u, d, got, want)
-					}
-				}
-			}
-			if dense := 4 * s.Core() * s.Core(); s.Core() > 8 && s.CoreTableBytes() >= dense {
-				t.Errorf("packed core table %d B not smaller than dense %d B",
-					s.CoreTableBytes(), dense)
-			}
-		})
-	}
-}
-
-// TestStructuralDisconnectedCoreFallsBack: a core split into two
-// components has unreachable pairs, which the packed columns cannot
-// represent — the dense int32 fallback with its -1 sentinel must kick
-// in, and cross-component routes must report unreachable.
-func TestStructuralDisconnectedCoreFallsBack(t *testing.T) {
-	// Two disjoint stars: hubs 0 and 1, hosts 2-7 on hub 0, 8-13 on
-	// hub 1. 12 of 14 nodes are degree-1 hosts, so it qualifies.
-	g := topology.New(14)
-	for h := 2; h < 8; h++ {
-		if err := g.AddEdge(0, h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for h := 8; h < 14; h++ {
-		if err := g.AddEdge(1, h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	links := EnumerateLinks(g)
-	s := NewStructural(g, links)
-	if s == nil {
-		t.Fatal("NewStructural returned nil for a host-majority graph")
-	}
-	if s.Packed() {
-		t.Fatal("disconnected core must fall back to the dense table")
-	}
-	if li := s.HopLink(0, 1); li != -1 {
-		t.Errorf("cross-component HopLink(0,1) = %d, want -1", li)
-	}
-	// Within a component, routes still work: host 2 -> host 7 via hub 0.
-	li := s.HopLink(2, 7)
-	if li < 0 || links.To(int(li)) != 0 {
-		t.Errorf("HopLink(2,7) = %d, want uplink to hub 0", li)
-	}
-	if li := s.HopLink(0, 7); li < 0 || links.To(int(li)) != 7 {
-		t.Errorf("HopLink(0,7) = %d, want direct link to host 7", li)
-	}
-}
-
-// TestStructuralRejectsDenseCoreGraphs: graphs without a degree-1 host
-// majority must fall back to the dense table (NewStructural returns
-// nil) — structural routing would pay O(core²) for nothing.
-func TestStructuralRejectsDenseCoreGraphs(t *testing.T) {
-	g, err := topology.BarabasiAlbert(120, 2, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := NewStructural(g, EnumerateLinks(g)); s != nil {
-		t.Fatalf("NewStructural accepted an m=2 power-law graph (hosts %d of %d)",
-			s.Hosts(), g.N())
 	}
 }

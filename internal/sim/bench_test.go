@@ -21,7 +21,7 @@ func benchEngineTick(b *testing.B, cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		b.Fatal(err)
 	}
-	ns := newNetState(cfg.Graph, resolveStructuralThreshold(cfg.StructuralThreshold))
+	ns := newNetState(cfg.Graph)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -18,9 +18,9 @@
 // counter-mode RNG stream, and Config.Workers shards the tick phases
 // across a worker pool without changing any result — Workers=1 and
 // Workers=8 produce byte-identical series (DESIGN.md §12, "Determinism
-// contract"). Above a few thousand nodes routing switches to a
-// structural mode that avoids the O(N²) hop table, so topologies with
-// hundreds of thousands of hosts fit in memory.
+// contract"). Routing is structural (routing.Structural): host up-links
+// plus a bit-packed core table instead of an O(N²) hop table, so
+// topologies with millions of hosts fit in memory.
 package sim
 
 import (
@@ -161,16 +161,6 @@ type Config struct {
 	// Worth using from ~MinShardNodes nodes up; below that the per-tick
 	// fan-out overhead outweighs the sharded work.
 	Workers int
-	// StructuralThreshold sets the node count from which routing uses
-	// the structural mode instead of the dense O(N²) hop table: 0 means
-	// the default (DefaultStructuralThreshold), -1 forces the dense
-	// table at every size (an ablation/debugging aid — memory grows
-	// quadratically), and any positive value is the switch point. Both
-	// modes route identically on graphs the structural mode accepts;
-	// graphs it rejects (no degree-1 host majority) fall back to the
-	// dense table regardless. Must match the threshold a prebuilt Net
-	// was built with.
-	StructuralThreshold int
 
 	// LimitedNodes lists nodes whose incident links are rate limited.
 	LimitedNodes []int
@@ -315,16 +305,8 @@ func (c *Config) Validate() error {
 	if c.Strategy == nil {
 		return ErrNoStrategy
 	}
-	if c.StructuralThreshold < -1 {
-		return fmt.Errorf("sim: structural threshold %d invalid (use -1 to disable, 0 for the default)",
-			c.StructuralThreshold)
-	}
 	if c.Net != nil && c.Net.graph != c.Graph {
 		return fmt.Errorf("sim: config.Net was built from a different graph than config.Graph")
-	}
-	if c.Net != nil && c.Net.threshold != resolveStructuralThreshold(c.StructuralThreshold) {
-		return fmt.Errorf("sim: config.Net was built with structural threshold %d, config resolves to %d",
-			c.Net.threshold, resolveStructuralThreshold(c.StructuralThreshold))
 	}
 	if c.Beta < 0 || c.Beta > 1 {
 		return fmt.Errorf("sim: beta %v out of [0,1]", c.Beta)

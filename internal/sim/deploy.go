@@ -113,12 +113,12 @@ func MultiRunStats(ctx context.Context, cfg Config, runs int, opts ...runner.Opt
 		return nil, runner.Stats{}, topology.ErrDisconnected
 	}
 	// All replicas route over the same graph: build the shared routing
-	// state (shortest-path table, link enumeration, hop table) once;
-	// it is read-only after construction. A caller-supplied Config.Net
-	// (a sweep sharing one topology across batches) is reused as-is.
+	// state (link enumeration, structural router) once; it is read-only
+	// after construction. A caller-supplied Config.Net (a sweep sharing
+	// one topology across batches) is reused as-is.
 	ns := cfg.Net.state()
 	if ns == nil {
-		ns = newNetState(cfg.Graph, resolveStructuralThreshold(cfg.StructuralThreshold))
+		ns = newNetState(cfg.Graph)
 	}
 
 	// results/done are committed under mu: with a per-task deadline the

@@ -90,12 +90,8 @@ type Engine struct {
 	pool      *runner.Pool
 	serialGen bool
 	links     *routing.Links
-	// hopLink[u*n+d] is the directed-link index of u's next hop toward
-	// d (-1 if unreachable): the entire routing decision of the
-	// per-packet path is one slice load. Above the structural-routing
-	// threshold hopLink is nil and structural computes the same answer
-	// from O(n + core²) state instead of the O(n²) table.
-	hopLink    []int32
+	// structural names the directed link of u's next hop toward any
+	// destination: the entire routing decision of the per-packet path.
 	structural *routing.Structural
 	n          int
 
@@ -278,52 +274,21 @@ type Engine struct {
 	immBufs [][]int32
 }
 
-// DefaultStructuralThreshold is the node count above which routing
-// switches to the structural mode when Config.StructuralThreshold is
-// left zero: beyond a few thousand nodes the O(N²) hop table (and the
-// all-pairs BFS that fills it) dominates memory and construction time.
-// Below it the dense table is small and its tie-breaking is pinned by
-// the golden fixtures.
-const DefaultStructuralThreshold = 4096
-
-// resolveStructuralThreshold maps the Config/spec knob onto the value
-// newNetState compares against: 0 means the default, negative disables
-// structural routing entirely (returned as 0, which no node count
-// reaches per the `thr > 0` guard).
-func resolveStructuralThreshold(v int) int {
-	switch {
-	case v < 0:
-		return 0
-	case v == 0:
-		return DefaultStructuralThreshold
-	default:
-		return v
-	}
-}
-
 // netState is the immutable, graph-derived routing state every replica
-// of a config shares: the stable directed-link enumeration plus either
-// the dense per-packet hop table (small graphs) or the structural
-// router (large host-and-core graphs; see routing.Structural). Built
-// once per graph (MultiRun shares one across all replicas; New builds a
-// private one) and safe for concurrent readers.
+// of a config shares: the stable directed-link enumeration plus the
+// structural router (see routing.Structural). Built once per graph
+// (MultiRun shares one across all replicas; New builds a private one)
+// and safe for concurrent readers.
 type netState struct {
 	links      *routing.Links
-	hopLink    []int32
 	structural *routing.Structural
 }
 
-// newNetState builds the routing state for g; thr is the resolved
-// structural threshold (0 = structural routing disabled).
-func newNetState(g *topology.Graph, thr int) *netState {
+// newNetState builds the routing state for g. The router is nil when g
+// is disconnected, which every engine constructor rejects first.
+func newNetState(g *topology.Graph) *netState {
 	links := routing.EnumerateLinks(g)
-	if thr > 0 && g.N() >= thr {
-		if st := routing.NewStructural(g, links); st != nil {
-			return &netState{links: links, structural: st}
-		}
-	}
-	tab := routing.Build(g)
-	return &netState{links: links, hopLink: links.HopTable(tab)}
+	return &netState{links: links, structural: routing.NewStructural(g, links)}
 }
 
 // stateOf reads node u's packed 2-bit state.
@@ -378,7 +343,7 @@ func newEngine(cfg Config, ns *netState) (*Engine, error) {
 		ns = cfg.Net.state()
 	}
 	if ns == nil {
-		ns = newNetState(cfg.Graph, resolveStructuralThreshold(cfg.StructuralThreshold))
+		ns = newNetState(cfg.Graph)
 	}
 	n := cfg.Graph.N()
 	workers := cfg.Workers
@@ -390,7 +355,6 @@ func newEngine(cfg Config, ns *netState) (*Engine, error) {
 		streams:      newStreamTable(cfg.Seed, n),
 		workers:      workers,
 		links:        ns.links,
-		hopLink:      ns.hopLink,
 		structural:   ns.structural,
 		n:            n,
 		stateBits:    make([]uint64, (n+31)/32),
@@ -973,16 +937,7 @@ func (e *Engine) routePacket(u int32, pkt packet) {
 		e.deliverAt(pkt)
 		return
 	}
-	var li int32
-	if e.hopLink != nil {
-		li = e.hopLink[int(u)*e.n+int(pkt.dst)]
-	} else {
-		li = e.structural.HopLink(int(u), int(pkt.dst))
-	}
-	if li < 0 {
-		e.dropCount++
-		return // unreachable: scan packet lost
-	}
+	li := e.structural.HopLink(int(u), int(pkt.dst))
 	s := e.queueSlot[li]
 	var q []packet
 	if s >= 0 {

@@ -3,38 +3,24 @@ package sim
 import "repro/internal/topology"
 
 // Net is an opaque handle to the immutable graph-derived routing state
-// (link enumeration plus dense hop table or structural router) that
-// every replica of a configuration shares. MultiRun already builds one
-// per batch; callers running *several* batches over the same graph —
-// a parameter sweep where only the worm or defense varies between grid
-// points — can build the Net once with BuildNet and hand it to each
-// batch via Config.Net, skipping the all-pairs routing construction
-// for every batch after the first. A Net is read-only after
-// construction and safe for concurrent use by any number of engines.
+// (link enumeration plus structural router) that every replica of a
+// configuration shares. MultiRun already builds one per batch; callers
+// running *several* batches over the same graph — a parameter sweep
+// where only the worm or defense varies between grid points — can
+// build the Net once with BuildNet and hand it to each batch via
+// Config.Net, skipping the routing construction for every batch after
+// the first. A Net is read-only after construction and safe for
+// concurrent use by any number of engines.
 type Net struct {
 	graph *topology.Graph
 	ns    *netState
-	// threshold is the resolved structural threshold the state was
-	// built with; Validate rejects a Config whose own threshold
-	// resolves differently (the two would route with different
-	// representations, and the config's knob would silently not apply).
-	threshold int
 }
 
-// BuildNet constructs the shared routing state for g with the default
-// structural threshold. The graph must not be mutated afterwards;
-// engines assume the Net and the graph agree.
+// BuildNet constructs the shared routing state for g. The graph must
+// not be mutated afterwards; engines assume the Net and the graph
+// agree.
 func BuildNet(g *topology.Graph) *Net {
-	return BuildNetThreshold(g, 0)
-}
-
-// BuildNetThreshold is BuildNet with an explicit structural threshold,
-// interpreted like Config.StructuralThreshold (0 default, -1 dense
-// table at every size, >0 the switch point). Use it when the configs
-// sharing the Net set a non-default threshold.
-func BuildNetThreshold(g *topology.Graph, threshold int) *Net {
-	thr := resolveStructuralThreshold(threshold)
-	return &Net{graph: g, ns: newNetState(g, thr), threshold: thr}
+	return &Net{graph: g, ns: newNetState(g)}
 }
 
 // Graph returns the graph the Net was built from.

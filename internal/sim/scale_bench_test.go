@@ -20,8 +20,8 @@ import (
 // AS graphs from 1k to 1M hosts, backbone rate limiting, 1 vs NumCPU
 // intra-run workers. Reported metrics: ns/tick (worm dynamics, engine
 // construction excluded) and B/host (steady engine + routing footprint,
-// measured once per size; above the structural threshold there is no
-// O(N²) hop table to blow it up). Results are recorded in
+// measured once per size; the structural router keeps routing
+// O(N + core²) at every size). Results are recorded in
 // BENCH_engine.json. The full suite — including the 1M-host size —
 // runs under `make bench-scale`; with -short (the `make bench-smoke` /
 // CI path) sizes above 10k hosts are skipped.
@@ -35,7 +35,7 @@ func BenchmarkEngineTickScale(b *testing.B) {
 		// on one size never pays for the others' construction.
 		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) {
 			g, roles := scaleTopology(b, hosts)
-			heap := measureHeap(b, func() any { return newNetState(g, DefaultStructuralThreshold) })
+			heap := measureHeap(b, func() any { return newNetState(g) })
 			ns := heap.v.(*netState)
 			// workers=2 is always recorded so the multi-worker column
 			// exists even on single-core recording machines (where it
@@ -103,6 +103,45 @@ func scaleTopology(b *testing.B, hosts int) (*topology.Graph, []topology.Role) {
 	return g, roles
 }
 
+// BenchmarkBuildNet measures the routing-construction layer: one
+// BuildNet (link enumeration plus structural router) per iteration on
+// the paper's 1000-node m=1 power-law graph and on 100k- and 1M-host
+// two-level AS graphs. Reported metrics: ns/op and B/host, the heap the
+// finished Net retains. Results are recorded in BENCH_engine.json
+// (routing_build). With -short only the 1000-node graph runs.
+func BenchmarkBuildNet(b *testing.B) {
+	graphs := []struct {
+		name  string
+		hosts int // 0: the paper's power-law graph
+	}{
+		{"paper-ba1000", 0}, {"twolevel-100k", 100_000}, {"twolevel-1M", 1_000_000},
+	}
+	for _, gr := range graphs {
+		if testing.Short() && gr.hosts > 10_000 {
+			continue
+		}
+		gr := gr
+		b.Run(gr.name, func(b *testing.B) {
+			var g *topology.Graph
+			if gr.hosts == 0 {
+				var err error
+				if g, err = topology.BarabasiAlbert(1000, 1, rand.New(rand.NewSource(1))); err != nil {
+					b.Fatal(err)
+				}
+			} else {
+				g, _ = scaleTopology(b, gr.hosts)
+			}
+			heap := measureHeap(b, func() any { return BuildNet(g) })
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				BuildNet(g)
+			}
+			b.ReportMetric(float64(heap.bytes)/float64(g.N()), "B/host")
+		})
+	}
+}
+
 // BenchmarkEngineTickQuiescent measures the sparse-phase fast path: a
 // tick with no infected nodes and no queued packets must skip the
 // generate sweep, the transmit scan, and the immunization draws, so its
@@ -115,7 +154,7 @@ func BenchmarkEngineTickQuiescent(b *testing.B) {
 		hosts = 10_000
 	}
 	g, roles := scaleTopology(b, hosts)
-	ns := newNetState(g, DefaultStructuralThreshold)
+	ns := newNetState(g)
 
 	// Active reference: the scale-suite workload at the same size,
 	// timed over its fixed 10-tick horizon.

@@ -2,21 +2,19 @@ package spec
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 
 	"repro/internal/core"
 )
 
 // NetCache is a size-capped LRU cache of immutable topology state
-// (core.Net: graph, roles, subnet partition, routing tables), keyed by
-// Scenario.NetKey plus the structural-routing threshold. It is the
-// sweep engine's per-sweep dedup promoted to a shareable, bounded
-// object: a sweep uses a private unbounded cache, while the daemon
-// keeps one capped cache alive across every job it ever schedules, so
-// repeated submissions over one topology rebuild routing exactly once
-// and a long-lived process cannot accumulate every distinct topology
-// it has ever seen.
+// (core.Net: graph, roles, subnet partition, routing state), keyed by
+// Scenario.NetKey. It is the sweep engine's per-sweep dedup promoted
+// to a shareable, bounded object: a sweep uses a private unbounded
+// cache, while the daemon keeps one capped cache alive across every
+// job it ever schedules, so repeated submissions over one topology
+// rebuild routing exactly once and a long-lived process cannot
+// accumulate every distinct topology it has ever seen.
 //
 // A NetCache is safe for concurrent use. Concurrent Gets of one key
 // build once: later callers block until the first build finishes and
@@ -127,16 +125,4 @@ func (c *NetCache) evictLocked() {
 func (c *NetCache) removeLocked(e *netEntry) {
 	delete(c.byKey, e.key)
 	c.lru.Remove(e.elem)
-}
-
-// netCacheKey is the cache key of one compiled point: the scenario's
-// NetKey extended with the structural-routing threshold, since routing
-// state depends on the threshold as well as the topology — points
-// sweeping the threshold itself must not share one Net.
-func netCacheKey(c *Compiled) (string, error) {
-	key, err := c.Scenario.NetKey()
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%s|structural_threshold=%d", key, c.Options.StructuralThreshold), nil
 }

@@ -3,7 +3,6 @@ package spec
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -135,33 +134,42 @@ func TestNetCacheBuildErrorNotCached(t *testing.T) {
 	}
 }
 
-// TestNetCacheKeyIncludesThreshold: two points over one topology but
-// different structural thresholds must not share a Net — the cache key
-// covers the threshold exactly like the sweep's dedup always did.
-func TestNetCacheKeyIncludesThreshold(t *testing.T) {
-	c := func(threshold int) *Compiled {
-		return &Compiled{
-			Scenario: core.Scenario{Topology: core.Star(10), Worm: core.RandomWorm(0.5)},
-			Options:  core.RunOptions{StructuralThreshold: threshold},
-		}
-	}
-	k0, err := netCacheKey(c(0))
+// TestNetCacheKeyIsNetKey: routing state depends on the topology
+// alone, so a point's cache key is its scenario's NetKey. A sweep
+// written when routing had two modes, gridding the now-ignored
+// run.structural_threshold, builds one Net for all its points.
+func TestNetCacheKeyIsNetKey(t *testing.T) {
+	s, err := Parse([]byte(`
+format: wormsim-scenario
+version: 1
+topology:
+  kind: star
+  nodes: 10
+worm:
+  kind: random
+  beta: 0.5
+ticks: 5
+grid:
+  - path: run.structural_threshold
+    values: [0, -1]
+`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	k1, err := netCacheKey(c(-1))
+	results, stats, err := Sweep(context.Background(), s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k0 == k1 {
-		t.Fatalf("keys collide across thresholds: %s", k0)
+	if stats.Points != 2 || stats.NetBuilds != 1 {
+		t.Fatalf("stats = %+v, want 2 points sharing 1 net build", stats)
 	}
-	for i, k := range []string{k0, k1} {
-		if k == "" {
-			t.Fatalf("key %d empty", i)
+	for _, r := range results {
+		key, err := r.Point.Scenario.NetKey()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if want := fmt.Sprintf("star/n=10|structural_threshold=%d", 0); k0 != want {
-		t.Fatalf("key = %q, want %q", k0, want)
+		if key != "star/n=10" {
+			t.Fatalf("point %s: key = %q, want %q", r.Point.Name, key, "star/n=10")
+		}
 	}
 }

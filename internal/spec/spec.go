@@ -225,10 +225,25 @@ type Run struct {
 	Checkpoint      string `json:"checkpoint,omitempty"`
 	CheckpointEvery int    `json:"checkpoint_every,omitempty"`
 	Resume          string `json:"resume,omitempty"`
-	// StructuralThreshold is the node count at which routing switches
-	// to the structural router (0 = library default, -1 = dense table
-	// at every size; results are identical either way).
-	StructuralThreshold int `json:"structural_threshold,omitempty"`
+}
+
+// UnmarshalJSON decodes a run section strictly, and accepts and drops
+// structural_threshold: specs written when routing had a dense and a
+// structural mode still load (a daemon's persisted jobs among them),
+// and Canonical never writes the key back.
+func (r *Run) UnmarshalJSON(data []byte) error {
+	type plain Run
+	var v struct {
+		plain
+		StructuralThreshold *int `json:"structural_threshold"`
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&v); err != nil {
+		return err
+	}
+	*r = Run(v.plain)
+	return nil
 }
 
 // Axis is one sweep dimension: a dot-path into the spec ("worm.beta",
@@ -434,15 +449,14 @@ func (s *Spec) Compile() (*Compiled, error) {
 			c.Runs = r.Runs
 		}
 		c.Options = core.RunOptions{
-			Jobs:                r.Jobs,
-			Workers:             r.Workers,
-			Check:               r.Check,
-			KeepGoing:           r.KeepGoing,
-			Retries:             r.Retries,
-			Checkpoint:          r.Checkpoint,
-			CheckpointEvery:     r.CheckpointEvery,
-			Resume:              r.Resume,
-			StructuralThreshold: r.StructuralThreshold,
+			Jobs:            r.Jobs,
+			Workers:         r.Workers,
+			Check:           r.Check,
+			KeepGoing:       r.KeepGoing,
+			Retries:         r.Retries,
+			Checkpoint:      r.Checkpoint,
+			CheckpointEvery: r.CheckpointEvery,
+			Resume:          r.Resume,
 		}
 		var err error
 		if c.Options.Timeout, err = parseDuration("run.timeout", r.Timeout); err != nil {

@@ -56,8 +56,10 @@ func TestParseRoundTripByteIdentical(t *testing.T) {
 	}
 }
 
-func TestParseYAML(t *testing.T) {
-	doc := `
+// yamlDemoDoc exercises the whole YAML subset: comments, quoting,
+// nested mappings, block and flow sequences, and a run section carrying
+// the retired structural_threshold knob. FuzzSpecDecode seeds from it.
+const yamlDemoDoc = `
 # A hand-written scenario.
 format: wormsim-scenario
 version: 1
@@ -93,6 +95,9 @@ grid:
   - path: worm.beta
     values: [0.4, 0.8]
 `
+
+func TestParseYAML(t *testing.T) {
+	doc := yamlDemoDoc
 	s, err := Parse([]byte(doc))
 	if err != nil {
 		t.Fatal(err)
@@ -119,13 +124,18 @@ grid:
 	if points[0].Name != "yaml-demo[worm.beta=0.4]" {
 		t.Errorf("point name = %q", points[0].Name)
 	}
-	if points[0].Runs != 2 || points[0].Options.Jobs != 2 || points[0].Options.StructuralThreshold != 4096 {
+	if points[0].Runs != 2 || points[0].Options.Jobs != 2 {
 		t.Errorf("point run options wrong: %+v", points[0])
 	}
 	// YAML and its canonical JSON must describe the identical spec.
+	// run.structural_threshold, a knob of the retired dense router,
+	// still decodes but is dropped from the canonical form.
 	out, err := s.Canonical()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if strings.Contains(string(out), "structural_threshold") {
+		t.Errorf("canonical form kept the ignored structural_threshold:\n%s", out)
 	}
 	s2, err := Parse(out)
 	if err != nil {
@@ -140,28 +150,33 @@ grid:
 	}
 }
 
-// TestParseRejects is the malformed/skewed-spec table: every entry must
-// fail with an error mentioning the expected fragment.
+// parseRejectCases is the malformed/skewed-spec table; FuzzSpecDecode
+// seeds from its documents.
+var parseRejectCases = []struct {
+	name string
+	doc  string
+	want string
+}{
+	{"empty", "", "empty document"},
+	{"wrong format", `{"format": "not-a-spec", "version": 1}`, "unrecognized format"},
+	{"missing format", `{"version": 1}`, "unrecognized format"},
+	{"future version", `{"format": "wormsim-scenario", "version": 99}`, "unsupported version 99"},
+	{"version zero", `{"format": "wormsim-scenario", "version": 0}`, "unsupported version"},
+	{"unknown field", `{"format": "wormsim-scenario", "version": 1, "betas": 0.8}`, "unknown field"},
+	{"unknown nested field", `{"format": "wormsim-scenario", "version": 1, "worm": {"kind": "random", "speed": 3}}`, "unknown field"},
+	{"type mismatch", `{"format": "wormsim-scenario", "version": 1, "ticks": "many"}`, "cannot unmarshal"},
+	{"garbage", "{]", "parse"},
+	{"yaml tab indent", "format: wormsim-scenario\n\tversion: 1\n", "tabs"},
+	{"yaml unterminated quote", `name: "oops`, "unterminated quote"},
+	{"yaml flow mapping", "format: {a: 1}\n", "not supported"},
+	{"unknown run field", `{"format":"wormsim-scenario","version":1,"run":{"runz":2}}`, "unknown field"},
+	{"non-integer structural threshold", `{"format":"wormsim-scenario","version":1,"run":{"structural_threshold":"big"}}`, "structural_threshold"},
+}
+
+// TestParseRejects: every malformed or skewed spec must fail with an
+// error mentioning the expected fragment.
 func TestParseRejects(t *testing.T) {
-	cases := []struct {
-		name string
-		doc  string
-		want string
-	}{
-		{"empty", "", "empty document"},
-		{"wrong format", `{"format": "not-a-spec", "version": 1}`, "unrecognized format"},
-		{"missing format", `{"version": 1}`, "unrecognized format"},
-		{"future version", `{"format": "wormsim-scenario", "version": 99}`, "unsupported version 99"},
-		{"version zero", `{"format": "wormsim-scenario", "version": 0}`, "unsupported version"},
-		{"unknown field", `{"format": "wormsim-scenario", "version": 1, "betas": 0.8}`, "unknown field"},
-		{"unknown nested field", `{"format": "wormsim-scenario", "version": 1, "worm": {"kind": "random", "speed": 3}}`, "unknown field"},
-		{"type mismatch", `{"format": "wormsim-scenario", "version": 1, "ticks": "many"}`, "cannot unmarshal"},
-		{"garbage", "{]", "parse"},
-		{"yaml tab indent", "format: wormsim-scenario\n\tversion: 1\n", "tabs"},
-		{"yaml unterminated quote", `name: "oops`, "unterminated quote"},
-		{"yaml flow mapping", "format: {a: 1}\n", "not supported"},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseRejectCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Parse([]byte(tc.doc))
 			if err == nil {
@@ -202,7 +217,6 @@ func TestCompileRejects(t *testing.T) {
 		{"bad duration", func(s *Spec) { s.Run = &Run{Timeout: "soon"} }, "run.timeout"},
 		{"bad runs", func(s *Spec) { s.Run = &Run{Runs: -2} }, "run.runs"},
 		{"bad jobs", func(s *Spec) { s.Run = &Run{Jobs: -1} }, "-jobs"},
-		{"bad structural threshold", func(s *Spec) { s.Run = &Run{StructuralThreshold: -2} }, "-structural-threshold"},
 		{"bad throttle", func(s *Spec) {
 			s.Topology = Topology{Kind: "powerlaw", Nodes: 50}
 			s.Defenses = []Defense{{Kind: "throttle", WorkingSet: 0, Period: 1, Hosts: 3}}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/sim"
 )
@@ -83,15 +82,12 @@ func SweepCache(ctx context.Context, s *Spec, mod func(*Compiled), cache *NetCac
 		stats.Points++
 		pr := PointResult{Point: c, Warnings: c.Scenario.Warnings(c.Options)}
 
-		key, kerr := netCacheKey(c)
+		key, kerr := c.Scenario.NetKey()
 		if kerr != nil {
 			pr.Err = kerr
 		} else {
 			sc := c.Scenario
-			threshold := c.Options.StructuralThreshold
-			net, built, kerr := cache.Get(key, func() (*core.Net, error) {
-				return sc.BuildNetThreshold(threshold)
-			})
+			net, built, kerr := cache.Get(key, sc.BuildNet)
 			if built {
 				stats.NetBuilds++
 			}

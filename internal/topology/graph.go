@@ -9,9 +9,9 @@
 // induced subnet partition.
 //
 // The two-level generator is also the scale substrate: its
-// host-majority shape is what lets the engine route structurally
-// (routing.Structural) instead of materializing an O(N²) hop table, so
-// graphs of 10⁵–10⁶ hosts stay memory-lean.
+// host-majority shape keeps the structural router's core table
+// (routing.Structural) small, so graphs of 10⁵–10⁶ hosts stay
+// memory-lean.
 package topology
 
 import (
