@@ -3,8 +3,8 @@ GO ?= go
 .PHONY: check build test race vet audit chaos fuzz-smoke daemon-smoke crash-smoke replay-smoke bench bench-figures bench-smoke bench-scale bench-compare figures clean
 
 ## check: the full gate — vet, build, race-enabled tests. The race run
-## covers the intra-run parallel engine (cross-worker determinism and
-## snapshot-resume tests in internal/sim shard real work at Workers=2/8).
+## covers the concurrent layers: the replica and figure pools, the
+## daemon, and checkpoint/resume across parallel replicas.
 check: vet build race
 
 build:
@@ -47,11 +47,16 @@ chaos:
 ## failures reproducible; rerun any failure with
 ## `wormsim -specfuzz N -seed S`. Then ~10 s of coverage-guided
 ## fuzzing of the spec decoder (FuzzSpecDecode: no input panics, every
-## accepted spec reaches a canonical fixed point); a crasher lands in
-## internal/spec/testdata/fuzz/ and replays under `go test`.
+## accepted spec reaches a canonical fixed point) and ~10 s of the
+## checkpoint reader (FuzzReadSnapshot: DecodeSnapshot then Restore; no
+## input panics, every failure is sim.ErrSnapshot). Minimizing a new
+## input is capped at 2 s so the short run spends its time fuzzing. A
+## crasher lands in the package's testdata/fuzz/ and replays under
+## `go test`.
 fuzz-smoke:
 	$(GO) test -run 'TestFuzzSmoke|TestSpectralThreshold' -v ./internal/spec
 	$(GO) test -run xxx -fuzz '^FuzzSpecDecode$$' -fuzztime 10s ./internal/spec
+	$(GO) test -run xxx -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/sim
 
 ## daemon-smoke: the wormsimd service gate — the full HTTP round-trip
 ## (submit, JSONL/SSE stream, result, cancel, 429 backpressure, shared
@@ -75,8 +80,8 @@ crash-smoke:
 	$(GO) test -v ./internal/crashfs ./internal/safeio
 
 ## replay-smoke: the trace-replay workload gate — the golden replay
-## fixture (series + collateral counters pinned across Workers=1/2/8
-## and a mid-run checkpoint/resume), the streaming replayer's
+## fixture (series + collateral counters) and a mid-run
+## checkpoint/resume, the streaming replayer's
 ## determinism/Skip/constant-memory guards, the core workload
 ## lowering, and the CLI end-to-end: generate a trace, replay it under
 ## the invariant audit, and check the collateral counters balance.
@@ -103,9 +108,8 @@ bench-smoke:
 	$(GO) test -short -run xxx -bench . -benchtime 1x ./...
 
 ## bench-scale: the large-topology scale suite (BenchmarkEngineTickScale:
-## two-level AS graphs from 1k to 10M hosts, 1/2/NumCPU intra-run
-## workers; ns/tick, B/host, and per-leaf peak RSS recorded in
-## BENCH_engine.json). The full run includes the 1M- and 10M-host
+## two-level AS graphs from 1k to 10M hosts; ns/tick, B/host, and
+## per-size peak RSS recorded in BENCH_engine.json). The full run includes the 1M- and 10M-host
 ## sizes; CI smokes it with `make bench-scale SHORT=-short`, which
 ## stops at 10k hosts. Also runs the quiescent-tick benchmark, which
 ## fails if an idle tick is not >=10x cheaper than an active one.

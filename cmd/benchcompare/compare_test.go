@@ -9,16 +9,16 @@ const oldRun = `goos: linux
 goarch: amd64
 pkg: repro/internal/sim
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkEngineTickScale/hosts=1000/workers=1-8     	       1	   4607740 ns/op	    3284 B/host	  460774 ns/tick	  7740 peakRSS-KB
-BenchmarkEngineTickScale/hosts=10000/workers=1-8    	       1	  13100070 ns/op	   184.4 B/host	 1310007 ns/tick	  5988 peakRSS-KB
-BenchmarkEngineTickScale/hosts=10000/workers=1-8    	       1	  12900070 ns/op	   184.4 B/host	 1290007 ns/tick	  5988 peakRSS-KB
-BenchmarkEngineTickScale/hosts=10000/workers=1-8    	       1	  12800070 ns/op	   184.4 B/host	 1280007 ns/tick	  5988 peakRSS-KB
+BenchmarkEngineTickScale/hosts=1000-8             	       1	   4607740 ns/op	    3284 B/host	  460774 ns/tick	  7740 peakRSS-KB
+BenchmarkEngineTickScale/hosts=10000-8            	       1	  13100070 ns/op	   184.4 B/host	 1310007 ns/tick	  5988 peakRSS-KB
+BenchmarkEngineTickScale/hosts=10000-8            	       1	  12900070 ns/op	   184.4 B/host	 1290007 ns/tick	  5988 peakRSS-KB
+BenchmarkEngineTickScale/hosts=10000-8            	       1	  12800070 ns/op	   184.4 B/host	 1280007 ns/tick	  5988 peakRSS-KB
 PASS
 `
 
 func newRun(nsPerTick10k string) string {
-	return `BenchmarkEngineTickScale/hosts=1000/workers=1-2     	       1	   4600000 ns/op	    3284 B/host	  460000 ns/tick	  7740 peakRSS-KB
-BenchmarkEngineTickScale/hosts=10000/workers=1-2    	       1	  13000000 ns/op	   184.4 B/host	 ` + nsPerTick10k + ` ns/tick	  5988 peakRSS-KB
+	return `BenchmarkEngineTickScale/hosts=1000-2             	       1	   4600000 ns/op	    3284 B/host	  460000 ns/tick	  7740 peakRSS-KB
+BenchmarkEngineTickScale/hosts=10000-2            	       1	  13000000 ns/op	   184.4 B/host	 ` + nsPerTick10k + ` ns/tick	  5988 peakRSS-KB
 ok  	repro/internal/sim	1.0s
 `
 }
@@ -77,10 +77,10 @@ func TestCompareMedianAbsorbsOutlier(t *testing.T) {
 	// Three old samples (1.31ms, 1.29ms, 1.28ms; median 1.29ms): a new
 	// median at 1.29ms passes even though the old max would not.
 	s := ParseBench([]byte(oldRun))
-	if got := len(s["BenchmarkEngineTickScale/hosts=10000/workers=1"]["ns/tick"]); got != 3 {
+	if got := len(s["BenchmarkEngineTickScale/hosts=10000"]["ns/tick"]); got != 3 {
 		t.Fatalf("parsed %d repetitions, want 3", got)
 	}
-	if m := median(s["BenchmarkEngineTickScale/hosts=10000/workers=1"]["ns/tick"]); m != 1290007 {
+	if m := median(s["BenchmarkEngineTickScale/hosts=10000"]["ns/tick"]); m != 1290007 {
 		t.Fatalf("median = %v, want 1290007", m)
 	}
 }

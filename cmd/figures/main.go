@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	figures [-out out] [-runs 10] [-jobs N] [-workers N] [-timeout 10m] [-quick] \
+//	figures [-out out] [-runs 10] [-jobs N] [-timeout 10m] [-quick] \
 //	        [-metrics batch.jsonl] [-check] \
 //	        [-checkpoint dir] [-checkpoint-every 10] [-resume dir] \
 //	        [-retries 2] [-replica-timeout 2m] [-keep-going] \
@@ -17,10 +17,7 @@
 // With no figure IDs, every experiment is regenerated. -jobs bounds the
 // figure-level parallelism (default GOMAXPROCS; each figure then
 // averages its replicas serially, so the whole batch uses about -jobs
-// cores). -workers shards each replica's per-tick work (identical
-// results for any value; rarely useful here — the paper's figure
-// topologies are small, so figure-level parallelism is the better use
-// of cores). -timeout aborts the batch; Ctrl-C cancels it mid-run.
+// cores). -timeout aborts the batch; Ctrl-C cancels it mid-run.
 //
 // -spec turns a declarative scenario spec (DESIGN.md §13) into one
 // figure: every grid point becomes a labelled infected-fraction curve,
@@ -90,11 +87,6 @@ func run(ctx context.Context, args []string) error {
 	}
 	if err := cli.Validate(); err != nil {
 		return err
-	}
-	if cli.Workers > 1 {
-		// Results are unaffected (DESIGN.md §12), but the paper's figure
-		// topologies sit below the intra-run sharding threshold.
-		fmt.Fprintln(os.Stderr, "figures: warning: -workers > 1 rarely helps here: figure topologies are small; prefer -jobs")
 	}
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {

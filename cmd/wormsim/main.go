@@ -2,15 +2,14 @@
 // the per-tick infected / ever-infected / immunized fractions as
 // tab-separated values (tick first), suitable for plotting. Replicas
 // run concurrently on a bounded worker pool; the averaged series is
-// identical for every -jobs value, and each replica's own series is
-// identical for every -workers value (intra-run sharding, DESIGN.md
-// §12). Ctrl-C or -timeout aborts the batch.
+// identical for every -jobs value (DESIGN.md §12). Ctrl-C or -timeout
+// aborts the batch.
 //
 // Usage:
 //
 //	wormsim -topology powerlaw -n 1000 -worm random -beta 0.8 \
 //	        -defense backbone -rate 0.4 -ticks 150 -runs 10 \
-//	        [-jobs N] [-workers N] [-timeout 5m] [-progress] \
+//	        [-jobs N] [-timeout 5m] [-progress] \
 //	        [-metrics run.jsonl] [-check] \
 //	        [-checkpoint dir] [-checkpoint-every 10] [-resume path] \
 //	        [-retries 2] [-replica-timeout 2m]
@@ -40,9 +39,8 @@
 // random valid specs (seeded by -seed) and runs each under the
 // invariant audit — the CLI face of the property-based fuzz campaign.
 //
-// -jobs spends cores across replicas (best for batches of small runs);
-// -workers spends them inside one replica (best for -runs 1 on a large
-// -topology twolevel graph). See README.md's performance guide.
+// -jobs spends cores across replicas; each replica's tick loop is
+// serial. See README.md's performance guide.
 //
 // -metrics streams every replica's per-tick structured counters, events,
 // and summary as JSON Lines; -check cross-checks the engine's internal
@@ -233,7 +231,6 @@ func run(ctx context.Context, args []string) error {
 	if err := sc.Validate(); err != nil {
 		return err
 	}
-	printWarnings(sc.Warnings(cli), "")
 
 	o := cli
 	if *progress {

@@ -41,9 +41,9 @@ func TestRunScenarios(t *testing.T) {
 			"-topology", "powerlaw", "-n", "100", "-probe",
 			"-ticks", "40", "-runs", "2",
 		}},
-		{"twolevel with workers", []string{
+		{"twolevel backbone", []string{
 			"-topology", "twolevel", "-n", "2000", "-defense", "backbone",
-			"-rate", "0.4", "-ticks", "20", "-runs", "1", "-workers", "2",
+			"-rate", "0.4", "-ticks", "20", "-runs", "1",
 		}},
 	}
 	for _, tt := range tests {
@@ -116,7 +116,6 @@ func TestRunFlagValidation(t *testing.T) {
 		{"zero population", []string{"-n", "0"}, "-n"},
 		{"zero runs", []string{"-runs", "0"}, "-runs"},
 		{"negative jobs", []string{"-jobs", "-1"}, "-jobs"},
-		{"negative workers", []string{"-workers", "-1"}, "-workers"},
 		{"zero initial", []string{"-initial", "0"}, "-initial"},
 		{"negative scans", []string{"-scans", "-1"}, "-scans"},
 		{"negative timeout", []string{"-timeout", "-1s"}, "-timeout"},

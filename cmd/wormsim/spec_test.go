@@ -136,9 +136,9 @@ func TestRunSpecMalformed(t *testing.T) {
 	}
 }
 
-// TestRunWarningsOnStderr: scenario advisories surface on stderr for
-// both construction paths — a spec-built scenario (subnet tracking on a
-// star) and a flag-built one (workers on a tiny topology).
+// TestRunWarningsOnStderr: scenario advisories surface on stderr — a
+// spec-built scenario tracking subnets on a star warns — and a
+// flag-built scenario, which has no subnet-tracking flag, prints none.
 func TestRunWarningsOnStderr(t *testing.T) {
 	t.Run("spec", func(t *testing.T) {
 		path := writeSpec(t, `
@@ -165,23 +165,23 @@ run:
 				}
 			})
 		})
-		if !strings.Contains(errOut, "wormsim: warning:") || !strings.Contains(errOut, "star") {
-			t.Errorf("no star/subnet warning on stderr:\n%s", errOut)
+		if !strings.Contains(errOut, "wormsim: warning:") || !strings.Contains(errOut, "track-subnets on a star") {
+			t.Errorf("no track-subnets-on-star warning on stderr:\n%s", errOut)
 		}
 	})
 	t.Run("flags", func(t *testing.T) {
 		errOut := captureStderr(t, func() {
 			captureStdout(t, func() {
 				err := run(context.Background(), []string{
-					"-topology", "star", "-n", "40", "-ticks", "10", "-runs", "1", "-workers", "2",
+					"-topology", "star", "-n", "40", "-ticks", "10", "-runs", "1",
 				})
 				if err != nil {
 					t.Errorf("run: %v", err)
 				}
 			})
 		})
-		if !strings.Contains(errOut, "wormsim: warning:") || !strings.Contains(errOut, "workers") {
-			t.Errorf("no workers warning on stderr:\n%s", errOut)
+		if strings.Contains(errOut, "warning:") {
+			t.Errorf("flag-built star run printed a warning:\n%s", errOut)
 		}
 	})
 }

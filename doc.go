@@ -20,9 +20,9 @@
 //   - cmd/figures, cmd/wormsim, cmd/wormmodel, cmd/tracegen,
 //     cmd/traceanalyze — command-line tools
 //
-// Every run is deterministic by construction — per-node RNG streams
-// make results independent of both replica-level (-jobs) and
-// intra-run (-workers) parallelism (DESIGN.md §12) — and the
+// Every run is deterministic by construction — one serial tick loop
+// over per-node RNG streams, with replica-level (-jobs) parallelism
+// that never changes a result (DESIGN.md §12) — and the
 // simulator scales to million-host two-level topologies without an
 // O(N²) routing table (DESIGN.md §9, `make bench-scale`).
 //

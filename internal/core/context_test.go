@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,32 +102,21 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestScenarioWorkers(t *testing.T) {
-	bad := RunOptions{Workers: -1}
-	if err := bad.Validate(); err == nil {
-		t.Error("Workers=-1 should fail options validation")
-	}
-
+// TestScenarioWarnings: the one advisory left is track-subnets on a
+// star, which has no subnet partition.
+func TestScenarioWarnings(t *testing.T) {
 	small := smallScenario()
-	if w := small.Warnings(RunOptions{Workers: 4}); len(w) == 0 {
-		t.Error("Workers=4 on a 150-node topology should warn about unprofitable sharding")
+	if w := small.Warnings(); len(w) != 0 {
+		t.Errorf("power-law scenario should not warn, got %v", w)
 	}
-	if w := small.Warnings(RunOptions{Workers: 1}); len(w) != 0 {
-		t.Errorf("Workers=1 should not warn, got %v", w)
+	star := smallScenario()
+	star.Topology = Star(40)
+	star.Defense = NoDefense()
+	if w := star.Warnings(); len(w) != 0 {
+		t.Errorf("star without track-subnets should not warn, got %v", w)
 	}
-
-	// The worker count is a throughput knob only: the averaged series
-	// must be byte-identical to the serial run.
-	sc := smallScenario()
-	want, err := sc.Simulate(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := sc.SimulateOptions(context.Background(), 2, RunOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Infected, want.Infected) || !reflect.DeepEqual(got.Backlog, want.Backlog) {
-		t.Error("Workers=4 series diverged from serial")
+	star.TrackSubnets = true
+	if w := star.Warnings(); len(w) != 1 || !strings.Contains(w[0], "track-subnets") {
+		t.Errorf("track-subnets on a star should warn once, got %v", w)
 	}
 }

@@ -598,7 +598,6 @@ func (s *Scenario) SimulateOptions(ctx context.Context, runs int, o RunOptions) 
 	if err != nil {
 		return nil, runner.Stats{}, err
 	}
-	cfg.Workers = o.Workers
 	cfg.CollectorFactory = o.Collectors
 	cfg.Check = o.Check
 	if o.Workload != nil {
@@ -684,22 +683,12 @@ func (s *Scenario) specNodes() (int, error) {
 	}
 }
 
-// Warnings reports advisory (non-fatal) issues with the scenario under
-// the given run options: configurations that will run correctly but
-// probably not the way the user hoped. Currently it flags intra-run
-// workers on topologies too small to shard profitably — the result is
-// identical either way (DESIGN.md §12), but the goroutine handoff costs
-// more than it saves below sim.MinShardNodes nodes — and tracking
-// options that need structure the topology does not have.
-func (s *Scenario) Warnings(o RunOptions) []string {
+// Warnings reports advisory (non-fatal) issues with the scenario:
+// configurations that will run correctly but probably not the way the
+// user hoped. Currently it flags tracking options that need structure
+// the topology does not have.
+func (s *Scenario) Warnings() []string {
 	var warns []string
-	if o.Workers > 1 {
-		if n, err := s.specNodes(); err == nil && n > 0 && n < sim.MinShardNodes {
-			warns = append(warns, fmt.Sprintf(
-				"core: %d workers on a %d-node topology: sharding pays off above ~%d nodes; expect serial-or-worse speed (results are unaffected)",
-				o.Workers, n, sim.MinShardNodes))
-		}
-	}
 	if s.TrackSubnets && s.Topology.kind == "star" {
 		warns = append(warns, "core: track-subnets on a star topology: stars have no subnet partition; the within-subnet series will be empty")
 	}

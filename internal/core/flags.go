@@ -15,7 +15,6 @@ import (
 // and Net are runtime hooks, not flags, and are left untouched.
 func BindRunFlags(fs *flag.FlagSet, o *RunOptions) {
 	fs.IntVar(&o.Jobs, "jobs", o.Jobs, "max concurrent replica simulations (0 = GOMAXPROCS)")
-	fs.IntVar(&o.Workers, "workers", o.Workers, "goroutines sharding each replica's per-tick work (0 = serial; results are identical for every value)")
 	fs.DurationVar(&o.Timeout, "timeout", o.Timeout, "abort the whole batch after this duration (0 = none)")
 	fs.BoolVar(&o.Check, "check", o.Check, "run every replica under the per-tick invariant audit (slower; catches engine bugs)")
 	fs.BoolVar(&o.KeepGoing, "keep-going", o.KeepGoing, "average over completed replicas when some fail instead of aborting the batch")
@@ -57,7 +56,7 @@ func ensureWorkload(o *RunOptions) *WorkloadSpec {
 // order, so MergeRunFlags can tell explicitly-set flags apart from
 // defaults.
 var runFlagNames = map[string]bool{
-	"jobs": true, "workers": true, "timeout": true, "check": true,
+	"jobs": true, "timeout": true, "check": true,
 	"keep-going": true, "retries": true, "retry-backoff": true,
 	"replica-timeout": true, "checkpoint": true, "checkpoint-every": true,
 	"resume": true, "trace-replay": true, "trace-tick-ms": true,
@@ -78,8 +77,6 @@ func MergeRunFlags(fs *flag.FlagSet, base, cli RunOptions) RunOptions {
 		switch f.Name {
 		case "jobs":
 			out.Jobs = cli.Jobs
-		case "workers":
-			out.Workers = cli.Workers
 		case "timeout":
 			out.Timeout = cli.Timeout
 		case "check":

@@ -16,7 +16,7 @@ import (
 // over it, experiment.Options embeds it, BindRunFlags exposes it on a
 // command line, and the spec compiler (internal/spec) produces it from
 // a scenario file. The zero value runs with library defaults
-// (GOMAXPROCS replica workers, serial ticks, no timeout, fail fast).
+// (GOMAXPROCS replica workers, no timeout, fail fast).
 //
 // RunOptions lowers to the runner's own options in exactly one place,
 // RunnerOptions; nothing else in the module translates run knobs.
@@ -24,11 +24,6 @@ type RunOptions struct {
 	// Jobs bounds the replica worker pool (0 = GOMAXPROCS). The
 	// averaged result is identical for every job count.
 	Jobs int
-	// Workers shards each replica's per-tick work across this many
-	// goroutines (0 or 1 = serial). The series is byte-identical for
-	// every worker count (DESIGN.md §12); this is a throughput knob
-	// for large topologies, orthogonal to Jobs (replica parallelism).
-	Workers int
 	// Timeout aborts the whole batch after this duration, returning
 	// context.DeadlineExceeded (0 = none).
 	Timeout time.Duration
@@ -103,8 +98,6 @@ func (o *RunOptions) Validate() error {
 	switch {
 	case o.Jobs < 0:
 		return fmt.Errorf("core: -jobs must be >= 0 (0 = GOMAXPROCS), got %d", o.Jobs)
-	case o.Workers < 0:
-		return fmt.Errorf("core: -workers must be >= 0 (0 = serial), got %d", o.Workers)
 	case o.Timeout < 0:
 		return fmt.Errorf("core: -timeout must be >= 0, got %v", o.Timeout)
 	case o.Retries < 0:
@@ -165,13 +158,6 @@ type RunOption func(*RunOptions)
 // count; only wall time changes.
 func WithJobs(n int) RunOption {
 	return func(o *RunOptions) { o.Jobs = n }
-}
-
-// WithWorkers shards each replica's per-tick work across n goroutines
-// (0 or 1 = serial). Results are byte-identical for every worker
-// count; see DESIGN.md §12.
-func WithWorkers(n int) RunOption {
-	return func(o *RunOptions) { o.Workers = n }
 }
 
 // WithTimeout aborts the batch after d, returning

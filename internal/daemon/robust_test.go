@@ -432,21 +432,29 @@ func TestRestartFreshAndEmptyDataDirs(t *testing.T) {
 	waitDone(t, srv2, j2.id, 10*time.Second)
 }
 
-// TestRestartLoadsLegacySpec: a data dir written before routing had a
-// single mode holds specs carrying run.structural_threshold. The
-// restart scrub must accept them — the key decodes and is ignored —
-// and the queued job must run to completion, not be quarantined.
+// TestRestartLoadsLegacySpec: a data dir written by an older build
+// holds specs carrying retired run knobs — run.structural_threshold
+// (from when routing had two modes) or run.workers (from when one
+// replica's ticks could be sharded). The restart scrub must accept them
+// — the key decodes and is ignored — the queued job must run to
+// completion, not be quarantined, and a second restart must reload the
+// finished job cleanly.
 func TestRestartLoadsLegacySpec(t *testing.T) {
-	dataDir := t.TempDir()
-	dir := filepath.Join(dataDir, "jobs", "j000001")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	rec, _ := json.Marshal(jobRecord{ID: "j000001", State: StateQueued, PointsTotal: 1})
-	if err := os.WriteFile(filepath.Join(dir, "job.json"), rec, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	legacy := `{
+	for _, tc := range []struct{ name, knob string }{
+		{"structural_threshold", `"structural_threshold": 4096`},
+		{"workers", `"workers": 2`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dataDir := t.TempDir()
+			dir := filepath.Join(dataDir, "jobs", "j000001")
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			rec, _ := json.Marshal(jobRecord{ID: "j000001", State: StateQueued, PointsTotal: 1})
+			if err := os.WriteFile(filepath.Join(dir, "job.json"), rec, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			legacy := `{
   "format": "wormsim-scenario",
   "version": 1,
   "name": "legacy",
@@ -454,23 +462,34 @@ func TestRestartLoadsLegacySpec(t *testing.T) {
   "worm": {"kind": "random", "beta": 0.5},
   "ticks": 5,
   "seed": 7,
-  "run": {"runs": 1, "jobs": 1, "structural_threshold": 4096}
+  "run": {"runs": 1, "jobs": 1, ` + tc.knob + `}
 }`
-	if err := os.WriteFile(filepath.Join(dir, "spec.json"), []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
+			if err := os.WriteFile(filepath.Join(dir, "spec.json"), []byte(legacy), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	srv, err := New(Config{DataDir: dataDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	waitDone(t, srv, "j000001", 10*time.Second)
-	if got := srv.quarantined.Load(); got != 0 {
-		t.Fatalf("quarantined counter = %d, want 0", got)
-	}
-	if _, err := os.Stat(filepath.Join(dataDir, "quarantine")); !os.IsNotExist(err) {
-		t.Fatalf("quarantine dir exists after loading a legacy spec (stat err %v)", err)
+			srv, err := New(Config{DataDir: dataDir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitDone(t, srv, "j000001", 10*time.Second)
+			srv.Close()
+
+			srv, err = New(Config{DataDir: dataDir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			if st, jerr := jobState(srv, "j000001"); st != StateDone {
+				t.Fatalf("reloaded job state %s (%s), want done", st, jerr)
+			}
+			if got := srv.quarantined.Load(); got != 0 {
+				t.Fatalf("quarantined counter = %d, want 0", got)
+			}
+			if _, err := os.Stat(filepath.Join(dataDir, "quarantine")); !os.IsNotExist(err) {
+				t.Fatalf("quarantine dir exists after loading a legacy spec (stat err %v)", err)
+			}
+		})
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 )
 
 // Options tunes cost vs fidelity of a figure run. The run-execution
-// knobs (Jobs, Workers, Check, retries, checkpointing, ...) are the
+// knobs (Jobs, Check, retries, checkpointing, ...) are the
 // embedded core.RunOptions — the same declarative struct the core
 // facade and the spec compiler use; experiment adds only the
 // figure-harness parameters on top.
@@ -138,7 +138,6 @@ func (b *BatchMetrics) IDs() []string {
 // and attributes the batch's counters to the figure being built.
 func (o Options) multiRun(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 	cfg.Check = o.Check
-	cfg.Workers = o.Workers
 	if o.Metrics != nil {
 		cfg.CollectorFactory = func(int) obs.Collector { return obs.NewTally() }
 	}

@@ -8,10 +8,8 @@
 // index), which makes results independent of worker count and
 // scheduling order.
 //
-// The pool serves two granularities: batches of whole replicas
-// (sim.MultiRun, experiment.RunAll) and intra-run tick sharding
-// (sim.Config.Workers), where each phase of a simulation tick fans its
-// node/link ranges out as one pool run per tick phase.
+// The pool runs batches of whole replicas (sim.MultiRun) and of whole
+// figures (experiment.RunAll); a single replica's tick loop is serial.
 package runner
 
 import (

@@ -14,13 +14,13 @@
 // the engine is built; the per-tick hot path performs no map lookups
 // (see DESIGN.md, "Engine data layout").
 //
-// A run is deterministic by construction: every node draws from its own
-// counter-mode RNG stream, and Config.Workers shards the tick phases
-// across a worker pool without changing any result — Workers=1 and
-// Workers=8 produce byte-identical series (DESIGN.md §12, "Determinism
-// contract"). Routing is structural (routing.Structural): host up-links
-// plus a bit-packed core table instead of an O(N²) hop table, so
-// topologies with millions of hosts fit in memory.
+// A run is deterministic by construction: one serial tick loop, with
+// every node drawing from its own counter-mode RNG stream, so a config
+// and seed fix the series byte for byte (DESIGN.md §12, "Determinism
+// contract"). Replicas run in parallel (MultiRunContext), never the
+// phases of one run. Routing is structural (routing.Structural): host
+// up-links plus a bit-packed core table instead of an O(N²) hop table,
+// so topologies with millions of hosts fit in memory.
 package sim
 
 import (
@@ -52,13 +52,6 @@ const (
 // DefaultBaseRate is the paper's base communication rate for
 // rate-limited links: 10 packets per tick.
 const DefaultBaseRate = 10
-
-// MinShardNodes is the topology size from which Config.Workers > 1
-// starts to pay off: below it, the per-tick cost of fanning a phase out
-// to the worker pool rivals the phase itself. Sharding smaller runs is
-// still correct (results never depend on Workers) — callers surface a
-// warning instead of refusing.
-const MinShardNodes = 4096
 
 // Immunization configures the delayed patching process of Section 6.
 type Immunization struct {
@@ -154,13 +147,6 @@ type Config struct {
 	// Seed drives all randomness; identical configs with identical seeds
 	// produce identical results.
 	Seed int64
-	// Workers shards each tick's generate/transmit/immunize phases
-	// across this many goroutines (0 or 1 = serial). Results are
-	// byte-identical for every worker count: randomness is per-node
-	// streams and all order-sensitive effects are merged sequentially.
-	// Worth using from ~MinShardNodes nodes up; below that the per-tick
-	// fan-out overhead outweighs the sharded work.
-	Workers int
 
 	// LimitedNodes lists nodes whose incident links are rate limited.
 	LimitedNodes []int
@@ -328,9 +314,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Ticks < 1 {
 		return fmt.Errorf("sim: ticks %d must be >= 1", c.Ticks)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("sim: workers %d must be >= 0 (0 = serial)", c.Workers)
 	}
 	if c.Roles != nil && len(c.Roles) != c.Graph.N() {
 		return fmt.Errorf("sim: roles length %d != nodes %d", len(c.Roles), c.Graph.N())

@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"math/rand"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/ratelimit"
 	"repro/internal/routing"
-	"repro/internal/runner"
 	"repro/internal/topology"
 	"repro/internal/worm"
 )
@@ -77,19 +77,13 @@ type arrival struct {
 type Engine struct {
 	cfg Config
 	// streams is the per-node counter-mode RNG table (index n is the
-	// run-level stream), materialized lazily in 64-stream pages; rands
-	// holds one reusable rand.Rand per worker, re-pointed at the stream
-	// of the node being simulated (see rng.go).
+	// run-level stream), materialized lazily in 64-stream pages; rng is
+	// one reusable rand.Rand whose source is re-pointed at the stream of
+	// the node being simulated (see rng.go).
 	streams *streamTable
-	rands   []*workerRand
-	// workers is the resolved intra-run worker count (>= 1); pool is the
-	// phase-sharding worker pool, nil when workers == 1. serialGen keeps
-	// the generate sweep on one goroutine when a picker shares state
-	// across hosts (worm.SharedStatePicker).
-	workers   int
-	pool      *runner.Pool
-	serialGen bool
-	links     *routing.Links
+	rngSrc  streamSource
+	rng     *rand.Rand
+	links   *routing.Links
 	// structural names the directed link of u's next hop toward any
 	// destination: the entire routing decision of the per-packet path.
 	structural *routing.Structural
@@ -97,8 +91,7 @@ type Engine struct {
 
 	// stateBits packs every node's S/I/R/excluded state into 2 bits
 	// (32 nodes per word); read through stateOf, written through
-	// setState — and only from serial contexts (construction, the
-	// generate/immunize merges, deliver): sharded phases at most read it.
+	// setState.
 	stateBits []uint64
 	env       *worm.Env
 
@@ -256,22 +249,11 @@ type Engine struct {
 	latSum   int64
 	latCount int64
 
-	arrivals []arrival // staging buffer reused across ticks
-	// arrivalOff holds the per-shard prefix offsets of the parallel
-	// arrival merge (one slot per worker, reused across ticks).
-	arrivalOff []int
+	emitted  []packet  // generate's staging buffer, reused across ticks
+	arrivals []arrival // transmit's staging buffer, reused across ticks
 	// sentScratch is transmitCapped's per-adjacency-slot send counter,
 	// reused across ticks.
 	sentScratch []int32
-
-	// Per-worker phase buffers (one per worker, reused across ticks):
-	// each sharded phase writes worker-private results here and a
-	// sequential merge in worker order folds them into engine state, so
-	// every side effect lands in the same order regardless of worker
-	// count (see parallel.go).
-	genBufs []genBuf
-	txBufs  []txBuf
-	immBufs [][]int32
 }
 
 // netState is the immutable, graph-derived routing state every replica
@@ -346,14 +328,9 @@ func newEngine(cfg Config, ns *netState) (*Engine, error) {
 		ns = newNetState(cfg.Graph)
 	}
 	n := cfg.Graph.N()
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	e := &Engine{
 		cfg:          cfg,
 		streams:      newStreamTable(cfg.Seed, n),
-		workers:      workers,
 		links:        ns.links,
 		structural:   ns.structural,
 		n:            n,
@@ -367,17 +344,8 @@ func newEngine(cfg Config, ns *netState) (*Engine, error) {
 	// The run-level stream draws during construction (seed placement);
 	// node pages materialize as nodes are infected.
 	e.streams.ensure(n)
-	e.rands = make([]*workerRand, workers)
-	for i := range e.rands {
-		e.rands[i] = newWorkerRand(e.streams)
-	}
-	e.genBufs = make([]genBuf, workers)
-	e.txBufs = make([]txBuf, workers)
-	e.immBufs = make([][]int32, workers)
-	e.arrivalOff = make([]int, workers)
-	if workers > 1 {
-		e.pool = runner.New(runner.WithJobs(workers))
-	}
+	e.rngSrc.t = e.streams
+	e.rng = rand.New(&e.rngSrc)
 	if e.cfg.BaseRate == 0 {
 		e.cfg.BaseRate = DefaultBaseRate
 	}
@@ -646,9 +614,8 @@ func (e *Engine) seedInfections() error {
 }
 
 // infect transitions node u to the infected state; source is the
-// scanning host responsible (-1 for seed infections). Serial contexts
-// only (seeding, deliver): it writes packed state and materializes u's
-// stream page for the sharded generate sweep to draw from.
+// scanning host responsible (-1 for seed infections). It materializes
+// u's stream page for the generate sweep to draw from.
 func (e *Engine) infect(u, source int) {
 	if e.stateOf(u) != stateSusceptible {
 		return
@@ -661,14 +628,6 @@ func (e *Engine) infect(u, source int) {
 	p := e.cfg.Strategy(e.env, u)
 	e.pickerSlot[u] = int32(len(e.pickerTab))
 	e.pickerTab = append(e.pickerTab, p)
-	if !e.serialGen {
-		if _, shared := p.(worm.SharedStatePicker); shared {
-			// A picker with cross-host shared state (hit-list cursor):
-			// sharding the generate sweep would race on it, so this run's
-			// scan generation stays on one goroutine.
-			e.serialGen = true
-		}
-	}
 	if e.cfg.TrackSubnets {
 		if s := e.env.Subnet[u]; s >= 0 {
 			e.subnetInfected[s]++
@@ -832,13 +791,15 @@ func (e *Engine) updateQuarantine() {
 	}
 }
 
-// generate lets every infected node attempt one infection. The work is
-// sharded over ranges of the infected bitset (serial = one range): each
-// worker stages its nodes' emissions in a private buffer, drawing every
-// node's randomness from that node's own stream, and a sequential merge
-// routes the staged packets in ascending node order — the visit order,
-// RNG consumption, and queueing order are identical for every worker
-// count. Shared-state pickers force a single shard (see infect).
+// generate lets every infected node attempt one infection, sweeping
+// the infected bitset in ascending node order and drawing every node's
+// randomness from that node's own stream. Emitted packets are staged
+// and routed after the sweep, in emission order. Routing touches only
+// link queues, which no picker or limiter reads, so routing each packet
+// as it is emitted would give the same output — but keeping the sweep's
+// working set (pickers, RNG pages, limiters) apart from routing's
+// (router records, link queues) measured ~7% faster on the 1M-host
+// internet workload.
 func (e *Engine) generate() {
 	if e.workload != nil {
 		// Trace-replay run: the workload is the scan source, dispatched
@@ -853,30 +814,6 @@ func (e *Engine) generate() {
 		// O(1) instead of O(n/64).
 		return
 	}
-	words := len(e.infectedBits)
-	shards := 1
-	if e.workers > 1 && !e.serialGen {
-		shards = min(e.workers, max(words, 1))
-	}
-	e.forEachShard(shards, func(i int) {
-		e.generateRange(i, i*words/shards, (i+1)*words/shards)
-	})
-	for i := 0; i < shards; i++ {
-		buf := &e.genBufs[i]
-		e.scansThisTick += buf.scans
-		e.throttledThisTick += buf.throttled
-		e.genCount += uint64(len(buf.packets))
-		for _, pkt := range buf.packets {
-			e.routePacket(pkt.src, pkt)
-		}
-	}
-}
-
-// generateRange runs worker w's share of the generate sweep: infected
-// nodes of bitset words [loWord, hiWord), scanned ascending, staging
-// emissions into the worker's private buffer. It touches only
-// worker-owned state (the range's RNG streams and host limiters).
-func (e *Engine) generateRange(w, loWord, hiWord int) {
 	scans := e.cfg.ScansPerTick
 	if scans == 0 {
 		scans = 1
@@ -885,10 +822,9 @@ func (e *Engine) generateRange(w, loWord, hiWord int) {
 	if e.cfg.ProbeFirst {
 		kind = kindProbe
 	}
-	buf := &e.genBufs[w]
-	buf.reset()
-	for wi := loWord; wi < hiWord; wi++ {
-		word := e.infectedBits[wi]
+	tick := int32(e.tick)
+	emitted := e.emitted[:0]
+	for wi, word := range e.infectedBits {
 		for word != 0 {
 			u := wi<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
@@ -903,7 +839,7 @@ func (e *Engine) generateRange(w, loWord, hiWord int) {
 				}
 			}
 			picker := e.pickerTab[e.pickerSlot[u]]
-			rng := e.nodeRand(w, u)
+			rng := e.nodeRand(u)
 			for s := 0; s < scans; s++ {
 				if beta < 1 && rng.Float64() >= beta {
 					continue
@@ -917,17 +853,22 @@ func (e *Engine) generateRange(w, loWord, hiWord int) {
 				// scan stream. Host contact limiters are host-side filters
 				// and apply whenever installed (like ScanRateOverride),
 				// independent of the network-side quarantine state.
-				buf.scans++
-				if limiter != nil && !e.limitsDown && !limiter.Allow(int64(e.tick), ratelimit.IP(target)) {
-					buf.throttled++
+				e.scansThisTick++
+				if limiter != nil && !e.limitsDown && !limiter.Allow(int64(tick), ratelimit.IP(target)) {
+					e.throttledThisTick++
 					continue // throttled: contact blocked this tick
 				}
-				buf.packets = append(buf.packets, packet{
-					src: int32(u), dst: int32(target), kind: kind, birth: int32(e.tick),
+				emitted = append(emitted, packet{
+					src: int32(u), dst: int32(target), kind: kind, birth: tick,
 				})
 			}
 		}
 	}
+	e.genCount += uint64(len(emitted))
+	for _, pkt := range emitted {
+		e.routePacket(pkt.src, pkt)
+	}
+	e.emitted = emitted
 }
 
 // routePacket places a packet at node u heading for its destination:
@@ -948,13 +889,12 @@ func (e *Engine) routePacket(u int32, pkt packet) {
 		return // DropTail: buffer full, packet lost
 	}
 	if s < 0 {
-		// First packet ever on this link (serial context: routePacket
-		// runs in generate's merge and in deliver only). The buffer
-		// starts small and append grows it toward MaxQueue on demand —
-		// sizing it at MaxQueue up front avoids regrowth on saturated
-		// hubs but costs MaxQueue packets of capacity on every link a
-		// single packet ever crossed, which at ten-million-host scale
-		// dwarfs the queues' live content (DESIGN.md §14).
+		// First packet ever on this link. The buffer starts small and
+		// append grows it toward MaxQueue on demand — sizing it at
+		// MaxQueue up front avoids regrowth on saturated hubs but costs
+		// MaxQueue packets of capacity on every link a single packet
+		// ever crossed, which at ten-million-host scale dwarfs the
+		// queues' live content (DESIGN.md §14).
 		c := e.cfg.MaxQueue
 		if c == 0 || c > 8 {
 			c = 8
@@ -977,48 +917,12 @@ func (e *Engine) routePacket(u int32, pkt packet) {
 // series determinism contract fixes. Links of a node-capped router are
 // served together by its round-robin scheduler the first time one of
 // its queues is encountered.
-//
-// With Workers > 1 and no node caps the sweep is sharded over ranges of
-// the queue bitset: per-link state (queue, budget, credit) is owned by
-// exactly one worker, arrivals are staged per worker, and the
-// sequential merge concatenates them in worker order — global ascending
-// link order, identical to the serial sweep. Node caps keep transmit
-// serial: a capped router's round-robin scheduler spans all its links
-// at once (hub scenarios are small; sharding buys nothing there).
 func (e *Engine) transmit() {
 	e.arrivals = e.arrivals[:0]
 	if e.backlog == 0 {
 		// Sparse-phase shortcut: nothing queued anywhere, so there is
 		// nothing to move and no budget to spend — O(1) instead of a
 		// sweep over the queue bitset.
-		return
-	}
-	words := len(e.queueBits)
-	if e.workers > 1 && e.nodeCap == nil && words > 1 {
-		shards := min(e.workers, words)
-		e.forEachShard(shards, func(i int) {
-			e.transmitRange(i, i*words/shards, (i+1)*words/shards)
-		})
-		// Merge: the counters fold serially, then the staged arrival
-		// runs are stitched together by prefix offsets and copied in
-		// parallel — the serial per-shard append was the scaling cliff
-		// of multi-worker hot-phase runs (the arrival stream is the
-		// phase's entire output).
-		total := 0
-		for i := 0; i < shards; i++ {
-			buf := &e.txBufs[i]
-			e.arrivalOff[i] = total
-			total += len(buf.arrivals)
-			e.backlog -= buf.drained
-			e.dropCount += buf.dropped
-		}
-		if cap(e.arrivals) < total {
-			e.arrivals = make([]arrival, total)
-		}
-		e.arrivals = e.arrivals[:total]
-		e.forEachShard(shards, func(i int) {
-			copy(e.arrivals[e.arrivalOff[i]:], e.txBufs[i].arrivals)
-		})
 		return
 	}
 	tick := int32(e.tick)
@@ -1066,58 +970,6 @@ func (e *Engine) transmit() {
 			default:
 				e.queueTab[e.queueSlot[li]] = append(q[:0], q[allowed:]...)
 				e.backlog -= allowed
-			}
-		}
-	}
-}
-
-// transmitRange runs worker w's share of the transmit sweep: non-empty
-// queues of bitset words [loWord, hiWord), ascending. The worker owns
-// its links outright — it drains queues, spends budgets, and clears
-// queue bits in place (the shard boundary is a word index, so every
-// bitset word belongs to exactly one worker) — but defers the truly
-// shared effects (the backlog and drop counters, the arrival stream)
-// to its private buffer for the sequential merge.
-func (e *Engine) transmitRange(w, loWord, hiWord int) {
-	buf := &e.txBufs[w]
-	buf.reset()
-	for wi := loWord; wi < hiWord; wi++ {
-		word := e.queueBits[wi]
-		for word != 0 {
-			li := wi<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			q := e.queueTab[e.queueSlot[li]]
-			allowed := len(q)
-			lr := -1
-			if e.linkLimited(li) {
-				lr = e.limitedRank(li)
-				if e.limitsActive && int(e.linkBudget[lr]) < allowed {
-					allowed = int(e.linkBudget[lr])
-					if allowed < 0 {
-						allowed = 0
-					}
-				}
-			}
-			to := int32(e.links.To(li))
-			for _, pkt := range q[:allowed] {
-				buf.arrivals = append(buf.arrivals, arrival{node: to, pkt: pkt})
-			}
-			if lr >= 0 {
-				e.spendLink(lr, allowed)
-			}
-			switch {
-			case allowed == len(q):
-				e.queueTab[e.queueSlot[li]] = q[:0] // drained
-				e.queueBits[wi] &^= 1 << (uint(li) & 63)
-				buf.drained += allowed
-			case e.cfg.Policy == PolicyDrop:
-				buf.dropped += uint64(len(q) - allowed)
-				e.queueTab[e.queueSlot[li]] = q[:0] // excess discarded
-				e.queueBits[wi] &^= 1 << (uint(li) & 63)
-				buf.drained += len(q)
-			default:
-				e.queueTab[e.queueSlot[li]] = append(q[:0], q[allowed:]...)
-				buf.drained += allowed
 			}
 		}
 	}
@@ -1281,8 +1133,7 @@ func (e *Engine) immunize(tick int) {
 		}
 		e.immunizing = true
 		// From here on every live node rolls µ each tick: the whole
-		// stream table becomes hot, so materialize it once, serially,
-		// before the sharded sweeps start reading page pointers.
+		// stream table becomes hot, so materialize it once.
 		e.streams.ensureAll()
 		if e.collector != nil {
 			e.collector.Event(obs.Event{Tick: tick, Kind: obs.EventImmunizationStarted})
@@ -1290,7 +1141,7 @@ func (e *Engine) immunize(tick int) {
 	}
 	// Sparse-phase shortcut: with no candidates left (everyone patched,
 	// or only infected hosts remain under SusceptibleOnly) the sweep
-	// draws nothing and changes nothing — skip the fan-out.
+	// draws nothing and changes nothing — skip the O(n) sweep.
 	draws := e.popSize - e.removed - e.infected
 	if !im.SusceptibleOnly {
 		draws += e.infected
@@ -1298,49 +1149,11 @@ func (e *Engine) immunize(tick int) {
 	if draws == 0 {
 		return
 	}
-	// The µ rolls are sharded over node ranges: each candidate's roll
-	// comes from its own stream, so the pass-set is identical for every
-	// worker count. State mutation and the injector's loss draws happen
-	// in the sequential merge, in ascending node order — the injector's
-	// single fault stream is consumed exactly as by a serial sweep.
-	shards := 1
-	if e.workers > 1 {
-		shards = min(e.workers, e.n)
-	}
-	e.forEachShard(shards, func(i int) {
-		e.immunizeRange(i, i*e.n/shards, (i+1)*e.n/shards)
-	})
-	for i := 0; i < shards; i++ {
-		for _, u32 := range e.immBufs[i] {
-			u := int(u32)
-			// The engine-RNG µ roll happened for every candidate exactly
-			// as in a fault-free run; the loss fault draws from the
-			// injector's own stream, leaving the engine streams untouched.
-			if e.faults != nil && e.faults.DropImmunization() {
-				continue
-			}
-			if e.stateOf(u) == stateInfected {
-				e.infected--
-				e.infectedBits[u>>6] &^= 1 << (uint(u) & 63)
-				if e.cfg.TrackSubnets {
-					if s := e.env.Subnet[u]; s >= 0 {
-						e.subnetInfected[s]--
-					}
-				}
-			}
-			e.setState(u, stateRemoved)
-			e.removed++
-		}
-	}
-}
-
-// immunizeRange runs worker w's share of the µ rolls: candidates in
-// [lo, hi) that pass are appended to the worker's private buffer. Node
-// state is only read here; mutation happens in immunize's merge.
-func (e *Engine) immunizeRange(w, lo, hi int) {
-	im := e.cfg.Immunize
-	buf := e.immBufs[w][:0]
-	for u := lo; u < hi; u++ {
+	// Candidates roll µ in ascending node order, each from its own
+	// stream. The engine-RNG roll happens for every candidate exactly as
+	// in a fault-free run; the loss fault draws from the injector's own
+	// stream, leaving the engine streams untouched.
+	for u := 0; u < e.n; u++ {
 		switch e.stateOf(u) {
 		case stateExcluded, stateRemoved:
 			continue
@@ -1349,12 +1162,24 @@ func (e *Engine) immunizeRange(w, lo, hi int) {
 				continue
 			}
 		}
-		if e.nodeRand(w, u).Float64() >= im.Mu {
+		if e.nodeRand(u).Float64() >= im.Mu {
 			continue
 		}
-		buf = append(buf, int32(u))
+		if e.faults != nil && e.faults.DropImmunization() {
+			continue
+		}
+		if e.stateOf(u) == stateInfected {
+			e.infected--
+			e.infectedBits[u>>6] &^= 1 << (uint(u) & 63)
+			if e.cfg.TrackSubnets {
+				if s := e.env.Subnet[u]; s >= 0 {
+					e.subnetInfected[s]--
+				}
+			}
+		}
+		e.setState(u, stateRemoved)
+		e.removed++
 	}
-	e.immBufs[w] = buf
 }
 
 // record appends this tick's metrics.

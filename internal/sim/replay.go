@@ -28,8 +28,7 @@ type Workload interface {
 // rate-limiter credits, while routing, queueing, delivery, infection,
 // and immunization run unchanged. Replay consumes no engine RNG — the
 // workload carries its own determinism — so a replay run is reproducible
-// from (Config, workload) alone and Workers-count invariant by
-// construction.
+// from (Config, workload) alone.
 type ReplayConfig struct {
 	// NewWorkload builds the contact stream for one run. It is a factory
 	// because every engine build needs a fresh stream positioned at tick
@@ -119,10 +118,8 @@ func (e *Engine) seedReplayInfections(hosts []int) error {
 // damage signal) and emitted as kindBenign packets when their
 // destination is inside the simulated network.
 //
-// The sweep is serial (contacts arrive host-ascending from the
-// workload; replay traces are small next to the engine's host ceiling),
-// so worker-count invariance of this phase is structural; transmit and
-// deliver still shard. State gating ties the trace to the simulation:
+// Contacts are applied in the order the workload yields them
+// (host-ascending within a tick). State gating ties the trace to the simulation:
 // a worm contact from a node that is no longer infected (patched by
 // the immunization process) is suppressed — the trace recorded the
 // scan, but the simulated defense stopped the scanner.
@@ -154,7 +151,7 @@ func (e *Engine) generateReplay() {
 			}
 			e.benignThisTick++
 		}
-		// Same monitor-point-then-limiter order as generateRange: the
+		// Same monitor-point-then-limiter order as generate: the
 		// attempt is counted pre-throttle, then the host limiter gates
 		// it. Replay hands the limiter the contact's real destination
 		// address, so distinct external targets fill a Williamson

@@ -21,9 +21,9 @@ import (
 // The trace-replay determinism contract: a replay run is reproducible
 // from (Config, workload) alone — the workload consumes no engine RNG
 // and the replay sweep is serial — so the series, genealogy, and the
-// collateral-damage counters must be byte-identical across worker
-// counts and across a mid-run checkpoint/resume. The golden_replay
-// fixture pins both the series and the counters.
+// collateral-damage counters must be byte-identical across reruns and
+// across a mid-run checkpoint/resume. The golden_replay fixture pins
+// both the series and the counters.
 
 const goldenReplayPath = "testdata/golden_replay.json"
 
@@ -97,7 +97,7 @@ type goldenReplay struct {
 
 func TestGoldenReplay(t *testing.T) {
 	cfg := replayScenario(t)
-	series, counters := runTallied(t, cfg, 1)
+	series, counters := runTallied(t, cfg)
 	got := goldenReplay{Series: series, Counters: counters}
 
 	if got.Counters["benign_contacts"] == 0 {
@@ -135,23 +135,6 @@ func TestGoldenReplay(t *testing.T) {
 	}
 }
 
-// TestReplayWorkerInvariance: the replay generate phase is serial by
-// construction, so worker count must not change a single counter.
-func TestReplayWorkerInvariance(t *testing.T) {
-	cfg := replayScenario(t)
-	base, baseCounters := runTallied(t, cfg, 1)
-	for _, workers := range []int{2, 8} {
-		got, counters := runTallied(t, cfg, workers)
-		if !reflect.DeepEqual(got, base) {
-			t.Errorf("workers=%d: replay series diverged from workers=1", workers)
-		}
-		if !reflect.DeepEqual(counters, baseCounters) {
-			t.Errorf("workers=%d: replay obs counters diverged from workers=1:\n got %v\nwant %v",
-				workers, counters, baseCounters)
-		}
-	}
-}
-
 // TestReplayCheckpointResume: the resume contract on a replay run. The
 // snapshot carries the stream position (ReplayRecords); Restore builds
 // a fresh workload, fast-forwards it with Skip, and the finished run
@@ -179,38 +162,6 @@ func TestReplayCheckpointResume(t *testing.T) {
 		}
 		if !reflect.DeepEqual(res, full) {
 			t.Fatalf("replay resume from tick %d diverged from the uninterrupted run", i+1)
-		}
-	}
-}
-
-// TestReplayResumeAcrossWorkerCounts: a mid-run replay checkpoint must
-// resume byte-identically under any worker count.
-func TestReplayResumeAcrossWorkerCounts(t *testing.T) {
-	cfg := replayScenario(t)
-	cfg.Workers = 4
-	full, snaps := runWithCheckpoints(t, cfg)
-	cut := len(snaps) / 2
-	data, err := snaps[cut].Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := DecodeSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4, 8} {
-		rcfg := cfg
-		rcfg.Workers = workers
-		eng, err := Restore(rcfg, snap)
-		if err != nil {
-			t.Fatalf("restore cut %d under workers=%d: %v", cut, workers, err)
-		}
-		res, err := eng.RunContext(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(res, full) {
-			t.Errorf("replay resume from cut %d under workers=%d diverged", cut, workers)
 		}
 	}
 }

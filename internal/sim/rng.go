@@ -7,10 +7,11 @@ import "math/rand"
 // node plus one run-level stream. Node u's β rolls and target picks
 // draw only from stream u, and the run stream covers everything that is
 // not attributable to a single node (today: the seed-infection
-// shuffle). Because a node's draws depend only on its own counter, the
-// generate/immunize sweeps can be sharded across workers in any order
-// and still consume exactly the per-node sub-streams a sequential sweep
-// would: worker count cannot change results (DESIGN.md §12).
+// shuffle). The tick loop is serial, so one shared stream would be
+// deterministic too; the per-node table stays because its draws define
+// the golden outputs and the snapshot format, and its two costs are kept
+// small: pages materialize lazily, and a checkpoint stores only the
+// streams that have drawn.
 //
 // The table is materialized lazily in 64-stream pages: a stream's
 // initial counter is a pure function of the seed and the stream index,
@@ -19,15 +20,6 @@ import "math/rand"
 // node then rolls µ), or the run stream drawing. A 10M-host run with 1%
 // seeded infections pays for the seeds' pages, not 80 MB of counters
 // for nodes that never draw (DESIGN.md §14).
-//
-// Pages are materialized ONLY from serial contexts (construction,
-// the infect/restore paths, the immunization start) — never from a
-// sharded phase. Sharded phases read the page-pointer array and
-// advance counters of their own nodes; pages span exactly one 64-bit
-// word of the node bitsets, so the word-aligned shard boundaries of
-// generate can never split a page between workers, and the
-// entry-level writes of the node-range immunize shards land on
-// distinct uint64s even when a page straddles two ranges.
 //
 // Each stream's whole state is one uint64 counter, so a checkpoint
 // stores the sparse set of counters that have advanced past their
@@ -39,9 +31,8 @@ import "math/rand"
 // with internal/fault's generator.
 const rngGamma = 0x9e3779b97f4a7c15
 
-// streamPageShift sizes a page at 64 streams — one bitset word, so the
-// word-aligned shard boundaries of the generate phase align with page
-// boundaries.
+// streamPageShift sizes a page at 64 streams — one word of the
+// infected bitset.
 const (
 	streamPageShift = 6
 	streamPageLen   = 1 << streamPageShift
@@ -80,10 +71,8 @@ func (t *streamTable) initial(i int) uint64 {
 	return rngMix(t.base ^ (uint64(i)+1)*rngGamma)
 }
 
-// ensure materializes the page holding stream i. Must only be called
-// from a serial context (see the package comment above); sharded
-// phases rely on every stream they touch having been ensured before
-// the phase fanned out.
+// ensure materializes the page holding stream i. Every stream must be
+// ensured before its first draw.
 func (t *streamTable) ensure(i int) {
 	pi := i >> streamPageShift
 	if t.pages[pi] != nil {
@@ -140,28 +129,13 @@ func (s *streamSource) Int63() int64 {
 // never re-seeded through math/rand.
 func (s *streamSource) Seed(int64) {}
 
-// workerRand is one worker's view of the stream table: a reusable
-// rand.Rand whose source is re-pointed at the stream of whichever node
-// the worker is currently simulating. Workers of one tick phase own
-// disjoint node ranges, so they touch disjoint table entries.
-type workerRand struct {
-	src streamSource
-	rng *rand.Rand
+// nodeRand returns the engine's rand.Rand positioned on node u's
+// stream.
+func (e *Engine) nodeRand(u int) *rand.Rand {
+	e.rngSrc.idx = u
+	return e.rng
 }
 
-func newWorkerRand(t *streamTable) *workerRand {
-	w := &workerRand{src: streamSource{t: t}}
-	w.rng = rand.New(&w.src)
-	return w
-}
-
-// nodeRand returns worker w's rand.Rand positioned on node u's stream.
-func (e *Engine) nodeRand(w, u int) *rand.Rand {
-	r := e.rands[w]
-	r.src.idx = u
-	return r.rng
-}
-
-// runRand returns the run-level stream (table index n) on worker 0's
-// rand.Rand. Only serial, whole-run draws use it.
-func (e *Engine) runRand() *rand.Rand { return e.nodeRand(0, e.n) }
+// runRand returns the engine's rand.Rand positioned on the run-level
+// stream (table index n).
+func (e *Engine) runRand() *rand.Rand { return e.nodeRand(e.n) }

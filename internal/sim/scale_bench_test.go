@@ -17,71 +17,59 @@ import (
 )
 
 // BenchmarkEngineTickScale measures the large-topology path: two-level
-// AS graphs from 1k to 1M hosts, backbone rate limiting, 1 vs NumCPU
-// intra-run workers. Reported metrics: ns/tick (worm dynamics, engine
-// construction excluded) and B/host (steady engine + routing footprint,
-// measured once per size; the structural router keeps routing
-// O(N + core²) at every size). Results are recorded in
-// BENCH_engine.json. The full suite — including the 1M-host size —
-// runs under `make bench-scale`; with -short (the `make bench-smoke` /
-// CI path) sizes above 10k hosts are skipped.
+// AS graphs from 1k to 1M hosts under backbone rate limiting. Reported
+// metrics: ns/tick (worm dynamics, engine construction excluded) and
+// B/host (steady engine + routing footprint, measured once per size;
+// the structural router keeps routing O(N + core²) at every size).
+// Results are recorded in BENCH_engine.json. The full suite —
+// including the 1M-host size — runs under `make bench-scale`; with
+// -short (the `make bench-smoke` / CI path) sizes above 10k hosts are
+// skipped.
 func BenchmarkEngineTickScale(b *testing.B) {
 	for _, hosts := range []int{1_000, 10_000, 100_000, 1_000_000, 10_000_000} {
 		if testing.Short() && hosts > 10_000 {
 			continue
 		}
-		hosts := hosts
-		// The topology is built inside the size group so a -bench filter
-		// on one size never pays for the others' construction.
+		// The topology is built inside the size's own benchmark so a
+		// -bench filter on one size never pays for the others'
+		// construction.
 		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) {
 			g, roles := scaleTopology(b, hosts)
 			heap := measureHeap(b, func() any { return newNetState(g) })
 			ns := heap.v.(*netState)
-			// workers=2 is always recorded so the multi-worker column
-			// exists even on single-core recording machines (where it
-			// honestly measures sharding overhead, not speedup); larger
-			// machines add their full core count on top.
-			workerCounts := []int{1, 2}
-			if n := runtime.NumCPU(); n > 2 {
-				workerCounts = append(workerCounts, n)
+			cfg := Config{
+				Graph: g, Roles: roles,
+				Beta: 0.8, ScansPerTick: 10,
+				Strategy:        worm.NewRandomFactory(),
+				InitialInfected: max(hosts/100, 1), Ticks: 10, Seed: 11,
+				MaxQueue:     50,
+				LimitedNodes: DeployBackbone(roles), BaseRate: 0.4,
 			}
-			for _, workers := range workerCounts {
-				cfg := Config{
-					Graph: g, Roles: roles,
-					Beta: 0.8, ScansPerTick: 10,
-					Strategy:        worm.NewRandomFactory(),
-					InitialInfected: max(hosts/100, 1), Ticks: 10, Seed: 11,
-					MaxQueue: 50, Workers: workers,
-					LimitedNodes: DeployBackbone(roles), BaseRate: 0.4,
-				}
-				b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-					if err := cfg.Validate(); err != nil {
+			if err := cfg.Validate(); err != nil {
+				b.Fatal(err)
+			}
+			resetPeakRSS()
+			var engBytes uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				var eng *Engine
+				h := measureHeap(b, func() any {
+					e, err := newEngine(cfg, ns)
+					if err != nil {
 						b.Fatal(err)
 					}
-					resetPeakRSS()
-					var engBytes uint64
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						b.StopTimer()
-						var eng *Engine
-						h := measureHeap(b, func() any {
-							e, err := newEngine(cfg, ns)
-							if err != nil {
-								b.Fatal(err)
-							}
-							return e
-						})
-						eng, engBytes = h.v.(*Engine), h.bytes
-						b.StartTimer()
-						eng.Run()
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cfg.Ticks), "ns/tick")
-					b.ReportMetric(float64(heap.bytes+engBytes)/float64(g.N()), "B/host")
-					if kb := peakRSSKB(); kb > 0 {
-						b.ReportMetric(float64(kb), "peakRSS-KB")
-					}
+					return e
 				})
+				eng, engBytes = h.v.(*Engine), h.bytes
+				b.StartTimer()
+				eng.Run()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cfg.Ticks), "ns/tick")
+			b.ReportMetric(float64(heap.bytes+engBytes)/float64(g.N()), "B/host")
+			if kb := peakRSSKB(); kb > 0 {
+				b.ReportMetric(float64(kb), "peakRSS-KB")
 			}
 		})
 	}

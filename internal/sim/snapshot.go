@@ -648,12 +648,12 @@ func (e *Engine) restore(s *Snapshot) error {
 	}
 
 	// RNG: reset the lazily-materialized stream table, re-materialize
-	// the pages the restored run will read from a sharded phase — the
-	// run stream, every infected node's page, and the whole table once
-	// immunization is rolling — then overlay the checkpointed counters
-	// (ensuring each one's page: a counter may belong to a node that
-	// drew and was since patched). The per-worker rand.Rands alias the
-	// table, so they see the restored positions immediately.
+	// the pages the restored run will draw from — the run stream, every
+	// infected node's page, and the whole table once immunization is
+	// rolling — then overlay the checkpointed counters (ensuring each
+	// one's page: a counter may belong to a node that drew and was since
+	// patched). The engine's rand.Rand aliases the table, so it sees the
+	// restored positions immediately.
 	e.streams.reset()
 	e.streams.ensure(e.n)
 	if e.immunizing {

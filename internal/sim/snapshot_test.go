@@ -220,11 +220,11 @@ func TestSnapshotRejectsVersionSkew(t *testing.T) {
 	}
 }
 
-// TestSnapshotResumeLargeAcrossWorkerCounts exercises the v3 sparse
-// encoding where it matters: a 100k-host two-level internet, where the
-// RNG table must stay sparse (only touched streams encoded) and the
-// packed states must survive a worker-count change on resume.
-func TestSnapshotResumeLargeAcrossWorkerCounts(t *testing.T) {
+// TestSnapshotResumeLarge exercises the v3 sparse encoding where it
+// matters: a 100k-host two-level internet, where the RNG table must
+// stay sparse (only touched streams encoded) and the packed states must
+// survive an encode/decode/restore round trip.
+func TestSnapshotResumeLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-host resume test skipped in -short mode")
 	}
@@ -239,7 +239,7 @@ func TestSnapshotResumeLargeAcrossWorkerCounts(t *testing.T) {
 		Beta: 0.8, ScansPerTick: 10,
 		Strategy:        worm.NewRandomFactory(),
 		InitialInfected: 100, Ticks: 8, Seed: 11,
-		MaxQueue: 50, Workers: 4,
+		MaxQueue:     50,
 		LimitedNodes: DeployBackbone(roles), BaseRate: 0.4,
 	}
 	full, snaps := runWithCheckpoints(t, cfg)
@@ -262,16 +262,12 @@ func TestSnapshotResumeLargeAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		rcfg := cfg
-		rcfg.Workers = workers
-		eng, err := Restore(rcfg, decoded)
-		if err != nil {
-			t.Fatalf("restore under workers=%d: %v", workers, err)
-		}
-		if got := toGolden(eng.Run()); !reflect.DeepEqual(got, want) {
-			t.Errorf("100k-host resume under workers=%d diverged", workers)
-		}
+	eng, err := Restore(cfg, decoded)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if got := toGolden(eng.Run()); !reflect.DeepEqual(got, want) {
+		t.Error("100k-host resume diverged")
 	}
 }
 

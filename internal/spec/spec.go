@@ -215,7 +215,6 @@ type Run struct {
 	// Runs is the number of replicas to average (0 = 1).
 	Runs            int    `json:"runs,omitempty"`
 	Jobs            int    `json:"jobs,omitempty"`
-	Workers         int    `json:"workers,omitempty"`
 	Timeout         string `json:"timeout,omitempty"`
 	Check           bool   `json:"check,omitempty"`
 	KeepGoing       bool   `json:"keep_going,omitempty"`
@@ -228,14 +227,17 @@ type Run struct {
 }
 
 // UnmarshalJSON decodes a run section strictly, and accepts and drops
-// structural_threshold: specs written when routing had a dense and a
-// structural mode still load (a daemon's persisted jobs among them),
-// and Canonical never writes the key back.
+// two retired knobs, each still type-checked as an integer:
+// structural_threshold (from when routing had a dense and a structural
+// mode) and workers (from when one replica's ticks could be sharded).
+// Specs that carry them still load — a daemon's persisted jobs among
+// them — and Canonical never writes them back.
 func (r *Run) UnmarshalJSON(data []byte) error {
 	type plain Run
 	var v struct {
 		plain
 		StructuralThreshold *int `json:"structural_threshold"`
+		Workers             *int `json:"workers"`
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -450,7 +452,6 @@ func (s *Spec) Compile() (*Compiled, error) {
 		}
 		c.Options = core.RunOptions{
 			Jobs:            r.Jobs,
-			Workers:         r.Workers,
 			Check:           r.Check,
 			KeepGoing:       r.KeepGoing,
 			Retries:         r.Retries,

@@ -58,7 +58,8 @@ func TestParseRoundTripByteIdentical(t *testing.T) {
 
 // yamlDemoDoc exercises the whole YAML subset: comments, quoting,
 // nested mappings, block and flow sequences, and a run section carrying
-// the retired structural_threshold knob. FuzzSpecDecode seeds from it.
+// the retired structural_threshold and workers knobs. FuzzSpecDecode
+// seeds from it.
 const yamlDemoDoc = `
 # A hand-written scenario.
 format: wormsim-scenario
@@ -91,6 +92,7 @@ run:
   jobs: 2
   timeout: 30s
   structural_threshold: 4096
+  workers: 2
 grid:
   - path: worm.beta
     values: [0.4, 0.8]
@@ -128,14 +130,17 @@ func TestParseYAML(t *testing.T) {
 		t.Errorf("point run options wrong: %+v", points[0])
 	}
 	// YAML and its canonical JSON must describe the identical spec.
-	// run.structural_threshold, a knob of the retired dense router,
-	// still decodes but is dropped from the canonical form.
+	// run.structural_threshold (the retired dense router) and
+	// run.workers (the retired intra-run sharding) still decode but are
+	// dropped from the canonical form.
 	out, err := s.Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(out), "structural_threshold") {
-		t.Errorf("canonical form kept the ignored structural_threshold:\n%s", out)
+	for _, key := range []string{"structural_threshold", "workers"} {
+		if strings.Contains(string(out), key) {
+			t.Errorf("canonical form kept the ignored %s:\n%s", key, out)
+		}
 	}
 	s2, err := Parse(out)
 	if err != nil {
@@ -171,6 +176,7 @@ var parseRejectCases = []struct {
 	{"yaml flow mapping", "format: {a: 1}\n", "not supported"},
 	{"unknown run field", `{"format":"wormsim-scenario","version":1,"run":{"runz":2}}`, "unknown field"},
 	{"non-integer structural threshold", `{"format":"wormsim-scenario","version":1,"run":{"structural_threshold":"big"}}`, "structural_threshold"},
+	{"non-integer workers", `{"format":"wormsim-scenario","version":1,"run":{"workers":"many"}}`, "workers"},
 }
 
 // TestParseRejects: every malformed or skewed spec must fail with an

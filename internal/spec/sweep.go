@@ -80,7 +80,7 @@ func SweepCache(ctx context.Context, s *Spec, mod func(*Compiled), cache *NetCac
 			mod(c)
 		}
 		stats.Points++
-		pr := PointResult{Point: c, Warnings: c.Scenario.Warnings(c.Options)}
+		pr := PointResult{Point: c, Warnings: c.Scenario.Warnings()}
 
 		key, kerr := c.Scenario.NetKey()
 		if kerr != nil {

@@ -24,22 +24,21 @@ type Env struct {
 	// call: only subnet-aware strategies (LocalPreferential) pay its
 	// footprint, and a uniform-random worm over ten million hosts pays
 	// nothing.
-	membersOnce sync.Once
-	members     map[int32][]int32
+	members map[int32][]int32
 }
 
 // MembersOf returns the node IDs of subnet sub in ascending order, nil
-// for unknown subnets. Safe for concurrent use: the engine's sharded
-// generate sweep may call it from several workers at once.
+// for unknown subnets. Not safe for concurrent use: an Env belongs to
+// one engine, whose tick loop is serial.
 func (e *Env) MembersOf(sub int32) []int32 {
-	e.membersOnce.Do(func() {
+	if e.members == nil {
 		e.members = make(map[int32][]int32)
 		for u, s := range e.Subnet {
 			if s >= 0 {
 				e.members[s] = append(e.members[s], int32(u))
 			}
 		}
-	})
+	}
 	return e.members[sub]
 }
 
@@ -48,19 +47,6 @@ func (e *Env) MembersOf(sub int32) []int32 {
 // unused address space). Pickers may be stateful per infected host.
 type Picker interface {
 	Pick(rng *rand.Rand, self int) int
-}
-
-// SharedStatePicker marks pickers whose Pick mutates state shared
-// across the hosts of one population (e.g. HitList's claim cursor).
-// The simulator keeps its scan-generation sweep on a single goroutine
-// for such strategies — sharding would race on the shared state and
-// make the claim order depend on scheduling. Per-host-stateful pickers
-// (Sequential) need no marker: each host's state is touched only while
-// that host is simulated.
-type SharedStatePicker interface {
-	Picker
-	// SharedPickerState is a marker method; it does nothing.
-	SharedPickerState()
 }
 
 // Factory builds a picker for a newly infected host. Stateless
@@ -205,14 +191,9 @@ func NewHitListFactory(list []int) (Factory, error) {
 	}, nil
 }
 
-// SharedPickerState implements SharedStatePicker: the claim cursor is
-// shared by every picker of one population, so the engine must not
-// shard the generate sweep (see SharedStatePicker).
-func (h *HitList) SharedPickerState() {}
-
-// Pick implements Picker. The engine keeps pickers of a shared-state
-// strategy on a single goroutine (SharedStatePicker), so the shared
-// cursor needs no locking here.
+// Pick implements Picker. The claim cursor is shared by every picker of
+// one population; the engine's generate sweep is serial, so it needs no
+// locking here.
 func (h *HitList) Pick(rng *rand.Rand, self int) int {
 	if h.env.N == 0 {
 		return -1
@@ -228,8 +209,8 @@ func (h *HitList) Pick(rng *rand.Rand, self int) int {
 }
 
 var (
-	_ Picker            = (*Random)(nil)
-	_ Picker            = (*LocalPreferential)(nil)
-	_ Picker            = (*Sequential)(nil)
-	_ SharedStatePicker = (*HitList)(nil)
+	_ Picker = (*Random)(nil)
+	_ Picker = (*LocalPreferential)(nil)
+	_ Picker = (*Sequential)(nil)
+	_ Picker = (*HitList)(nil)
 )
