@@ -11,11 +11,13 @@ build:
 	$(GO) build ./...
 
 ## vet: go vet plus the formatting gate — fails listing every file
-## `gofmt -l .` would rewrite.
+## `gofmt -l .` would rewrite. The nested bench module (repro/bench)
+## is vetted too: root `./...` skips it, and it imports the run APIs.
 vet:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt: these files need formatting (run gofmt -w):"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -87,7 +89,7 @@ crash-smoke:
 ## the invariant audit, and check the collateral counters balance.
 replay-smoke:
 	$(GO) test -run 'TestGoldenReplay|TestReplay|TestRecordReplayer|TestSyntheticReplayer|TestWormFlow' -v ./internal/sim ./internal/trace
-	$(GO) test -run 'TestWorkload|TestMergeRunFlagsWorkload|TestSimulateSynthetic|TestSimulateTraceFile|TestCompileWorkload' -v ./internal/core ./internal/spec
+	$(GO) test -run 'TestWorkload|TestMergeRunFlagsWorkload|TestRunSyntheticWorkload|TestRunTraceFileWorkload|TestCompileWorkload' -v ./internal/core ./internal/spec
 	$(GO) test -run 'TestRunTraceReplay|TestCollateralShape' -v ./cmd/wormsim ./internal/experiment
 
 ## bench: the per-tick engine microbenchmarks, repeated so the output

@@ -34,9 +34,9 @@ func benchFigure(b *testing.B, id string) {
 	var res *experiment.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiment.Run(id, benchOpts())
+		res, err = experiment.RunContext(context.Background(), id, benchOpts())
 		if err != nil {
-			b.Fatalf("Run(%q): %v", id, err)
+			b.Fatalf("RunContext(%q): %v", id, err)
 		}
 	}
 	for k, v := range res.Metrics {
@@ -98,7 +98,7 @@ func benchSimBase(g *topology.Graph, roles []topology.Role, subnet []int) sim.Co
 
 func mustMultiRun(b *testing.B, cfg sim.Config, runs int) *sim.Result {
 	b.Helper()
-	res, err := sim.MultiRun(cfg, runs)
+	res, _, err := sim.MultiRun(context.Background(), cfg, runs)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func BenchmarkMultiRunParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.MultiRunContext(ctx, cfg, 8, runner.WithJobs(jobs)); err != nil {
+				if _, _, err := sim.MultiRun(ctx, cfg, 8, runner.WithJobs(jobs)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -24,6 +24,8 @@
 // written through the same .dat/.metrics pipeline as the paper figures.
 // Grid points that share a topology share one materialized network. Run
 // flags overlay the spec's run section; figure IDs conflict with -spec.
+// -trace-replay and -trace-tick-ms need -spec: the paper figures define
+// their own workloads.
 //
 // Fault tolerance: -checkpoint writes every simulation replica's
 // engine snapshot (atomically, grouped by figure and batch) under the
@@ -84,6 +86,11 @@ func run(ctx context.Context, args []string) error {
 	}
 	if *runs <= 0 {
 		return fmt.Errorf("-runs must be positive, got %d", *runs)
+	}
+	if cli.Workload != nil && *specPath == "" {
+		// The paper figures build their own workloads; only a spec
+		// scenario can take its scan source from the command line.
+		return fmt.Errorf("-trace-replay and -trace-tick-ms need -spec (the paper figures define their own workloads)")
 	}
 	if err := cli.Validate(); err != nil {
 		return err
@@ -189,7 +196,7 @@ func runSpec(ctx context.Context, fs *flag.FlagSet, path string, cli core.RunOpt
 		return err
 	}
 	mod := func(c *spec.Compiled) {
-		c.Options = core.MergeRunFlags(fs, c.Options, cli)
+		c.Options = core.MergeRunFlags(fs, c.Options)
 	}
 	results, sstats, err := spec.Sweep(ctx, s, mod)
 	for _, r := range results {

@@ -141,6 +141,25 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 }
 
+// TestRunTraceFlagsNeedSpec: the paper figures build their own
+// workloads, so the trace-replay run flags only mean something with
+// -spec; without it they must be rejected instead of silently ignored.
+func TestRunTraceFlagsNeedSpec(t *testing.T) {
+	for _, args := range [][]string{
+		{"-trace-replay", filepath.Join(t.TempDir(), "missing.trace")},
+		{"-trace-tick-ms", "500"},
+	} {
+		dir := t.TempDir()
+		err := run(context.Background(), append([]string{"-out", dir, "-quick", "-runs", "1", "-ascii=false"}, append(args, "fig4")...))
+		if err == nil || !strings.Contains(err.Error(), "-spec") {
+			t.Errorf("%v: err = %v, want an error naming -spec", args, err)
+		}
+		if _, serr := os.Stat(filepath.Join(dir, "fig4.dat")); serr == nil {
+			t.Errorf("%v: fig4.dat was written despite the rejected flag", args)
+		}
+	}
+}
+
 // TestRunCheckpointResume: a figure regenerated from its checkpoints
 // writes byte-identical .dat output. -resume names the checkpoint
 // directory to read (it may differ from the -checkpoint write root).

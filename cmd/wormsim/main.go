@@ -31,11 +31,15 @@
 // file configures the same workload declaratively (its "workload"
 // section, DESIGN.md §17).
 //
-// -spec runs the scenario described by a JSON or YAML spec file
-// (DESIGN.md §13) instead of one assembled from flags; a spec with a
-// grid section becomes a sweep, printing one summary line per grid
-// point. Run flags (-jobs, -timeout, -check, ...) overlay the spec's
-// run section; scenario flags conflict with -spec. -specfuzz samples N
+// Every run is a scenario spec (DESIGN.md §13). In flag mode the
+// scenario flags fill one in — -worm localpref is spec worm kind
+// "local", -defense none leaves the defense stack empty, -topology
+// twolevel sizes its AS graph from -n — and it runs down the same path
+// as a spec file passed with -spec, so the two print identical output
+// for the same scenario. A spec with a grid section becomes a sweep,
+// printing one summary line per grid point. Run flags (-jobs,
+// -timeout, -check, ...) overlay the spec's run section; scenario
+// flags conflict with -spec. -specfuzz samples N
 // random valid specs (seeded by -seed) and runs each under the
 // invariant audit — the CLI face of the property-based fuzz campaign.
 //
@@ -74,7 +78,6 @@ import (
 	"repro/internal/safeio"
 	"repro/internal/sim"
 	"repro/internal/spec"
-	"repro/internal/topology"
 )
 
 func main() {
@@ -97,21 +100,27 @@ var scenarioFlags = map[string]bool{
 
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("wormsim", flag.ContinueOnError)
+	// Flag mode is a spec run: the scenario flags fill s, directly or
+	// through the few translations below, and s then runs down the same
+	// path as a -spec file. Keep-going defaults on for wormsim: one dead
+	// replica must not discard the batch. Failures surface as a non-zero
+	// exit after the results (and any partial metrics) are flushed.
+	s := &spec.Spec{Format: spec.Format, Version: spec.Version, Run: &spec.Run{KeepGoing: true}}
 	topo := fs.String("topology", "powerlaw", "topology: star | powerlaw | enterprise | twolevel")
 	n := fs.Int("n", 1000, "node count (star/powerlaw; approximate host count for twolevel)")
 	wormKind := fs.String("worm", "random", "worm targeting: random | localpref | sequential")
-	beta := fs.Float64("beta", 0.8, "per-scan infection probability β")
-	scans := fs.Int("scans", 1, "scan attempts per tick")
-	probe := fs.Bool("probe", false, "Welchia-style: ping targets and await the reply before exploiting")
+	fs.Float64Var(&s.Worm.Beta, "beta", 0.8, "per-scan infection probability β")
+	fs.IntVar(&s.Worm.ScansPerTick, "scans", 1, "scan attempts per tick")
+	fs.BoolVar(&s.Worm.ProbeFirst, "probe", false, "Welchia-style: ping targets and await the reply before exploiting")
 	localP := fs.Float64("localp", 0.8, "local-preference probability (localpref worm)")
 	defense := fs.String("defense", "none", "defense: none | host | edge | backbone | hub")
 	fraction := fs.Float64("fraction", 0.3, "host deployment fraction (host defense)")
 	rate := fs.Float64("rate", 0.4, "limited link rate or filtered host scan rate")
 	hubCap := fs.Int("hubcap", 2, "hub forwarding cap (hub defense)")
-	ticks := fs.Int("ticks", 150, "simulation horizon")
-	runs := fs.Int("runs", 10, "replicas to average")
-	seed := fs.Int64("seed", 1, "random seed (also seeds -specfuzz sampling)")
-	initial := fs.Int("initial", 1, "initially infected hosts")
+	fs.IntVar(&s.Ticks, "ticks", 150, "simulation horizon")
+	fs.IntVar(&s.Run.Runs, "runs", 10, "replicas to average")
+	fs.Int64Var(&s.Seed, "seed", 1, "random seed (also seeds -specfuzz sampling)")
+	fs.IntVar(&s.InitialInfected, "initial", 1, "initially infected hosts")
 	immunizeAt := fs.Float64("immunize-at", 0, "start patching at this infected fraction (0 = off)")
 	mu := fs.Float64("mu", 0.1, "per-tick patch probability")
 	specPath := fs.String("spec", "", "run the scenario (or sweep) in this JSON/YAML spec file instead of assembling one from flags")
@@ -120,9 +129,6 @@ func run(ctx context.Context, args []string) error {
 	metricsPath := fs.String("metrics", "", "write per-replica JSONL metrics (ticks, events, summaries) to this file")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the batch to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile after the batch to this file")
-	// Keep-going defaults on for wormsim: one dead replica must not
-	// discard the batch. Failures surface as a non-zero exit after the
-	// results (and any partial metrics) are flushed.
 	cli := core.RunOptions{KeepGoing: true}
 	core.BindRunFlags(fs, &cli)
 	if err := fs.Parse(args); err != nil {
@@ -131,14 +137,14 @@ func run(ctx context.Context, args []string) error {
 	switch {
 	case *n <= 0:
 		return fmt.Errorf("-n must be positive, got %d", *n)
-	case *ticks <= 0:
-		return fmt.Errorf("-ticks must be positive, got %d", *ticks)
-	case *runs <= 0:
-		return fmt.Errorf("-runs must be positive, got %d", *runs)
-	case *initial <= 0:
-		return fmt.Errorf("-initial must be positive, got %d", *initial)
-	case *scans < 0:
-		return fmt.Errorf("-scans must be >= 0, got %d", *scans)
+	case s.Ticks <= 0:
+		return fmt.Errorf("-ticks must be positive, got %d", s.Ticks)
+	case s.Run.Runs <= 0:
+		return fmt.Errorf("-runs must be positive, got %d", s.Run.Runs)
+	case s.InitialInfected <= 0:
+		return fmt.Errorf("-initial must be positive, got %d", s.InitialInfected)
+	case s.Worm.ScansPerTick < 0:
+		return fmt.Errorf("-scans must be >= 0, got %d", s.Worm.ScansPerTick)
 	case *specFuzz < 0:
 		return fmt.Errorf("-specfuzz must be >= 0, got %d", *specFuzz)
 	case *specPath != "" && *specFuzz > 0:
@@ -157,6 +163,9 @@ func run(ctx context.Context, args []string) error {
 		}
 	}()
 
+	if *specFuzz > 0 {
+		return runSpecFuzz(ctx, *specFuzz, s.Seed, cli)
+	}
 	if *specPath != "" {
 		var conflict string
 		fs.Visit(func(f *flag.Flag) {
@@ -167,129 +176,73 @@ func run(ctx context.Context, args []string) error {
 		if conflict != "" {
 			return fmt.Errorf("-%s cannot be combined with -spec (the spec file owns the scenario)", conflict)
 		}
-		return runSpec(ctx, fs, *specPath, cli, *progress, *metricsPath)
-	}
-	if *specFuzz > 0 {
-		return runSpecFuzz(ctx, *specFuzz, *seed, cli)
+		data, err := os.ReadFile(*specPath)
+		if err != nil {
+			return err
+		}
+		if s, err = spec.Parse(data); err != nil {
+			return err
+		}
+		return runSpec(ctx, fs, s, *progress, *metricsPath)
 	}
 
-	sc := core.Scenario{
-		Ticks:           *ticks,
-		Seed:            *seed,
-		InitialInfected: *initial,
-	}
 	switch *topo {
-	case "star":
-		sc.Topology = core.Star(*n)
-	case "powerlaw":
-		sc.Topology = core.PowerLaw(*n)
+	case "star", "powerlaw":
+		s.Topology = spec.Topology{Kind: *topo, Nodes: *n}
 	case "enterprise":
-		sc.Topology = core.Enterprise(topology.HierarchicalConfig{
-			Backbones: 2, EdgesPer: 5, HostsPerSubnet: *n / 10,
-		})
+		s.Topology = spec.Topology{Kind: *topo, Backbones: 2, EdgesPerBackbone: 5, HostsPerSubnet: *n / 10}
 	case "twolevel":
 		// A BRITE-style AS internet with ~n hosts in 256-host stub
 		// subnets; 5% of ASes are transit-only. This is the scale
 		// topology: the router stores only a core × core table, so
 		// -n 100000 and beyond stay cheap.
-		stubs := max(*n/256, 4)
-		sc.Topology = core.ASInternet(topology.TwoLevelConfig{
-			ASes: stubs * 20 / 19, AttachM: 2, TransitFraction: 0.05, HostsPerStub: 256,
-		})
+		s.Topology = spec.Topology{Kind: *topo, ASes: max(*n/256, 4) * 20 / 19,
+			AttachM: 2, TransitFraction: 0.05, HostsPerStub: 256}
 	default:
 		return fmt.Errorf("unknown topology %q", *topo)
 	}
 	switch *wormKind {
-	case "random":
-		sc.Worm = core.RandomWorm(*beta)
+	case "random", "sequential":
+		s.Worm.Kind = *wormKind
 	case "localpref":
-		sc.Worm = core.LocalPreferentialWorm(*beta, *localP)
-	case "sequential":
-		sc.Worm = core.SequentialWorm(*beta)
+		s.Worm.Kind, s.Worm.LocalPref = "local", *localP
 	default:
 		return fmt.Errorf("unknown worm %q", *wormKind)
 	}
-	sc.Worm.ScansPerTick = *scans
-	sc.Worm.ProbeFirst = *probe
 	switch *defense {
 	case "none":
-		sc.Defense = core.NoDefense()
 	case "host":
-		sc.Defense = core.HostRateLimit(*fraction, *rate)
-	case "edge":
-		sc.Defense = core.EdgeRateLimit(*rate)
-	case "backbone":
-		sc.Defense = core.BackboneRateLimit(*rate)
+		s.Defenses = []spec.Defense{{Kind: *defense, Fraction: *fraction, Rate: *rate}}
+	case "edge", "backbone":
+		s.Defenses = []spec.Defense{{Kind: *defense, Rate: *rate}}
 	case "hub":
-		sc.Defense = core.HubCap(*hubCap)
+		s.Defenses = []spec.Defense{{Kind: *defense, HubCap: *hubCap}}
 	default:
 		return fmt.Errorf("unknown defense %q", *defense)
 	}
 	if *immunizeAt > 0 {
-		sc.Immunize = &core.ImmunizationSpec{StartLevel: *immunizeAt, Mu: *mu}
+		s.Immunize = &spec.Immunize{StartLevel: *immunizeAt, Mu: *mu}
 	}
-	if err := sc.Validate(); err != nil {
-		return err
-	}
-
-	o := cli
-	if *progress {
-		o.Progress = func(s runner.Stats) {
-			fmt.Fprintf(os.Stderr, "wormsim: %d/%d runs (%.0f ticks/sec)\n",
-				s.Completed, s.Runs, s.TicksPerSec())
-		}
-	}
-	var rings []*obs.Ring
-	if *metricsPath != "" {
-		rings = make([]*obs.Ring, *runs)
-		o.Collectors = func(r int) obs.Collector {
-			rings[r] = obs.NewRing(*ticks)
-			return rings[r]
-		}
-	}
-	res, stats, err := sc.SimulateOptions(ctx, *runs, o)
-	if rings != nil {
-		// Write whatever was collected even when the batch failed:
-		// partial metrics are exactly what a post-mortem needs.
-		if werr := writeMetrics(*metricsPath, rings); werr != nil {
-			if err == nil {
-				err = werr
-			} else {
-				fmt.Fprintln(os.Stderr, "wormsim:", werr)
-			}
-		}
-	}
-	if err != nil {
-		return err
-	}
-	printSeries(res)
-	return replicaFailures(stats, *runs)
+	return runSpec(ctx, fs, s, *progress, *metricsPath)
 }
 
 // runSpec executes the scenario — or, with a grid section, the sweep —
-// described by the spec file. Run flags the user set explicitly overlay
-// the spec's run section; a single-point spec prints the full series
-// exactly like flag mode, a sweep prints one summary line per point.
-func runSpec(ctx context.Context, fs *flag.FlagSet, path string, cli core.RunOptions, progress bool, metricsPath string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
+// described by s, which came from a spec file or from the scenario
+// flags. Run flags the user set explicitly overlay the spec's run
+// section; a single-point spec prints the full series, a sweep prints
+// one summary line per point.
+func runSpec(ctx context.Context, fs *flag.FlagSet, s *spec.Spec, progress bool, metricsPath string) error {
+	points := 1
+	for _, ax := range s.Grid {
+		points *= len(ax.Values)
 	}
-	s, err := spec.Parse(data)
-	if err != nil {
-		return err
-	}
-	points, err := s.Expand()
-	if err != nil {
-		return err
-	}
-	if metricsPath != "" && len(points) > 1 {
-		return fmt.Errorf("-metrics needs a single-scenario spec; this sweep has %d points", len(points))
+	if metricsPath != "" && points > 1 {
+		return fmt.Errorf("-metrics needs a single-scenario spec; this sweep has %d points", points)
 	}
 
 	var rings []*obs.Ring
 	mod := func(c *spec.Compiled) {
-		c.Options = core.MergeRunFlags(fs, c.Options, cli)
+		c.Options = core.MergeRunFlags(fs, c.Options)
 		if progress {
 			name := c.Name
 			c.Options.Progress = func(st runner.Stats) {
@@ -311,7 +264,9 @@ func runSpec(ctx context.Context, fs *flag.FlagSet, path string, cli core.RunOpt
 	}
 	results, sstats, err := spec.Sweep(ctx, s, mod)
 	for _, r := range results {
-		printWarnings(r.Warnings, r.Point.Name)
+		for _, w := range r.Warnings {
+			fmt.Fprintf(os.Stderr, "wormsim: warning: %s: %s\n", r.Point.Name, w)
+		}
 	}
 	if rings != nil {
 		if werr := writeMetrics(metricsPath, rings); werr != nil {
@@ -368,7 +323,7 @@ func runSpecFuzz(ctx context.Context, count int, seed int64, cli core.RunOptions
 		}
 		opts := cli
 		opts.Check = true
-		res, _, err := c.Scenario.SimulateOptions(ctx, c.Runs, opts)
+		res, _, err := c.Scenario.Run(ctx, c.Runs, opts)
 		if err != nil {
 			canon, _ := s.Canonical()
 			fmt.Fprintf(os.Stderr, "wormsim: specfuzz: sample %d failed:\n%s", i, canon)
@@ -386,18 +341,6 @@ func runSpecFuzz(ctx context.Context, count int, seed int64, cli core.RunOptions
 	}
 	fmt.Printf("# specfuzz: %d samples clean under -check (seed %d)\n", count, seed)
 	return nil
-}
-
-// printWarnings surfaces scenario advisories on stderr, labelled with
-// the sweep point they belong to when there is one.
-func printWarnings(warnings []string, label string) {
-	for _, w := range warnings {
-		if label != "" {
-			fmt.Fprintf(os.Stderr, "wormsim: warning: %s: %s\n", label, w)
-		} else {
-			fmt.Fprintln(os.Stderr, "wormsim: warning:", w)
-		}
-	}
 }
 
 // printSeries prints the averaged per-tick series with the summary and

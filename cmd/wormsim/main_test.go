@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,7 +13,15 @@ import (
 	"testing"
 )
 
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/flags.golden from the current output")
+
+// TestRunScenarios pins flag mode's stdout byte for byte: every case's
+// printed series is compared to testdata/flags.golden, one section per
+// case. Between them the cases cover every topology, worm kind, and
+// defense kind flag mode accepts; the replay case runs with -metrics so
+// its counters and collateral footers are pinned too.
 func TestRunScenarios(t *testing.T) {
+	metrics := filepath.Join(t.TempDir(), "m.jsonl")
 	tests := []struct {
 		name string
 		args []string
@@ -45,13 +55,49 @@ func TestRunScenarios(t *testing.T) {
 			"-topology", "twolevel", "-n", "2000", "-defense", "backbone",
 			"-rate", "0.4", "-ticks", "20", "-runs", "1",
 		}},
+		{"powerlaw localpref host immunize", []string{
+			"-topology", "powerlaw", "-n", "150", "-worm", "localpref", "-localp", "0.7",
+			"-beta", "0.6", "-defense", "host", "-fraction", "0.4", "-rate", "0.05",
+			"-immunize-at", "0.15", "-mu", "0.2", "-ticks", "30", "-runs", "2",
+		}},
+		{"star sequential probe hub", []string{
+			"-topology", "star", "-n", "60", "-worm", "sequential", "-probe",
+			"-defense", "hub", "-hubcap", "3", "-scans", "2", "-ticks", "30", "-runs", "2",
+		}},
+		{"enterprise edge synthetic replay", []string{
+			"-topology", "enterprise", "-n", "60", "-defense", "edge", "-rate", "0.3",
+			"-trace-replay", "synthetic", "-trace-tick-ms", "500", "-ticks", "20", "-runs", "1",
+			"-metrics", metrics, "-check",
+		}},
+		{"twolevel localpref none seeded", []string{
+			"-topology", "twolevel", "-n", "1200", "-worm", "localpref", "-beta", "0.5",
+			"-scans", "2", "-initial", "3", "-seed", "5", "-defense", "none",
+			"-ticks", "20", "-runs", "2",
+		}},
 	}
+	var got strings.Builder
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if err := run(context.Background(), tt.args); err != nil {
-				t.Errorf("run: %v", err)
-			}
+			out := captureStdout(t, func() {
+				if err := run(context.Background(), tt.args); err != nil {
+					t.Errorf("run: %v", err)
+				}
+			})
+			fmt.Fprintf(&got, "## %s\n%s", tt.name, out)
 		})
+	}
+	golden := filepath.Join("testdata", "flags.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("flag-mode stdout differs from %s (rerun with -update-golden only for an intended change)", golden)
 	}
 }
 

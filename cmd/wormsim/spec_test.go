@@ -82,6 +82,89 @@ func TestRunSpecSingleSeries(t *testing.T) {
 	}
 }
 
+// TestFlagModeIsSpecMode: a flag invocation prints exactly what the
+// hand-written spec it lowers to prints through -spec — localpref is
+// worm kind "local", twolevel sizes its AS graph from -n, keep-going
+// is on.
+func TestFlagModeIsSpecMode(t *testing.T) {
+	tests := []struct {
+		name  string
+		flags []string
+		doc   string
+	}{
+		{"powerlaw localpref host immunize", []string{
+			"-topology", "powerlaw", "-n", "150", "-worm", "localpref", "-localp", "0.7",
+			"-defense", "host", "-fraction", "0.4", "-rate", "0.05",
+			"-immunize-at", "0.15", "-mu", "0.2", "-ticks", "30", "-runs", "2",
+		}, `
+format: wormsim-scenario
+version: 1
+topology:
+  kind: powerlaw
+  nodes: 150
+worm:
+  kind: local
+  beta: 0.8
+  scans_per_tick: 1
+  local_pref: 0.7
+defenses:
+  - kind: host
+    fraction: 0.4
+    rate: 0.05
+immunize:
+  start_level: 0.15
+  mu: 0.2
+ticks: 30
+seed: 1
+initial_infected: 1
+run:
+  runs: 2
+  keep_going: true
+`},
+		{"twolevel backbone", []string{
+			"-topology", "twolevel", "-n", "2000", "-defense", "backbone",
+			"-rate", "0.4", "-ticks", "20", "-runs", "1",
+		}, `
+format: wormsim-scenario
+version: 1
+topology:
+  kind: twolevel
+  ases: 7
+  attach_m: 2
+  transit_fraction: 0.05
+  hosts_per_stub: 256
+worm:
+  kind: random
+  beta: 0.8
+defenses:
+  - kind: backbone
+    rate: 0.4
+ticks: 20
+run:
+  runs: 1
+  keep_going: true
+`},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			flags := captureStdout(t, func() {
+				if err := run(context.Background(), tt.flags); err != nil {
+					t.Errorf("flag run: %v", err)
+				}
+			})
+			path := writeSpec(t, tt.doc)
+			specOut := captureStdout(t, func() {
+				if err := run(context.Background(), []string{"-spec", path}); err != nil {
+					t.Errorf("spec run: %v", err)
+				}
+			})
+			if flags != specOut {
+				t.Errorf("flag mode and its spec print different output:\n%s\nvs\n%s", flags, specOut)
+			}
+		})
+	}
+}
+
 func TestRunSpecSweepSummary(t *testing.T) {
 	path := writeSpec(t, sweepSpec)
 	out := captureStdout(t, func() {

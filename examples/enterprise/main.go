@@ -89,7 +89,7 @@ func main() {
 		p.mod(&cfg)
 		// Replicas for each posture run concurrently on the bounded pool;
 		// the averaged curves are identical for any job count.
-		res, err := sim.MultiRunContext(context.Background(), cfg, 10, runner.WithJobs(4))
+		res, _, err := sim.MultiRun(context.Background(), cfg, 10, runner.WithJobs(4))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -49,13 +49,13 @@ func main() {
 	for _, level := range []float64{0.1, 0.2, 0.5, 0.8} {
 		noRL := base
 		noRL.Immunize = &sim.Immunization{StartTick: -1, StartLevel: level, Mu: 0.05}
-		resNo, err := sim.MultiRunContext(ctx, noRL, 10, runner.WithJobs(4))
+		resNo, _, err := sim.MultiRun(ctx, noRL, 10, runner.WithJobs(4))
 		if err != nil {
 			log.Fatal(err)
 		}
 		withRL := noRL
 		withRL.NodeCaps = caps
-		resRL, err := sim.MultiRunContext(ctx, withRL, 10, runner.WithJobs(4))
+		resRL, _, err := sim.MultiRun(ctx, withRL, 10, runner.WithJobs(4))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -35,19 +35,20 @@ func main() {
 	defended.Defense = core.BackboneRateLimit(0.4)
 
 	// Replicas run concurrently on a bounded worker pool; the averaged
-	// series is identical for any job count. WithTimeout caps the whole
-	// batch, and WithProgress reports throughput as replicas finish.
+	// series is identical for any job count. Timeout caps the whole
+	// batch, and Progress reports throughput as replicas finish.
 	ctx := context.Background()
-	openRes, err := open.SimulateContext(ctx, 10,
-		core.WithTimeout(2*time.Minute),
-		core.WithProgress(func(s runner.Stats) {
+	openRes, _, err := open.Run(ctx, 10, core.RunOptions{
+		Timeout: 2 * time.Minute,
+		Progress: func(s runner.Stats) {
 			fmt.Fprintf(os.Stderr, "open: %d/%d runs (%.0f ticks/sec)\n",
 				s.Completed, s.Runs, s.TicksPerSec())
-		}))
+		},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defRes, err := defended.SimulateContext(ctx, 10, core.WithJobs(4))
+	defRes, _, err := defended.Run(ctx, 10, core.RunOptions{Jobs: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

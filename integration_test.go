@@ -5,6 +5,7 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -45,13 +46,13 @@ func TestSimulatedBackboneSlowdownVsModelAlpha(t *testing.T) {
 		InitialInfected: 3, Ticks: 200, Seed: 9,
 		ScansPerTick: 10, MaxQueue: 50, BaseRate: 0.4,
 	}
-	open, err := sim.MultiRun(base, 5)
+	open, _, err := sim.MultiRun(context.Background(), base, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	limited := base
 	limited.LimitedNodes = sim.DeployBackbone(roles)
-	res, err := sim.MultiRun(limited, 5)
+	res, _, err := sim.MultiRun(context.Background(), limited, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestStarSimVsHubModel(t *testing.T) {
 		InitialInfected: 1, Ticks: 400, Seed: 5,
 		NodeCaps: map[int]int{topology.Hub: hubCap},
 	}
-	res, err := sim.MultiRun(cfg, 5)
+	res, _, err := sim.MultiRun(context.Background(), cfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestHostRLLinearLawSimVsModel(t *testing.T) {
 			InitialInfected: 3, Ticks: 400, Seed: 2,
 			ScanRateOverride: o,
 		}
-		res, err := sim.MultiRun(cfg, 5)
+		res, _, err := sim.MultiRun(context.Background(), cfg, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

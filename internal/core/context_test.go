@@ -23,29 +23,33 @@ func smallScenario() Scenario {
 	}
 }
 
-func TestSimulateContextMatchesSimulate(t *testing.T) {
+// TestRunJobsInvariant: the averaged series is identical for the
+// default options and for every job count.
+func TestRunJobsInvariant(t *testing.T) {
 	sc := smallScenario()
-	plain, err := sc.Simulate(3)
+	plain, _, err := sc.Run(context.Background(), 3, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, jobs := range []int{1, 4} {
-		ctxRes, err := sc.SimulateContext(context.Background(), 3, WithJobs(jobs))
+		res, _, err := sc.Run(context.Background(), 3, RunOptions{Jobs: jobs})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
-		if !reflect.DeepEqual(plain, ctxRes) {
-			t.Fatalf("jobs=%d: SimulateContext differs from Simulate", jobs)
+		if !reflect.DeepEqual(plain, res) {
+			t.Fatalf("jobs=%d: result differs from the default options", jobs)
 		}
 	}
 }
 
-func TestSimulateContextProgress(t *testing.T) {
+func TestRunProgress(t *testing.T) {
 	sc := smallScenario()
 	var final runner.Stats
-	if _, err := sc.SimulateContext(context.Background(), 4,
-		WithJobs(2),
-		WithProgress(func(s runner.Stats) { final = s })); err != nil {
+	_, stats, err := sc.Run(context.Background(), 4, RunOptions{
+		Jobs:     2,
+		Progress: func(s runner.Stats) { final = s },
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if final.Completed != 4 || final.Runs != 4 {
@@ -54,22 +58,25 @@ func TestSimulateContextProgress(t *testing.T) {
 	if final.Ticks != int64(4*sc.Ticks) {
 		t.Errorf("ticks = %d, want %d", final.Ticks, 4*sc.Ticks)
 	}
+	if stats.Completed != final.Completed || stats.Ticks != final.Ticks {
+		t.Errorf("returned stats %+v disagree with the last progress report %+v", stats, final)
+	}
 }
 
-func TestSimulateContextTimeout(t *testing.T) {
+func TestRunTimeout(t *testing.T) {
 	sc := smallScenario()
 	sc.Ticks = 100000 // far beyond anything a nanosecond budget allows
-	_, err := sc.SimulateContext(context.Background(), 4, WithTimeout(time.Nanosecond))
+	_, _, err := sc.Run(context.Background(), 4, RunOptions{Timeout: time.Nanosecond})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
 
-func TestSimulateContextCancelled(t *testing.T) {
+func TestRunCancelled(t *testing.T) {
 	sc := smallScenario()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sc.SimulateContext(ctx, 2); !errors.Is(err, context.Canceled) {
+	if _, _, err := sc.Run(ctx, 2, RunOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -10,20 +10,13 @@
 //	    Worm:     core.RandomWorm(0.8),
 //	    Defense:  core.BackboneRateLimit(0.4),
 //	}
-//	res, err := sc.Simulate(10)
-//
-// Long batches take a context and run options — either functional
-// options or the declarative core.RunOptions struct (the two are
-// interchangeable; the functional options are setters over RunOptions):
-//
-//	res, err := sc.SimulateContext(ctx, 10,
-//	    core.WithJobs(4),
-//	    core.WithTimeout(time.Minute),
-//	    core.WithProgress(func(s runner.Stats) { ... }))
-//
-//	res, stats, err := sc.SimulateOptions(ctx, 10, core.RunOptions{
+//	res, stats, err := sc.Run(ctx, 10, core.RunOptions{
 //	    Jobs: 4, Timeout: time.Minute,
 //	})
+//
+// Scenario.Run is the one way to execute a scenario; core.RunOptions
+// (the zero value runs with library defaults) holds every run knob:
+// parallelism, deadlines, retries, checkpoints, progress, metrics.
 //
 // Scenarios also have a declarative file format — a versioned JSON/YAML
 // spec compiled by internal/spec — which is how the CLIs accept
@@ -34,7 +27,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"math/rand"
 	"os"
 
@@ -342,8 +334,8 @@ func (s *Scenario) NetKey() (string, error) {
 
 // Net is prebuilt topology state: the materialized graph with roles and
 // subnet partition plus the shared routing tables every replica uses.
-// Build one with Scenario.BuildNet and pass it to SimulateOptions via
-// RunOptions.Net (or WithNet) to amortize graph generation and all-pairs
+// Build one with Scenario.BuildNet and pass it to Run via
+// RunOptions.Net to amortize graph generation and all-pairs
 // routing across several batches over the same topology — the grid
 // points of a parameter sweep. A Net is read-only after construction
 // and safe for concurrent use.
@@ -549,43 +541,19 @@ func (s *Scenario) build(net *Net) (sim.Config, error) {
 	return cfg, nil
 }
 
-// Simulate runs the scenario `runs` times (averaging the series) and
-// returns the per-tick result. It is SimulateContext with a background
-// context and default options.
-func (s *Scenario) Simulate(runs int) (*sim.Result, error) {
-	return s.SimulateContext(context.Background(), runs)
-}
-
-// SimulateContext runs the scenario `runs` times on a bounded worker
-// pool (averaging the series) and returns the per-tick result. Each
-// replica seeds its RNG from the scenario seed plus its index, so the
-// result is deterministic and independent of the job count. Cancelling
-// ctx (or exceeding WithTimeout) aborts the batch between simulation
-// ticks and returns the context's error.
-func (s *Scenario) SimulateContext(ctx context.Context, runs int, opts ...RunOption) (*sim.Result, error) {
-	res, _, err := s.SimulateStats(ctx, runs, opts...)
-	return res, err
-}
-
-// SimulateStats is SimulateContext returning the batch's final
+// Run executes the scenario `runs` times on a bounded replica pool
+// and returns the averaged per-tick series with the batch's final
 // runner.Stats (replicas completed/failed/retried, ticks simulated,
-// failure details) alongside the averaged result, for callers that
-// report batch health. It folds the functional options into a
-// RunOptions and delegates to SimulateOptions.
-func (s *Scenario) SimulateStats(ctx context.Context, runs int, opts ...RunOption) (*sim.Result, runner.Stats, error) {
-	var o RunOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return s.SimulateOptions(ctx, runs, o)
-}
-
-// SimulateOptions runs the scenario `runs` times under a declarative
-// RunOptions — the entry point the CLIs, the spec compiler, and the
-// sweep engine share. It validates the options, applies the batch
-// timeout, wires checkpoint/resume sinks, lowers the remaining knobs
-// through RunOptions.RunnerOptions, and executes on sim.MultiRunStats.
-func (s *Scenario) SimulateOptions(ctx context.Context, runs int, o RunOptions) (*sim.Result, runner.Stats, error) {
+// failure details). It is the one entry point the library, the CLIs,
+// the spec compiler, and the sweep engine share: it validates the
+// options, applies the batch timeout, wires checkpoint/resume sinks,
+// lowers the remaining knobs through RunOptions.RunnerOptions, and
+// executes on sim.MultiRun. Each replica seeds its RNG from the
+// scenario seed plus its index, so the result is deterministic and
+// independent of the job count. Cancelling ctx (or exceeding
+// o.Timeout) aborts the batch between simulation ticks and returns the
+// context's error.
+func (s *Scenario) Run(ctx context.Context, runs int, o RunOptions) (*sim.Result, runner.Stats, error) {
 	if err := o.Validate(); err != nil {
 		return nil, runner.Stats{}, err
 	}
@@ -605,55 +573,21 @@ func (s *Scenario) SimulateOptions(ctx context.Context, runs int, o RunOptions) 
 			return nil, runner.Stats{}, err
 		}
 	}
-	if o.Checkpoint != "" {
-		if err := os.MkdirAll(o.Checkpoint, 0o755); err != nil {
-			return nil, runner.Stats{}, fmt.Errorf("core: checkpoint dir: %w", err)
-		}
-		cfg.CheckpointEvery = o.CheckpointEvery
-		if cfg.CheckpointEvery <= 0 {
-			cfg.CheckpointEvery = 10
-		}
-		dir := o.Checkpoint
-		onErr := o.OnCheckpointError
-		cfg.CheckpointFactory = func(run int) func(*sim.Snapshot) error {
-			path := ReplicaCheckpoint(dir, run)
-			return func(snap *sim.Snapshot) error {
-				err := sim.WriteSnapshot(path, snap)
-				if err != nil && onErr != nil {
-					// The caller decides whether losing this checkpoint
-					// is survivable (e.g. skip-under-ENOSPC) or fatal.
-					err = onErr(run, err)
-				}
-				return err
-			}
-		}
+	info, statErr := os.Stat(o.Resume)
+	fromFile := o.Resume != "" && statErr == nil && !info.IsDir()
+	if fromFile && runs != 1 {
+		return nil, runner.Stats{}, fmt.Errorf("core: -resume with a single checkpoint file needs runs=1, got %d (pass the checkpoint directory instead)", runs)
 	}
-	if o.Resume != "" {
-		resume := o.Resume
-		info, statErr := os.Stat(resume)
-		fromFile := statErr == nil && !info.IsDir()
-		if fromFile && runs != 1 {
-			return nil, runner.Stats{}, fmt.Errorf("core: -resume with a single checkpoint file needs runs=1, got %d (pass the checkpoint directory instead)", runs)
-		}
-		cfg.ResumeFactory = func(run int) (*sim.Snapshot, error) {
-			path := ReplicaCheckpoint(resume, run)
-			if fromFile {
-				path = resume
-			}
-			snap, err := sim.ReadSnapshot(path)
-			if errors.Is(err, fs.ErrNotExist) {
-				return nil, nil // no checkpoint for this replica: start fresh
-			}
-			return snap, err
-		}
+	if err := WireCheckpoints(&cfg, o.Checkpoint, o.CheckpointEvery, o.OnCheckpointError, o.Resume, fromFile); err != nil {
+		return nil, runner.Stats{}, err
 	}
-	return sim.MultiRunStats(ctx, cfg, runs, o.RunnerOptions()...)
+	return sim.MultiRun(ctx, cfg, runs, o.RunnerOptions()...)
 }
 
 // Validate checks the scenario spec without running anything: topology
 // construction, worm and defense compatibility, and every simulation
 // parameter are verified, so spec errors surface before a batch is
-// scheduled. A nil error means Simulate will not fail on the spec.
+// scheduled. A nil error means Run will not fail on the spec.
 func (s *Scenario) Validate() error {
 	cfg, err := s.build(nil)
 	if err != nil {

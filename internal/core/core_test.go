@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -11,15 +12,15 @@ import (
 	"repro/internal/topology"
 )
 
-func TestScenarioSimulateStar(t *testing.T) {
+func TestScenarioRunStar(t *testing.T) {
 	sc := Scenario{
 		Topology: Star(100),
 		Worm:     RandomWorm(0.8),
 		Ticks:    120,
 	}
-	res, err := sc.Simulate(3)
+	res, _, err := sc.Run(context.Background(), 3, RunOptions{})
 	if err != nil {
-		t.Fatalf("Simulate: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if res.FinalInfected() < 0.95 {
 		t.Errorf("open star should saturate: %v", res.FinalInfected())
@@ -30,11 +31,11 @@ func TestScenarioHubDefense(t *testing.T) {
 	open := Scenario{Topology: Star(100), Worm: RandomWorm(0.8), Ticks: 250}
 	capped := open
 	capped.Defense = HubCap(2)
-	ro, err := open.Simulate(3)
+	ro, _, err := open.Run(context.Background(), 3, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := capped.Simulate(3)
+	rc, _, err := capped.Run(context.Background(), 3, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,13 +55,13 @@ func TestScenarioPowerLawDefenses(t *testing.T) {
 		}(),
 		Ticks: 120,
 	}
-	open, err := base.Simulate(2)
+	open, _, err := base.Run(context.Background(), 2, RunOptions{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	bb := base
 	bb.Defense = BackboneRateLimit(0.4)
-	limited, err := bb.Simulate(2)
+	limited, _, err := bb.Run(context.Background(), 2, RunOptions{})
 	if err != nil {
 		t.Fatalf("backbone: %v", err)
 	}
@@ -70,12 +71,12 @@ func TestScenarioPowerLawDefenses(t *testing.T) {
 	}
 	edge := base
 	edge.Defense = EdgeRateLimit(0.2)
-	if _, err := edge.Simulate(2); err != nil {
+	if _, _, err := edge.Run(context.Background(), 2, RunOptions{}); err != nil {
 		t.Fatalf("edge: %v", err)
 	}
 	host := base
 	host.Defense = HostRateLimit(0.3, 0.01)
-	if _, err := host.Simulate(2); err != nil {
+	if _, _, err := host.Run(context.Background(), 2, RunOptions{}); err != nil {
 		t.Fatalf("host: %v", err)
 	}
 }
@@ -88,9 +89,9 @@ func TestScenarioEnterprise(t *testing.T) {
 		Worm:  LocalPreferentialWorm(0.8, 0.8),
 		Ticks: 150,
 	}
-	res, err := sc.Simulate(3)
+	res, _, err := sc.Run(context.Background(), 3, RunOptions{})
 	if err != nil {
-		t.Fatalf("Simulate: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if res.FinalInfected() < 0.9 {
 		t.Errorf("open enterprise should saturate: %v", res.FinalInfected())
@@ -104,7 +105,7 @@ func TestScenarioImmunization(t *testing.T) {
 		Immunize: &ImmunizationSpec{StartLevel: 0.2, Mu: 0.1},
 		Ticks:    200,
 	}
-	res, err := sc.Simulate(3)
+	res, _, err := sc.Run(context.Background(), 3, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestScenarioImmunization(t *testing.T) {
 	}
 	// Fixed-tick trigger path.
 	sc.Immunize = &ImmunizationSpec{StartTick: 10, Mu: 0.1}
-	if _, err := sc.Simulate(2); err != nil {
+	if _, _, err := sc.Run(context.Background(), 2, RunOptions{}); err != nil {
 		t.Fatalf("fixed-tick immunization: %v", err)
 	}
 }
@@ -130,9 +131,9 @@ func TestScenarioASInternet(t *testing.T) {
 		Defense: NoDefense(),
 		Ticks:   500, // sequential scanning covers the space slowly
 	}
-	res, err := sc.Simulate(3)
+	res, _, err := sc.Run(context.Background(), 3, RunOptions{})
 	if err != nil {
-		t.Fatalf("Simulate: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if res.FinalInfected() < 0.9 {
 		t.Errorf("open AS-internet should saturate, got %v", res.FinalInfected())
@@ -151,16 +152,16 @@ func TestScenarioASInternet(t *testing.T) {
 	}
 	// Backbone defense works on the two-level topology too.
 	sc.Defense = BackboneRateLimit(0.4)
-	if _, err := sc.Simulate(2); err != nil {
+	if _, _, err := sc.Run(context.Background(), 2, RunOptions{}); err != nil {
 		t.Fatalf("backbone on AS-internet: %v", err)
 	}
 }
 
 func TestScenarioPowerLawM(t *testing.T) {
 	sc := Scenario{Topology: PowerLawM(200, 2), Worm: RandomWorm(0.8), Ticks: 60}
-	res, err := sc.Simulate(2)
+	res, _, err := sc.Run(context.Background(), 2, RunOptions{})
 	if err != nil {
-		t.Fatalf("Simulate: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if res.FinalInfected() < 0.9 {
 		t.Errorf("m=2 power law should saturate, got %v", res.FinalInfected())
@@ -195,22 +196,22 @@ func TestScenarioModelErrors(t *testing.T) {
 }
 
 func TestScenarioErrors(t *testing.T) {
-	if _, err := (&Scenario{Worm: RandomWorm(0.8)}).Simulate(1); err == nil {
+	if _, _, err := (&Scenario{Worm: RandomWorm(0.8)}).Run(context.Background(), 1, RunOptions{}); err == nil {
 		t.Error("missing topology should fail")
 	}
-	if _, err := (&Scenario{Topology: Star(10)}).Simulate(1); err == nil {
+	if _, _, err := (&Scenario{Topology: Star(10)}).Run(context.Background(), 1, RunOptions{}); err == nil {
 		t.Error("missing worm should fail")
 	}
 	bad := Scenario{Topology: Star(10), Worm: LocalPreferentialWorm(0.8, 2)}
-	if _, err := bad.Simulate(1); err == nil {
+	if _, _, err := bad.Run(context.Background(), 1, RunOptions{}); err == nil {
 		t.Error("invalid worm spec should fail")
 	}
 	hubOnPL := Scenario{Topology: PowerLaw(50), Worm: RandomWorm(0.5), Defense: HubCap(2)}
-	if _, err := hubOnPL.Simulate(1); !errors.Is(err, ErrUnsupported) {
+	if _, _, err := hubOnPL.Run(context.Background(), 1, RunOptions{}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("hub cap on power-law should be unsupported, got %v", err)
 	}
 	edgeOnStar := Scenario{Topology: Star(10), Worm: RandomWorm(0.5), Defense: EdgeRateLimit(1)}
-	if _, err := edgeOnStar.Simulate(1); !errors.Is(err, ErrUnsupported) {
+	if _, _, err := edgeOnStar.Run(context.Background(), 1, RunOptions{}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("edge RL on star should be unsupported, got %v", err)
 	}
 }
@@ -226,9 +227,9 @@ func TestScenarioDynamicQuarantine(t *testing.T) {
 		Ticks:             200,
 		InitialInfected:   3,
 	}
-	res, err := sc.Simulate(3)
+	res, _, err := sc.Run(context.Background(), 3, RunOptions{})
 	if err != nil {
-		t.Fatalf("Simulate: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if res.QuarantineTick <= 0 {
 		t.Errorf("dynamic quarantine never engaged: tick %d", res.QuarantineTick)
@@ -257,7 +258,7 @@ func TestScenarioModelMapping(t *testing.T) {
 	if _, err := sc.Model(); err != nil {
 		t.Errorf("hub model: %v", err)
 	}
-	// Backbone RL on an unrouted star is unsupported, matching Simulate.
+	// Backbone RL on an unrouted star is unsupported, matching Run.
 	sc.Defense = BackboneRateLimit(0.4)
 	if _, err := sc.Model(); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("backbone model on star should be unsupported, got %v", err)
@@ -313,7 +314,7 @@ func TestModelBackboneAlphaMeasured(t *testing.T) {
 // sim adds per-hop latency the model lacks).
 func TestScenarioSimVsModel(t *testing.T) {
 	sc := Scenario{Topology: Star(200), Worm: RandomWorm(0.8), Ticks: 60, Seed: 5}
-	res, err := sc.Simulate(5)
+	res, _, err := sc.Run(context.Background(), 5, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"flag"
+	"fmt"
 	"strconv"
 	"time"
 )
@@ -24,23 +25,52 @@ func BindRunFlags(fs *flag.FlagSet, o *RunOptions) {
 	fs.StringVar(&o.Checkpoint, "checkpoint", o.Checkpoint, "directory for periodic per-replica snapshots (empty = off)")
 	fs.IntVar(&o.CheckpointEvery, "checkpoint-every", o.CheckpointEvery, "ticks between checkpoints (0 = default 10)")
 	fs.StringVar(&o.Resume, "resume", o.Resume, "resume replicas from this checkpoint directory (or single .ckpt file when runs=1)")
-	fs.Func("trace-replay", "drive scans from a trace-replay workload: a trace file path, or 'synthetic' for the generator's traffic profile (empty = β draws)", func(v string) error {
-		w := ensureWorkload(o)
-		if v == WorkloadSynthetic {
-			w.Kind, w.Path = WorkloadSynthetic, ""
-		} else {
-			w.Kind, w.Path = WorkloadTrace, v
-		}
-		return nil
-	})
-	fs.Func("trace-tick-ms", "trace milliseconds one engine tick spans under -trace-replay (0 = 1000)", func(v string) error {
-		ms, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return err
-		}
-		ensureWorkload(o).TickMS = ms
-		return nil
-	})
+	fs.Var(traceReplayFlag{o}, "trace-replay", "drive scans from a trace-replay workload: a trace file path, or 'synthetic' for the generator's traffic profile (empty = β draws)")
+	fs.Var(traceTickFlag{o}, "trace-tick-ms", "trace milliseconds one engine tick spans under -trace-replay (0 = 1000)")
+}
+
+// traceReplayFlag binds -trace-replay to the source of o's workload.
+// Like every run flag, its String round-trips through Set, which is
+// what lets MergeRunFlags replay it.
+type traceReplayFlag struct{ o *RunOptions }
+
+func (f traceReplayFlag) String() string {
+	switch {
+	case f.o == nil || f.o.Workload == nil:
+		return ""
+	case f.o.Workload.Kind == WorkloadSynthetic:
+		return WorkloadSynthetic
+	}
+	return f.o.Workload.Path
+}
+
+func (f traceReplayFlag) Set(v string) error {
+	w := ensureWorkload(f.o)
+	if v == WorkloadSynthetic {
+		w.Kind, w.Path = WorkloadSynthetic, ""
+	} else {
+		w.Kind, w.Path = WorkloadTrace, v
+	}
+	return nil
+}
+
+// traceTickFlag binds -trace-tick-ms to o's workload tick mapping.
+type traceTickFlag struct{ o *RunOptions }
+
+func (f traceTickFlag) String() string {
+	if f.o == nil || f.o.Workload == nil {
+		return "0"
+	}
+	return strconv.FormatInt(f.o.Workload.TickMS, 10)
+}
+
+func (f traceTickFlag) Set(v string) error {
+	ms, err := strconv.ParseInt(v, 10, 64)
+	if err != nil {
+		return err
+	}
+	ensureWorkload(f.o).TickMS = ms
+	return nil
 }
 
 // ensureWorkload returns o's workload spec, allocating it on first use
@@ -52,65 +82,27 @@ func ensureWorkload(o *RunOptions) *WorkloadSpec {
 	return o.Workload
 }
 
-// runFlagNames lists the flags BindRunFlags registers, in registration
-// order, so MergeRunFlags can tell explicitly-set flags apart from
-// defaults.
-var runFlagNames = map[string]bool{
-	"jobs": true, "timeout": true, "check": true,
-	"keep-going": true, "retries": true, "retry-backoff": true,
-	"replica-timeout": true, "checkpoint": true, "checkpoint-every": true,
-	"resume": true, "trace-replay": true, "trace-tick-ms": true,
-}
-
-// MergeRunFlags overlays the run flags the user explicitly set on the
-// command line onto base and returns the result. This is how a spec
-// file and the command line compose: the spec's run section supplies
-// base, and only flags actually present in the invocation override it —
-// an untouched flag's default never clobbers a spec value. fs must have
-// been populated by BindRunFlags(fs, cli) and parsed.
-func MergeRunFlags(fs *flag.FlagSet, base, cli RunOptions) RunOptions {
+// MergeRunFlags overlays the run flags the user explicitly set on fs
+// onto base and returns the result. This is how a spec file and the
+// command line compose: the spec's run section supplies base, and only
+// flags actually present in the invocation override it — an untouched
+// flag's default never clobbers a spec value. Each set flag is
+// replayed, by its textual value, onto a BindRunFlags binding of a copy
+// of base, so the -trace-* flags override only the workload fields they
+// name and the spec's traffic profile survives. fs must have been
+// populated by BindRunFlags and parsed; base is never mutated.
+func MergeRunFlags(fs *flag.FlagSet, base RunOptions) RunOptions {
 	out := base
+	out.Workload = base.Workload.clone()
+	replay := flag.NewFlagSet("", flag.ContinueOnError)
+	BindRunFlags(replay, &out)
 	fs.Visit(func(f *flag.Flag) {
-		if !runFlagNames[f.Name] {
+		if replay.Lookup(f.Name) == nil {
 			return
 		}
-		switch f.Name {
-		case "jobs":
-			out.Jobs = cli.Jobs
-		case "timeout":
-			out.Timeout = cli.Timeout
-		case "check":
-			out.Check = cli.Check
-		case "keep-going":
-			out.KeepGoing = cli.KeepGoing
-		case "retries":
-			out.Retries = cli.Retries
-		case "retry-backoff":
-			out.RetryBackoff = cli.RetryBackoff
-		case "replica-timeout":
-			out.ReplicaTimeout = cli.ReplicaTimeout
-		case "checkpoint":
-			out.Checkpoint = cli.Checkpoint
-		case "checkpoint-every":
-			out.CheckpointEvery = cli.CheckpointEvery
-		case "resume":
-			out.Resume = cli.Resume
-		case "trace-replay":
-			// The flag decides the source; everything else (tick
-			// mapping, populations) stays with the spec's workload.
-			w := out.Workload.clone()
-			if w == nil {
-				w = &WorkloadSpec{}
-			}
-			w.Kind, w.Path = cli.Workload.Kind, cli.Workload.Path
-			out.Workload = w
-		case "trace-tick-ms":
-			w := out.Workload.clone()
-			if w == nil {
-				w = &WorkloadSpec{}
-			}
-			w.TickMS = cli.Workload.TickMS
-			out.Workload = w
+		if err := replay.Set(f.Name, f.Value.String()); err != nil {
+			// fs parsed this very value with the same flag type.
+			panic(fmt.Sprintf("core: run flag -%s does not round-trip: %v", f.Name, err))
 		}
 	})
 	return out

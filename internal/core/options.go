@@ -1,22 +1,26 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/runner"
+	"repro/internal/sim"
 )
 
 // RunOptions is the one declarative description of how a batch of
 // replicas executes: parallelism, deadlines, fault tolerance,
 // checkpointing, and observability. It is the single source of truth
-// for every run knob — the With* functional options are thin setters
-// over it, experiment.Options embeds it, BindRunFlags exposes it on a
-// command line, and the spec compiler (internal/spec) produces it from
-// a scenario file. The zero value runs with library defaults
-// (GOMAXPROCS replica workers, no timeout, fail fast).
+// for every run knob — Scenario.Run takes it, experiment.Options
+// embeds it, BindRunFlags exposes it on a command line, and the spec
+// compiler (internal/spec) produces it from a scenario file. The zero
+// value runs with library defaults (GOMAXPROCS replica workers, no
+// timeout, fail fast).
 //
 // RunOptions lowers to the runner's own options in exactly one place,
 // RunnerOptions; nothing else in the module translates run knobs.
@@ -148,107 +152,49 @@ func ReplicaCheckpoint(dir string, run int) string {
 	return filepath.Join(dir, fmt.Sprintf("replica-%03d.ckpt", run))
 }
 
-// RunOption tunes how SimulateContext executes a batch of replicas.
-// Each option sets one field of a RunOptions; callers who prefer the
-// declarative form pass a RunOptions to SimulateOptions directly.
-type RunOption func(*RunOptions)
-
-// WithJobs bounds the replica worker pool at n concurrent simulations
-// (default GOMAXPROCS). The averaged result is identical for every job
-// count; only wall time changes.
-func WithJobs(n int) RunOption {
-	return func(o *RunOptions) { o.Jobs = n }
-}
-
-// WithTimeout aborts the batch after d, returning
-// context.DeadlineExceeded. Zero or negative means no timeout.
-func WithTimeout(d time.Duration) RunOption {
-	return func(o *RunOptions) { o.Timeout = d }
-}
-
-// WithProgress installs a callback observing live runner.Stats (runs
-// completed, ticks simulated, ticks/sec) after every finished replica.
-func WithProgress(fn func(runner.Stats)) RunOption {
-	return func(o *RunOptions) { o.Progress = fn }
-}
-
-// WithCollectors installs a per-replica metrics collector factory (see
-// internal/obs): factory(r) builds replica r's collector before its
-// engine starts. The factory is called from worker goroutines and must
-// be safe for concurrent calls with distinct r.
-func WithCollectors(factory func(run int) obs.Collector) RunOption {
-	return func(o *RunOptions) { o.Collectors = factory }
-}
-
-// WithCheck runs every replica under the engine's per-tick invariant
-// audit; a violated invariant aborts the batch with an error matching
-// obs.ErrInvariant.
-func WithCheck() RunOption {
-	return func(o *RunOptions) { o.Check = true }
-}
-
-// WithRetry retries a failed replica (error, panic, or timeout) up to
-// max extra attempts with exponential backoff from base (0 means
-// 500ms) plus deterministic jitter. Combined with WithCheckpoints and
-// WithResume, a retried replica restarts from its own last checkpoint
-// rather than tick zero.
-func WithRetry(max int, base time.Duration) RunOption {
-	return func(o *RunOptions) {
-		o.Retries = max
-		o.RetryBackoff = base
+// WireCheckpoints installs per-replica checkpoint and resume sinks on
+// cfg; core batches and experiment's per-figure batches both wire them
+// here. A non-empty dir is created, and replica r then writes
+// ReplicaCheckpoint(dir, r) every `every` ticks (0 means 10); onErr,
+// when non-nil, decides whether a failed write aborts the replica (see
+// RunOptions.OnCheckpointError). A non-empty resume makes replica r
+// restore from ReplicaCheckpoint(resume, r) — or, with resumeFile, from
+// the one checkpoint file resume — and start fresh when that file does
+// not exist.
+func WireCheckpoints(cfg *sim.Config, dir string, every int, onErr func(run int, err error) error, resume string, resumeFile bool) error {
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return fmt.Errorf("core: checkpoint dir: %w", err)
+		}
+		cfg.CheckpointEvery = every
+		if every <= 0 {
+			cfg.CheckpointEvery = 10
+		}
+		cfg.CheckpointFactory = func(run int) func(*sim.Snapshot) error {
+			path := ReplicaCheckpoint(dir, run)
+			return func(snap *sim.Snapshot) error {
+				err := sim.WriteSnapshot(path, snap)
+				if err != nil && onErr != nil {
+					// The caller decides whether losing this checkpoint
+					// is survivable (e.g. skip-under-ENOSPC) or fatal.
+					err = onErr(run, err)
+				}
+				return err
+			}
+		}
 	}
-}
-
-// WithReplicaTimeout bounds the wall-clock time of one replica attempt;
-// an attempt that exceeds it fails with runner.ErrTaskTimeout (and is
-// retried under WithRetry).
-func WithReplicaTimeout(d time.Duration) RunOption {
-	return func(o *RunOptions) { o.ReplicaTimeout = d }
-}
-
-// WithKeepGoing degrades gracefully instead of aborting the batch when
-// a replica fails after its retries: the averaged result covers the
-// replicas that completed, and SimulateStats' runner.Stats.Failures
-// names what was lost. A batch where every replica failed still
-// errors.
-func WithKeepGoing() RunOption {
-	return func(o *RunOptions) { o.KeepGoing = true }
-}
-
-// WithCheckpoints writes each replica's engine snapshot into dir (one
-// file per replica, replica-NNN.ckpt) every `every` ticks (0 means
-// 10), through the atomic safeio path: a crash mid-write never leaves
-// a truncated checkpoint.
-func WithCheckpoints(dir string, every int) RunOption {
-	return func(o *RunOptions) {
-		o.Checkpoint = dir
-		o.CheckpointEvery = every
+	if resume != "" {
+		cfg.ResumeFactory = func(run int) (*sim.Snapshot, error) {
+			path := resume
+			if !resumeFile {
+				path = ReplicaCheckpoint(resume, run)
+			}
+			snap, err := sim.ReadSnapshot(path)
+			if errors.Is(err, fs.ErrNotExist) {
+				return nil, nil // no checkpoint for this replica: start fresh
+			}
+			return snap, err
+		}
 	}
-}
-
-// WithResume resumes each replica from a previously written
-// checkpoint. path is either a checkpoint directory (each replica
-// loads its own replica-NNN.ckpt; replicas without one start fresh)
-// or, for single-replica batches, one checkpoint file. A checkpoint
-// that exists but fails verification (corruption, version skew, or a
-// config mismatch) fails the replica explicitly — it is never silently
-// ignored.
-func WithResume(path string) RunOption {
-	return func(o *RunOptions) { o.Resume = path }
-}
-
-// WithWorkload replaces the worm's β-draw scan source with a
-// trace-replay workload (see WorkloadSpec): scans and benign
-// background flows stream from a traffic profile or trace file and
-// compete for the same rate-limiter credits.
-func WithWorkload(w *WorkloadSpec) RunOption {
-	return func(o *RunOptions) { o.Workload = w }
-}
-
-// WithNet runs the batch over prebuilt topology state (see
-// Scenario.BuildNet), skipping graph materialization and routing
-// construction. The Net must have been built from a scenario with the
-// same NetKey.
-func WithNet(n *Net) RunOption {
-	return func(o *RunOptions) { o.Net = n }
+	return nil
 }

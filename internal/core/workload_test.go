@@ -62,7 +62,7 @@ func TestMergeRunFlagsWorkload(t *testing.T) {
 	if err := fs.Parse([]string{"-trace-tick-ms", "250"}); err != nil {
 		t.Fatal(err)
 	}
-	out := MergeRunFlags(fs, base, cli)
+	out := MergeRunFlags(fs, base)
 	if out.Workload.TickMS != 250 {
 		t.Errorf("merged TickMS = %d, want 250", out.Workload.TickMS)
 	}
@@ -95,13 +95,13 @@ func TestWorkloadSpecValidate(t *testing.T) {
 	}
 }
 
-// TestSimulateSyntheticWorkload runs a whole batch over the synthetic
+// TestRunSyntheticWorkload runs a whole batch over the synthetic
 // replay workload and checks the collateral counters flow through the
 // collector seam.
-func TestSimulateSyntheticWorkload(t *testing.T) {
+func TestRunSyntheticWorkload(t *testing.T) {
 	sc := replayTestScenario()
 	tally := obs.NewTally()
-	res, _, err := sc.SimulateOptions(context.Background(), 1, RunOptions{
+	res, _, err := sc.Run(context.Background(), 1, RunOptions{
 		Check:      true,
 		Collectors: func(int) obs.Collector { return tally },
 		Workload: &WorkloadSpec{
@@ -124,9 +124,9 @@ func TestSimulateSyntheticWorkload(t *testing.T) {
 	}
 }
 
-// TestSimulateTraceFileWorkload: generate a trace, replay it from
+// TestRunTraceFileWorkload: generate a trace, replay it from
 // disk, and check the trace's worm hosts replace random seeding.
-func TestSimulateTraceFileWorkload(t *testing.T) {
+func TestRunTraceFileWorkload(t *testing.T) {
 	gen := trace.GenConfig{
 		Duration: 60 * trace.Second, Seed: 42,
 		NormalClients: 12, Servers: 2, P2PClients: 3, Infected: 3,
@@ -150,7 +150,7 @@ func TestSimulateTraceFileWorkload(t *testing.T) {
 
 	sc := replayTestScenario()
 	tally := obs.NewTally()
-	res, _, err := sc.SimulateOptions(context.Background(), 1, RunOptions{
+	res, _, err := sc.Run(context.Background(), 1, RunOptions{
 		Check:      true,
 		Collectors: func(int) obs.Collector { return tally },
 		Workload:   &WorkloadSpec{Kind: WorkloadTrace, Path: path},

@@ -7,11 +7,8 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io/fs"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -42,7 +39,7 @@ import (
 // does not apply here. KeepGoing degrades per figure: each figure's
 // batch averages over the replicas that completed, and the per-figure
 // "replica_failed"/"replica_retries" counters (in Metrics) record what
-// was lost. When figures themselves run in parallel (RunAll), keep
+// was lost. When figures themselves run in parallel (RunAllStats), keep
 // Jobs small to avoid oversubscription.
 type Options struct {
 	core.RunOptions
@@ -76,7 +73,7 @@ type Options struct {
 
 // BatchMetrics accumulates the observability counters of every
 // simulation batch run while regenerating figures, keyed by figure ID.
-// One sink serves a whole RunAll batch; methods are safe for concurrent
+// One sink serves a whole RunAllStats batch; methods are safe for concurrent
 // use.
 type BatchMetrics struct {
 	mu       sync.Mutex
@@ -143,32 +140,18 @@ func (o Options) multiRun(ctx context.Context, cfg sim.Config) (*sim.Result, err
 	}
 	if (o.Checkpoint != "" || o.Resume != "") && o.ckptSeq != nil {
 		batch := fmt.Sprintf("batch-%02d", o.ckptSeq.Add(1))
+		var dir, rdir string
 		if o.Checkpoint != "" {
-			dir := filepath.Join(o.Checkpoint, o.figID, batch)
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return nil, fmt.Errorf("experiment: checkpoint dir: %w", err)
-			}
-			cfg.CheckpointEvery = o.CheckpointEvery
-			if cfg.CheckpointEvery <= 0 {
-				cfg.CheckpointEvery = 10
-			}
-			cfg.CheckpointFactory = func(run int) func(*sim.Snapshot) error {
-				path := core.ReplicaCheckpoint(dir, run)
-				return func(s *sim.Snapshot) error { return sim.WriteSnapshot(path, s) }
-			}
+			dir = filepath.Join(o.Checkpoint, o.figID, batch)
 		}
 		if o.Resume != "" {
-			rdir := filepath.Join(o.Resume, o.figID, batch)
-			cfg.ResumeFactory = func(run int) (*sim.Snapshot, error) {
-				snap, err := sim.ReadSnapshot(core.ReplicaCheckpoint(rdir, run))
-				if errors.Is(err, fs.ErrNotExist) {
-					return nil, nil // no checkpoint for this replica: start fresh
-				}
-				return snap, err
-			}
+			rdir = filepath.Join(o.Resume, o.figID, batch)
+		}
+		if err := core.WireCheckpoints(&cfg, dir, o.CheckpointEvery, nil, rdir, false); err != nil {
+			return nil, err
 		}
 	}
-	res, stats, err := sim.MultiRunStats(ctx, cfg, o.runs(), o.RunnerOptions()...)
+	res, stats, err := sim.MultiRun(ctx, cfg, o.runs(), o.RunnerOptions()...)
 	if err != nil {
 		return nil, err
 	}
@@ -277,11 +260,6 @@ func IDs() []string {
 	return out
 }
 
-// Run regenerates one figure by ID with a background context.
-func Run(id string, opt Options) (*Result, error) {
-	return RunContext(context.Background(), id, opt)
-}
-
 // RunContext regenerates one figure by ID. Cancelling ctx aborts the
 // figure's simulations between ticks and returns ctx's error.
 func RunContext(ctx context.Context, id string, opt Options) (*Result, error) {
@@ -304,13 +282,18 @@ func RunContext(ctx context.Context, id string, opt Options) (*Result, error) {
 	return nil, fmt.Errorf("experiment: unknown id %q (known: %v)", id, known)
 }
 
-// RunAll regenerates the given figures (all of IDs() when ids is nil)
-// concurrently on a bounded runner.Pool, configured with ropts
+// RunAllStats regenerates the given figures (all of IDs() when ids is
+// nil) concurrently on a bounded runner.Pool, configured with ropts
 // (runner.WithJobs bounds the figure-level parallelism;
-// runner.WithProgress observes per-figure completion). Results are
-// returned in the order of ids regardless of completion order. The
-// first failing figure aborts the batch; a cancelled ctx aborts
-// in-flight figures between simulation ticks and returns ctx's error.
+// runner.WithProgress observes per-figure completion), and returns the
+// figure-level runner.Stats alongside the results. Results are returned
+// in the order of ids regardless of completion order. The first failing
+// figure aborts the batch; a cancelled ctx aborts in-flight figures
+// between simulation ticks and returns ctx's error. With
+// runner.WithKeepGoing the batch degrades gracefully instead: a figure
+// that fails (after any runner.WithRetry attempts) leaves a nil slot in
+// the results and an entry in Stats.Failures; only a batch where every
+// figure failed returns an error.
 //
 // Figure-level workers multiply with Options.Jobs (the per-figure
 // replica pool): with F figure workers each averaging over J replica
@@ -319,17 +302,6 @@ func RunContext(ctx context.Context, id string, opt Options) (*Result, error) {
 // callers fanning out across figures should set Options.Jobs low
 // (cmd/figures uses 1) and let the figure-level pool own the
 // parallelism — whole figures are coarser, more evenly sized units.
-func RunAll(ctx context.Context, ids []string, opt Options, ropts ...runner.Option) ([]*Result, error) {
-	res, _, err := RunAllStats(ctx, ids, opt, ropts...)
-	return res, err
-}
-
-// RunAllStats is RunAll returning the figure-level runner.Stats
-// alongside the results, for callers that report batch health. With
-// runner.WithKeepGoing the batch degrades gracefully: a figure that
-// fails (after any runner.WithRetry attempts) leaves a nil slot in the
-// results and an entry in Stats.Failures instead of aborting the
-// batch; only a batch where every figure failed returns an error.
 func RunAllStats(ctx context.Context, ids []string, opt Options, ropts ...runner.Option) ([]*Result, runner.Stats, error) {
 	if ids == nil {
 		ids = IDs()
@@ -367,7 +339,7 @@ func RunAllStats(ctx context.Context, ids []string, opt Options, ropts ...runner
 }
 
 // figureTicks estimates the simulated ticks behind one figure result
-// (series points × averaged runs) so RunAll's runner.Stats report a
+// (series points × averaged runs) so RunAllStats reports a
 // meaningful throughput. Analytic figures report their sample count.
 func figureTicks(res *Result) int64 {
 	var pts int64

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -13,9 +14,9 @@ func quickOpts() Options {
 
 func runFig(t *testing.T, id string, opt Options) *Result {
 	t.Helper()
-	res, err := Run(id, opt)
+	res, err := RunContext(context.Background(), id, opt)
 	if err != nil {
-		t.Fatalf("Run(%q): %v", id, err)
+		t.Fatalf("RunContext(%q): %v", id, err)
 	}
 	if res.ID != id {
 		t.Fatalf("result ID = %q, want %q", res.ID, id)
@@ -32,7 +33,7 @@ func runFig(t *testing.T, id string, opt Options) *Result {
 }
 
 func TestRunUnknownID(t *testing.T) {
-	if _, err := Run("fig99", quickOpts()); err == nil {
+	if _, err := RunContext(context.Background(), "fig99", quickOpts()); err == nil {
 		t.Error("unknown id should fail")
 	}
 }

@@ -36,7 +36,7 @@ import (
 //     can afford an aggressive detector.
 //
 // Each grid point averages Options.Runs replicas; replica r uses fault
-// seed seed+r (sim.MultiRunStats derives it), so the sweep is exactly
+// seed seed+r (sim.MultiRun derives it), so the sweep is exactly
 // reproducible.
 func FaultDetector(ctx context.Context, opt Options) (*Result, error) {
 	g, roles, _, err := powerLawTopology(opt)

@@ -13,11 +13,11 @@ func TestRunAllOrderAndIDs(t *testing.T) {
 	// Analytic figures only: fast and deterministic.
 	ids := []string{"fig1a", "fig2", "fig10"}
 	var last runner.Stats
-	results, err := RunAll(context.Background(), ids, quickOpts(),
+	results, _, err := RunAllStats(context.Background(), ids, quickOpts(),
 		runner.WithJobs(2),
 		runner.WithProgress(func(s runner.Stats) { last = s }))
 	if err != nil {
-		t.Fatalf("RunAll: %v", err)
+		t.Fatalf("RunAllStats: %v", err)
 	}
 	if len(results) != len(ids) {
 		t.Fatalf("got %d results, want %d", len(results), len(ids))
@@ -36,7 +36,7 @@ func TestRunAllOrderAndIDs(t *testing.T) {
 }
 
 func TestRunAllUnknownIDFails(t *testing.T) {
-	_, err := RunAll(context.Background(), []string{"fig1a", "figZZ"}, quickOpts(), runner.WithJobs(1))
+	_, _, err := RunAllStats(context.Background(), []string{"fig1a", "figZZ"}, quickOpts(), runner.WithJobs(1))
 	if err == nil {
 		t.Fatal("unknown figure should fail the batch")
 	}
@@ -48,7 +48,7 @@ func TestRunAllUnknownIDFails(t *testing.T) {
 func TestRunAllCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunAll(ctx, []string{"fig4"}, quickOpts()); !errors.Is(err, context.Canceled) {
+	if _, _, err := RunAllStats(ctx, []string{"fig4"}, quickOpts()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -63,16 +63,16 @@ func TestRunContextCancelMidFigure(t *testing.T) {
 	}
 }
 
-// TestRunAllMatchesRun guards RunAll against diverging from one-at-a-
+// TestRunAllMatchesRun guards RunAllStats against diverging from one-at-a-
 // time regeneration: the batched result must be identical.
 func TestRunAllMatchesRun(t *testing.T) {
 	ids := []string{"fig1a", "fig7a"}
-	batched, err := RunAll(context.Background(), ids, quickOpts(), runner.WithJobs(2))
+	batched, _, err := RunAllStats(context.Background(), ids, quickOpts(), runner.WithJobs(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, id := range ids {
-		single, err := Run(id, quickOpts())
+		single, err := RunContext(context.Background(), id, quickOpts())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,7 @@
 // scheduling order.
 //
 // The pool runs batches of whole replicas (sim.MultiRun) and of whole
-// figures (experiment.RunAll); a single replica's tick loop is serial.
+// figures (experiment.RunAllStats); a single replica's tick loop is serial.
 package runner
 
 import (

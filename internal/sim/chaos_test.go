@@ -48,7 +48,7 @@ func TestMultiRunDegradesOnReplicaPanic(t *testing.T) {
 		return nil
 	}
 
-	agg, stats, err := MultiRunStats(context.Background(), cfg, runs,
+	agg, stats, err := MultiRun(context.Background(), cfg, runs,
 		runner.WithJobs(2), runner.WithKeepGoing())
 	if err != nil {
 		t.Fatalf("degraded batch returned error: %v", err)
@@ -98,7 +98,7 @@ func TestMultiRunAllReplicasFailed(t *testing.T) {
 	cfg.CollectorFactory = func(run int) obs.Collector {
 		return &crashCollector{at: 5}
 	}
-	_, stats, err := MultiRunStats(context.Background(), cfg, 3,
+	_, stats, err := MultiRun(context.Background(), cfg, 3,
 		runner.WithJobs(3), runner.WithKeepGoing())
 	if err == nil {
 		t.Fatal("batch with zero completed replicas must error")
@@ -132,7 +132,7 @@ func TestCancelWritesFinalCheckpoint(t *testing.T) {
 	cfg := goldenScenarios(t)["star-open"]
 	path := filepath.Join(t.TempDir(), "replica-000.ckpt")
 
-	clean, _, err := MultiRunStats(context.Background(), cfg, 1, runner.WithJobs(1))
+	clean, _, err := MultiRun(context.Background(), cfg, 1, runner.WithJobs(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestCancelWritesFinalCheckpoint(t *testing.T) {
 	chaos.CollectorFactory = func(run int) obs.Collector {
 		return cancelAtCollector{at: 25, cancel: cancel}
 	}
-	if _, _, err := MultiRunStats(ctx, chaos, 1, runner.WithJobs(1)); err == nil {
+	if _, _, err := MultiRun(ctx, chaos, 1, runner.WithJobs(1)); err == nil {
 		t.Fatal("cancelled batch returned nil error")
 	}
 	snap, err := ReadSnapshot(path)
@@ -162,7 +162,7 @@ func TestCancelWritesFinalCheckpoint(t *testing.T) {
 
 	resumed := cfg
 	resumed.ResumeFactory = func(run int) (*Snapshot, error) { return ReadSnapshot(path) }
-	agg, _, err := MultiRunStats(context.Background(), resumed, 1, runner.WithJobs(1))
+	agg, _, err := MultiRun(context.Background(), resumed, 1, runner.WithJobs(1))
 	if err != nil {
 		t.Fatalf("resume from drain checkpoint: %v", err)
 	}
@@ -184,7 +184,7 @@ func TestMultiRunRetryResumesFromCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := func(r int) string { return filepath.Join(dir, fmt.Sprintf("replica-%03d.ckpt", r)) }
 
-	clean, _, err := MultiRunStats(context.Background(), cfg, runs, runner.WithJobs(1))
+	clean, _, err := MultiRun(context.Background(), cfg, runs, runner.WithJobs(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestMultiRunRetryResumesFromCheckpoint(t *testing.T) {
 		return nil
 	}
 
-	agg, stats, err := MultiRunStats(context.Background(), chaos, runs,
+	agg, stats, err := MultiRun(context.Background(), chaos, runs,
 		runner.WithJobs(1), runner.WithRetry(2, 0), runner.WithKeepGoing())
 	if err != nil {
 		t.Fatalf("chaos batch: %v", err)

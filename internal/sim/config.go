@@ -17,7 +17,7 @@
 // A run is deterministic by construction: one serial tick loop, with
 // every node drawing from its own counter-mode RNG stream, so a config
 // and seed fix the series byte for byte (DESIGN.md §12, "Determinism
-// contract"). Replicas run in parallel (MultiRunContext), never the
+// contract"). Replicas run in parallel (MultiRun), never the
 // phases of one run. Routing is structural (routing.Structural): host
 // up-links plus a bit-packed core table instead of an O(N²) hop table,
 // so topologies with millions of hosts fit in memory.

@@ -66,31 +66,17 @@ func DeployEdgeUplinks(g *topology.Graph, roles []topology.Role, subnet []int) [
 	return out
 }
 
-// MultiRun executes runs replicas of cfg with seeds cfg.Seed,
-// cfg.Seed+1, ... and returns the element-wise average of their series —
-// the paper averages each simulated curve over 10 runs. It is
-// MultiRunContext with a background context and the default worker
-// bound (GOMAXPROCS).
-func MultiRun(cfg Config, runs int) (*Result, error) {
-	return MultiRunContext(context.Background(), cfg, runs)
-}
-
-// MultiRunContext executes runs replicas of cfg on a bounded
-// runner.Pool (configure with runner.WithJobs / runner.WithProgress)
-// and returns the element-wise average of their series. Each replica
-// gets the deterministic seed cfg.Seed + its index, so for a fixed
-// seed the averaged series is byte-identical regardless of the job
-// count or scheduling order. The replicas share one immutable routing
-// table, built once up front. Cancelling ctx aborts the batch between
-// ticks and returns ctx's error; a progress callback installed via
-// runner.WithProgress observes partial runner.Stats in that case.
-func MultiRunContext(ctx context.Context, cfg Config, runs int, opts ...runner.Option) (*Result, error) {
-	res, _, err := MultiRunStats(ctx, cfg, runs, opts...)
-	return res, err
-}
-
-// MultiRunStats is MultiRunContext returning the final runner.Stats
-// alongside the aggregate, for callers that report batch health.
+// MultiRun executes runs replicas of cfg on a bounded runner.Pool
+// (configure with runner.WithJobs / runner.WithProgress / ...) and
+// returns the element-wise average of their series — the paper
+// averages each simulated curve over 10 runs — with the batch's final
+// runner.Stats. Each replica gets the deterministic seed cfg.Seed + its
+// index, so for a fixed seed the averaged series is byte-identical
+// regardless of the job count or scheduling order. The replicas share
+// one immutable routing table, built once up front. Cancelling ctx
+// aborts the batch between ticks and returns ctx's error; a progress
+// callback installed via runner.WithProgress observes partial
+// runner.Stats in that case.
 //
 // Fault tolerance: with runner.WithKeepGoing the batch degrades
 // gracefully — a replica that fails (after any configured retries) is
@@ -101,7 +87,7 @@ func MultiRunContext(ctx context.Context, cfg Config, runs int, opts ...runner.O
 // Config.ResumeFactory each replica (including a retry of a crashed
 // one) first asks for a snapshot to resume from, so a retried replica
 // restarts from its own last checkpoint rather than tick zero.
-func MultiRunStats(ctx context.Context, cfg Config, runs int, opts ...runner.Option) (*Result, runner.Stats, error) {
+func MultiRun(ctx context.Context, cfg Config, runs int, opts ...runner.Option) (*Result, runner.Stats, error) {
 	if runs < 1 {
 		return nil, runner.Stats{}, fmt.Errorf("sim: runs %d must be >= 1", runs)
 	}

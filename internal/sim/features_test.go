@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/ratelimit"
@@ -92,7 +93,7 @@ func TestTrackSubnets(t *testing.T) {
 		Beta: 0.8, Strategy: lp, InitialInfected: 1,
 		Ticks: 120, Seed: 3, TrackSubnets: true,
 	}
-	res, err := MultiRun(cfg, 3)
+	res, _, err := MultiRun(context.Background(), cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestHostLimiterIntegration(t *testing.T) {
 	for i := range nodes {
 		nodes[i] = i
 	}
-	open, err := MultiRun(cfg, 3)
+	open, _, err := MultiRun(context.Background(), cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestHostLimiterIntegration(t *testing.T) {
 		}
 		return l
 	}
-	throttled, err := MultiRun(cfg, 3)
+	throttled, _, err := MultiRun(context.Background(), cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,12 +176,12 @@ func TestSusceptibleOnlyPatching(t *testing.T) {
 	cfg := baseConfig(t, 150)
 	cfg.Ticks = 200
 	cfg.Immunize = &Immunization{StartTick: -1, StartLevel: 0.2, Mu: 0.1}
-	both, err := MultiRun(cfg, 3)
+	both, _, err := MultiRun(context.Background(), cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Immunize = &Immunization{StartTick: -1, StartLevel: 0.2, Mu: 0.1, SusceptibleOnly: true}
-	susOnly, err := MultiRun(cfg, 3)
+	susOnly, _, err := MultiRun(context.Background(), cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

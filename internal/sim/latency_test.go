@@ -1,11 +1,14 @@
 package sim
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestTrackLatencyOpenNetwork(t *testing.T) {
 	cfg := baseConfig(t, 100)
 	cfg.TrackLatency = true
-	res, err := MultiRun(cfg, 3)
+	res, _, err := MultiRun(context.Background(), cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,13 +36,13 @@ func TestRateLimitingRaisesLatency(t *testing.T) {
 	cfg.TrackLatency = true
 	cfg.ScansPerTick = 10
 	cfg.MaxQueue = 50
-	open, err := MultiRun(cfg, 3)
+	open, _, err := MultiRun(context.Background(), cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.LimitedNodes = DeployBackbone(cfg.Roles)
 	cfg.BaseRate = 0.4
-	limited, err := MultiRun(cfg, 3)
+	limited, _, err := MultiRun(context.Background(), cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

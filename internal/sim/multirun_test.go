@@ -42,12 +42,12 @@ func multiRunConfig(t *testing.T) Config {
 func TestMultiRunDeterministicAcrossJobs(t *testing.T) {
 	cfg := multiRunConfig(t)
 	const runs = 6
-	serial, err := MultiRunContext(context.Background(), cfg, runs, runner.WithJobs(1))
+	serial, _, err := MultiRun(context.Background(), cfg, runs, runner.WithJobs(1))
 	if err != nil {
 		t.Fatalf("jobs=1: %v", err)
 	}
 	for _, jobs := range []int{2, 3, runtime.GOMAXPROCS(0)} {
-		parallel, err := MultiRunContext(context.Background(), cfg, runs, runner.WithJobs(jobs))
+		parallel, _, err := MultiRun(context.Background(), cfg, runs, runner.WithJobs(jobs))
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
@@ -55,13 +55,13 @@ func TestMultiRunDeterministicAcrossJobs(t *testing.T) {
 			t.Fatalf("jobs=%d result differs from jobs=1", jobs)
 		}
 	}
-	// And the compatibility wrapper sees the same series.
-	wrapped, err := MultiRun(cfg, runs)
+	// And the default pool (no options) sees the same series.
+	dflt, _, err := MultiRun(context.Background(), cfg, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(serial, wrapped) {
-		t.Fatal("MultiRun wrapper differs from MultiRunContext")
+	if !reflect.DeepEqual(serial, dflt) {
+		t.Fatal("default-jobs result differs from jobs=1")
 	}
 }
 
@@ -76,7 +76,7 @@ func TestMultiRunContextCancellation(t *testing.T) {
 		<-started
 		cancel()
 	}()
-	_, err := MultiRunContext(ctx, cfg, 8,
+	_, _, err := MultiRun(ctx, cfg, 8,
 		runner.WithJobs(2),
 		runner.WithProgress(func(s runner.Stats) {
 			select {
@@ -100,7 +100,7 @@ func TestMultiRunContextAlreadyCancelled(t *testing.T) {
 	cfg := multiRunConfig(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MultiRunContext(ctx, cfg, 2); !errors.Is(err, context.Canceled) {
+	if _, _, err := MultiRun(ctx, cfg, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -108,7 +108,7 @@ func TestMultiRunContextAlreadyCancelled(t *testing.T) {
 func TestMultiRunContextProgressStats(t *testing.T) {
 	cfg := multiRunConfig(t)
 	var final runner.Stats
-	res, err := MultiRunContext(context.Background(), cfg, 4,
+	res, _, err := MultiRun(context.Background(), cfg, 4,
 		runner.WithJobs(2),
 		runner.WithProgress(func(s runner.Stats) { final = s }))
 	if err != nil {

@@ -23,7 +23,7 @@ func TestSharedNetByteIdentical(t *testing.T) {
 		Graph: g, Beta: 0.7, Strategy: worm.NewRandomFactory(),
 		InitialInfected: 1, Ticks: 40, Seed: 9,
 	}
-	want, err := MultiRun(cfg, 3)
+	want, _, err := MultiRun(context.Background(), cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestSharedNetByteIdentical(t *testing.T) {
 		c := cfg
 		c.Beta = beta
 		c.Net = net
-		got, err := MultiRun(c, 3)
+		got, _, err := MultiRun(context.Background(), c, 3)
 		if err != nil {
 			t.Fatalf("beta %v with shared net: %v", beta, err)
 		}
@@ -61,7 +61,7 @@ func TestNetGraphMismatchRejected(t *testing.T) {
 	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "different graph") {
 		t.Errorf("mismatched Net should fail validation, got %v", err)
 	}
-	if _, _, err := MultiRunStats(context.Background(), cfg, 1); err == nil {
+	if _, _, err := MultiRun(context.Background(), cfg, 1); err == nil {
 		t.Error("MultiRun with mismatched Net should fail")
 	}
 }

@@ -328,7 +328,7 @@ func TestRunPanicsOnAuditFailure(t *testing.T) {
 func TestMultiRunCounters(t *testing.T) {
 	cfg := multiRunConfig(t)
 	const runs = 4
-	plain, err := MultiRunContext(context.Background(), cfg, runs, runner.WithJobs(2))
+	plain, _, err := MultiRun(context.Background(), cfg, runs, runner.WithJobs(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestMultiRunCounters(t *testing.T) {
 	cfg.CollectorFactory = func(int) obs.Collector { return obs.NewTally() }
 	var byJobs []map[string]int64
 	for _, jobs := range []int{1, 4} {
-		res, err := MultiRunContext(context.Background(), cfg, runs, runner.WithJobs(jobs))
+		res, _, err := MultiRun(context.Background(), cfg, runs, runner.WithJobs(jobs))
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}

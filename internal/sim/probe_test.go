@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 )
 
@@ -21,12 +22,12 @@ func TestProbeFirstStillSaturates(t *testing.T) {
 func TestProbeFirstSlowerThanDirect(t *testing.T) {
 	cfg := baseConfig(t, 150)
 	cfg.Ticks = 100
-	direct, err := MultiRun(cfg, 5)
+	direct, _, err := MultiRun(context.Background(), cfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.ProbeFirst = true
-	probed, err := MultiRun(cfg, 5)
+	probed, _, err := MultiRun(context.Background(), cfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +51,12 @@ func TestProbeFirstMoreVulnerableToRateLimiting(t *testing.T) {
 	cfg.BaseRate = 0.4
 	cfg.LimitedNodes = DeployBackbone(cfg.Roles)
 
-	direct, err := MultiRun(cfg, 5)
+	direct, _, err := MultiRun(context.Background(), cfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.ProbeFirst = true
-	probed, err := MultiRun(cfg, 5)
+	probed, _, err := MultiRun(context.Background(), cfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestQuarantineActivates(t *testing.T) {
 		LimitedNodes: DeployBackbone(roles), BaseRate: 0.4,
 	}
 
-	alwaysOn, err := MultiRun(cfg, 3)
+	alwaysOn, _, err := MultiRun(context.Background(), cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestQuarantineActivates(t *testing.T) {
 	// Dynamic: same limits, activated when the scan detector fires.
 	dyn := cfg
 	dyn.Quarantine = &Quarantine{TriggerScansPerTick: 50, Delay: 2}
-	dynamic, err := MultiRun(dyn, 3)
+	dynamic, _, err := MultiRun(context.Background(), dyn, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestQuarantineActivates(t *testing.T) {
 	// No defense at all.
 	open := cfg
 	open.LimitedNodes = nil
-	openRes, err := MultiRun(open, 3)
+	openRes, _, err := MultiRun(context.Background(), open, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -198,7 +199,7 @@ func TestHubNodeCapSlowsStar(t *testing.T) {
 			Seed:            7,
 			NodeCaps:        nodeCap,
 		}
-		res, err := MultiRun(cfg, 5)
+		res, _, err := MultiRun(context.Background(), cfg, 5)
 		if err != nil {
 			t.Fatalf("MultiRun: %v", err)
 		}
@@ -219,7 +220,7 @@ func TestHubNodeCapSlowsStar(t *testing.T) {
 func TestSmallHostDeploymentNegligible(t *testing.T) {
 	cfg := baseConfig(t, 150)
 	cfg.Ticks = 40
-	noRL, err := MultiRun(cfg, 5)
+	noRL, _, err := MultiRun(context.Background(), cfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestSmallHostDeploymentNegligible(t *testing.T) {
 	}
 	cfg5 := cfg
 	cfg5.LimitedNodes = nodes
-	host5, err := MultiRun(cfg5, 5)
+	host5, _, err := MultiRun(context.Background(), cfg5, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,19 +317,19 @@ func TestLocalPreferentialStrategyInSim(t *testing.T) {
 func TestMultiRunAveragesAndErrors(t *testing.T) {
 	cfg := baseConfig(t, 60)
 	cfg.Ticks = 30
-	res, err := MultiRun(cfg, 3)
+	res, _, err := MultiRun(context.Background(), cfg, 3)
 	if err != nil {
 		t.Fatalf("MultiRun: %v", err)
 	}
 	if len(res.Infected) != 30 {
 		t.Fatalf("series length = %d", len(res.Infected))
 	}
-	if _, err := MultiRun(cfg, 0); err == nil {
+	if _, _, err := MultiRun(context.Background(), cfg, 0); err == nil {
 		t.Error("runs=0 should fail")
 	}
 	bad := cfg
 	bad.Ticks = 0
-	if _, err := MultiRun(bad, 2); err == nil {
+	if _, _, err := MultiRun(context.Background(), bad, 2); err == nil {
 		t.Error("invalid config should propagate")
 	}
 }

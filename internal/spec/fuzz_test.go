@@ -41,7 +41,7 @@ func TestFuzzSmoke(t *testing.T) {
 			}
 			opts := c.Options
 			opts.Check = true // engine invariant audit on every tick
-			if _, _, err := c.Scenario.SimulateOptions(context.Background(), c.Runs, opts); err != nil {
+			if _, _, err := c.Scenario.Run(context.Background(), c.Runs, opts); err != nil {
 				t.Errorf("fuzzed spec failed under -check: %v\n%s", err, canon)
 			}
 		})
@@ -82,7 +82,7 @@ func TestSpectralThreshold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := c.Scenario.SimulateOptions(context.Background(), c.Runs, c.Options)
+		res, _, err := c.Scenario.Run(context.Background(), c.Runs, c.Options)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -182,7 +182,7 @@ func TestGoldenSpecs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, _, err := c.Scenario.SimulateOptions(context.Background(), c.Runs, c.Options)
+			res, _, err := c.Scenario.Run(context.Background(), c.Runs, c.Options)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -96,7 +96,7 @@ func SweepCache(ctx context.Context, s *Spec, mod func(*Compiled), cache *NetCac
 			} else {
 				opts := c.Options
 				opts.Net = net
-				pr.Result, pr.Stats, pr.Err = c.Scenario.SimulateOptions(ctx, c.Runs, opts)
+				pr.Result, pr.Stats, pr.Err = c.Scenario.Run(ctx, c.Runs, opts)
 			}
 		}
 
@@ -111,7 +111,10 @@ func SweepCache(ctx context.Context, s *Spec, mod func(*Compiled), cache *NetCac
 		}
 		results = append(results, pr)
 	}
-	if stats.Failed == len(points) && len(points) > 0 {
+	switch {
+	case len(points) == 1 && stats.Failed == 1:
+		return results, stats, results[0].Err
+	case len(points) > 1 && stats.Failed == len(points):
 		return results, stats, fmt.Errorf("spec: all %d sweep points failed; first: %w", len(points), results[0].Err)
 	}
 	return results, stats, nil

@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func sweepSpec(t *testing.T) *Spec {
@@ -87,7 +89,7 @@ func TestSweepSharedSeriesIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range results {
-		solo, err := r.Point.Scenario.Simulate(1)
+		solo, _, err := r.Point.Scenario.Run(context.Background(), 1, core.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +112,7 @@ func TestSweepKeepGoing(t *testing.T) {
 	breakPoint := func(c *Compiled) {
 		c.Options.KeepGoing = true
 		if strings.Contains(c.Name, "0.5") {
-			c.Runs = 0 // invalid replica count -> SimulateOptions error
+			c.Runs = 0 // invalid replica count -> Run error
 		}
 	}
 	results, stats, err := Sweep(context.Background(), s, breakPoint)
