@@ -4,8 +4,11 @@ GO ?= go
 
 ## check: the full gate — vet, build, race-enabled tests. The race run
 ## covers the concurrent layers: the replica and figure pools, the
-## daemon, and checkpoint/resume across parallel replicas.
+## daemon, and checkpoint/resume across parallel replicas. The nested
+## bench module (repro/bench) is tested too: root `./...` skips it, and
+## its tests pin how it drives the run APIs.
 check: vet build race
+	cd bench && $(GO) test ./...
 
 build:
 	$(GO) build ./...
@@ -51,7 +54,10 @@ chaos:
 ## fuzzing of the spec decoder (FuzzSpecDecode: no input panics, every
 ## accepted spec reaches a canonical fixed point) and ~10 s of the
 ## checkpoint reader (FuzzReadSnapshot: DecodeSnapshot then Restore; no
-## input panics, every failure is sim.ErrSnapshot). Minimizing a new
+## input panics, every failure is sim.ErrSnapshot) and ~10 s of the
+## trace replayer (FuzzReplayer: arbitrary bytes through
+## NewRecordReplayer's Contacts and Skip; no input panics, Skip agrees
+## with Contacts). Minimizing a new
 ## input is capped at 2 s so the short run spends its time fuzzing. A
 ## crasher lands in the package's testdata/fuzz/ and replays under
 ## `go test`.
@@ -59,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run 'TestFuzzSmoke|TestSpectralThreshold' -v ./internal/spec
 	$(GO) test -run xxx -fuzz '^FuzzSpecDecode$$' -fuzztime 10s ./internal/spec
 	$(GO) test -run xxx -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/sim
+	$(GO) test -run xxx -fuzz '^FuzzReplayer$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/trace
 
 ## daemon-smoke: the wormsimd service gate — the full HTTP round-trip
 ## (submit, JSONL/SSE stream, result, cancel, 429 backpressure, shared

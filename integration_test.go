@@ -106,7 +106,7 @@ func TestStarSimVsHubModel(t *testing.T) {
 	}
 }
 
-// Trace pipeline round trip: generate → serialize → stream-analyze must
+// Trace pipeline round trip: generate → serialize → parse → analyze must
 // agree with in-memory analysis, and the derived limit must actually
 // leave ≥ 99.9% of windows unaffected when re-applied.
 func TestTracePipelineConsistency(t *testing.T) {
@@ -128,13 +128,17 @@ func TestTracePipelineConsistency(t *testing.T) {
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := trace.StreamAggregate(&buf, normal, 5*trace.Second)
+	parsed, err := trace.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inMem.All.Quantile(0.999) != streamed.All.Quantile(0.999) {
-		t.Errorf("stream vs in-memory P99.9 differ: %d vs %d",
-			inMem.All.Quantile(0.999), streamed.All.Quantile(0.999))
+	reread, err := trace.AnalyzeAggregate(parsed, normal, 5*trace.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inMem.All.Quantile(0.999) != reread.All.Quantile(0.999) {
+		t.Errorf("re-read vs in-memory P99.9 differ: %d vs %d",
+			inMem.All.Quantile(0.999), reread.All.Quantile(0.999))
 	}
 	limit := inMem.All.Quantile(0.999)
 	im, err := trace.EvaluateLimit(tr, normal, 5*trace.Second, limit, trace.RefAll)

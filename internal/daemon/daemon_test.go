@@ -485,6 +485,33 @@ func TestDaemonErrorPaths(t *testing.T) {
 	hr.Body.Close()
 }
 
+// TestDaemonRejectsHugeGrid: a spec under the 1 MB body limit whose
+// three 100,000-value axes multiply to 10^15 points gets a 400, not a
+// handler panic and a dropped connection, and the server keeps serving.
+func TestDaemonRejectsHugeGrid(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	values := strings.TrimSuffix(strings.Repeat("1,", 100_000), ",")
+	grid := fmt.Sprintf(`,
+  "grid": [{"path": "seed", "values": [%[1]s]},
+           {"path": "ticks", "values": [%[1]s]},
+           {"path": "run.runs", "values": [%[1]s]}]`, values)
+	body := testSpec("huge", 10, 5, 1, grid)
+	if len(body) > maxSpecBytes {
+		t.Fatalf("spec is %d bytes, over the %d-byte body limit", len(body), maxSpecBytes)
+	}
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "points") {
+		t.Fatalf("huge grid: status %d (%s), want 400 naming the point cap", resp.StatusCode, msg)
+	}
+	v := submit(t, ts.URL, testSpec("after", 10, 5, 1, ""), "")
+	waitJobState(t, ts.URL, v.ID, StateDone, 10*time.Second)
+}
+
 // TestJobQueueOrdering pins the scheduler's ordering contract: higher
 // priority first, submission order within a priority.
 func TestJobQueueOrdering(t *testing.T) {

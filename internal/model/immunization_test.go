@@ -62,6 +62,43 @@ func TestDelayedImmunizationEventualDecline(t *testing.T) {
 	}
 }
 
+// After patching starts the delayed epidemic declines to extinction,
+// unlike the constant-rate SIS model's permanent endemic level (the
+// paper's §1 contrast).
+func TestDelayedImmunizationExtinction(t *testing.T) {
+	m := DelayedImmunization{Beta: 0.8, Mu: 0.1, Delay: 9, N: 1000, I0: 1}
+	if got := m.Fraction(500); got > 1e-6 {
+		t.Errorf("long-run fraction %v, want extinction", got)
+	}
+}
+
+// The ODE's peak comes after the delay, above the level at the delay
+// and below saturation. Its turning point is where β(N−I)/N ≈ µ, i.e.
+// I/N ≈ 1−µ/β = 0.875 — but N shrinks as patching proceeds, so the
+// realized peak sits below that bound.
+func TestPeakInfectionImmunization(t *testing.T) {
+	m := DelayedImmunization{Beta: 0.8, Mu: 0.1, Delay: 7, N: 1000, I0: 1}
+	ts, frac, err := Integrate(m, 120, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peakTime, peak := math.NaN(), -1.0
+	for k, tt := range ts {
+		if frac[k] > peak {
+			peakTime, peak = tt, frac[k]
+		}
+	}
+	if peakTime <= m.Delay {
+		t.Errorf("peak at %v, want after delay %v", peakTime, m.Delay)
+	}
+	if peak >= 1 || peak <= m.Fraction(m.Delay) {
+		t.Errorf("peak fraction %v implausible", peak)
+	}
+	if bound := 1 - m.Mu/m.Beta; peak > bound+0.02 {
+		t.Errorf("peak %v exceeds turning-point bound %v", peak, bound)
+	}
+}
+
 func TestDelayedImmunizationClosedFormVsODE(t *testing.T) {
 	// The paper's closed form is an approximation after t > d (it treats
 	// N as N0 inside the logistic denominator) — so compare loosely, but

@@ -40,9 +40,3 @@ func LogisticTimeToLevel(level, lambda, c float64) float64 {
 	}
 	return math.Log(c*level/(1-level)) / lambda
 }
-
-// SaturatingExp evaluates i(t) = 1 − c·e^{−βt/N}, the solution of the
-// node-limited hub regime dI/dt = β(N−I)/N (Equation 5) normalized by N.
-func SaturatingExp(t, beta, n, c float64) float64 {
-	return 1 - c*math.Exp(-beta*t/n)
-}

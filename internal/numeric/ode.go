@@ -1,8 +1,8 @@
 // Package numeric provides the small numerical-analysis substrate used by
-// the analytical worm models and the experiment harness: fixed-step ODE
-// integrators (including piecewise systems whose right-hand side switches
-// at state- or time-dependent events), bisection root finding, logistic
-// curve helpers, summary statistics, and empirical CDFs.
+// the analytical worm models and the experiment harness: a fixed-step
+// RK4 integrator (including piecewise systems whose right-hand side
+// switches at state- or time-dependent events), logistic curve helpers,
+// and evenly spaced sample grids.
 //
 // The paper's analytical figures are solutions of small ODE systems
 // (logistic epidemics with rate limiting and immunization terms). The
@@ -38,38 +38,6 @@ func (s *Solution) Component(k int) []float64 {
 	out := make([]float64, len(s.States))
 	for i, st := range s.States {
 		out[i] = st[k]
-	}
-	return out
-}
-
-// At linearly interpolates the state at time t. Times outside the solved
-// range clamp to the nearest endpoint.
-func (s *Solution) At(t float64) []float64 {
-	n := len(s.Times)
-	if n == 0 {
-		return nil
-	}
-	if t <= s.Times[0] {
-		return append([]float64(nil), s.States[0]...)
-	}
-	if t >= s.Times[n-1] {
-		return append([]float64(nil), s.States[n-1]...)
-	}
-	// Fixed-step grid: locate the bracketing interval directly.
-	lo, hi := 0, n-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if s.Times[mid] <= t {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	t0, t1 := s.Times[lo], s.Times[hi]
-	w := (t - t0) / (t1 - t0)
-	out := make([]float64, len(s.States[lo]))
-	for k := range out {
-		out[k] = (1-w)*s.States[lo][k] + w*s.States[hi][k]
 	}
 	return out
 }
@@ -120,43 +88,6 @@ func RK4(f RHS, y0 []float64, t0, t1, h float64) (*Solution, error) {
 		f(t+step, tmp, k4)
 		for i := 0; i < n; i++ {
 			y[i] += step / 6 * (k1[i] + 2*k2[i] + 2*k3[i] + k4[i])
-		}
-		t += step
-		sol.Times = append(sol.Times, t)
-		sol.States = append(sol.States, append([]float64(nil), y...))
-	}
-	return sol, nil
-}
-
-// Euler integrates with the explicit Euler method. It exists mainly as a
-// cross-check for RK4 in tests and for callers who want the exact
-// per-tick discrete dynamics the simulator uses.
-func Euler(f RHS, y0 []float64, t0, t1, h float64) (*Solution, error) {
-	if !(h > 0) || math.IsInf(h, 0) || math.IsNaN(h) {
-		return nil, ErrBadStep
-	}
-	if t1 < t0 {
-		return nil, fmt.Errorf("numeric: t1 (%v) before t0 (%v)", t1, t0)
-	}
-	n := len(y0)
-	y := append([]float64(nil), y0...)
-	sol := &Solution{
-		Times:  []float64{t0},
-		States: [][]float64{append([]float64(nil), y...)},
-	}
-	d := make([]float64, n)
-	t := t0
-	for t < t1 {
-		step := h
-		if t+step > t1 {
-			step = t1 - t
-		}
-		if step <= 0 {
-			break
-		}
-		f(t, y, d)
-		for i := 0; i < n; i++ {
-			y[i] += step * d[i]
 		}
 		t += step
 		sol.Times = append(sol.Times, t)

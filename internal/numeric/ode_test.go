@@ -67,44 +67,6 @@ func TestRK4BadInputs(t *testing.T) {
 	}
 }
 
-func TestEulerMatchesRK4ForSmallStep(t *testing.T) {
-	f := func(t float64, y, dst []float64) { dst[0] = -0.5 * y[0] }
-	e, err := Euler(f, []float64{1}, 0, 5, 1e-4)
-	if err != nil {
-		t.Fatalf("Euler: %v", err)
-	}
-	r, err := RK4(f, []float64{1}, 0, 5, 0.01)
-	if err != nil {
-		t.Fatalf("RK4: %v", err)
-	}
-	ge := e.States[len(e.States)-1][0]
-	gr := r.States[len(r.States)-1][0]
-	if math.Abs(ge-gr) > 1e-3 {
-		t.Errorf("Euler %v vs RK4 %v diverge", ge, gr)
-	}
-}
-
-func TestSolutionAt(t *testing.T) {
-	f := func(t float64, y, dst []float64) { dst[0] = 2 } // y = 2t
-	sol, err := RK4(f, []float64{0}, 0, 10, 0.5)
-	if err != nil {
-		t.Fatalf("RK4: %v", err)
-	}
-	for _, tt := range []float64{0, 0.25, 3.7, 9.99, 10} {
-		got := sol.At(tt)[0]
-		if math.Abs(got-2*tt) > 1e-9 {
-			t.Errorf("At(%v) = %v, want %v", tt, got, 2*tt)
-		}
-	}
-	// Clamping beyond the range.
-	if got := sol.At(-5)[0]; got != 0 {
-		t.Errorf("At(-5) = %v, want 0", got)
-	}
-	if got := sol.At(50)[0]; math.Abs(got-20) > 1e-9 {
-		t.Errorf("At(50) = %v, want 20", got)
-	}
-}
-
 func TestSolutionComponent(t *testing.T) {
 	f := func(t float64, y, dst []float64) { dst[0], dst[1] = 1, -1 }
 	sol, err := RK4(f, []float64{0, 0}, 0, 1, 0.25)

@@ -1,87 +1,5 @@
 package numeric
 
-import (
-	"math"
-	"sort"
-)
-
-// Mean returns the arithmetic mean of xs, or NaN for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance of xs (NaN if len < 2).
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(n-1)
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Quantile returns the q-quantile (q in [0,1]) of xs using linear
-// interpolation between order statistics (type-7, the numpy/R default).
-// It does not modify xs. NaN for an empty slice or q outside [0,1].
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 || q < 0 || q > 1 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return quantileSorted(s, q)
-}
-
-func quantileSorted(s []float64, q float64) float64 {
-	n := len(s)
-	if n == 1 {
-		return s[0]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	w := pos - float64(lo)
-	return (1-w)*s[lo] + w*s[hi]
-}
-
-// MeanSeries averages k same-length series element-wise. All series must
-// have identical length; the result is nil if series is empty.
-func MeanSeries(series [][]float64) []float64 {
-	if len(series) == 0 {
-		return nil
-	}
-	n := len(series[0])
-	out := make([]float64, n)
-	for _, s := range series {
-		for i, v := range s {
-			out[i] += v
-		}
-	}
-	inv := 1 / float64(len(series))
-	for i := range out {
-		out[i] *= inv
-	}
-	return out
-}
-
 // Linspace returns n evenly spaced samples over [a, b], inclusive.
 // n must be >= 2.
 func Linspace(a, b float64, n int) []float64 {
@@ -95,15 +13,4 @@ func Linspace(a, b float64, n int) []float64 {
 	}
 	out[n-1] = b
 	return out
-}
-
-// Clamp restricts x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

@@ -2,92 +2,8 @@ package numeric
 
 import (
 	"math"
-	"math/rand"
-	"sort"
 	"testing"
-	"testing/quick"
 )
-
-func TestMean(t *testing.T) {
-	tests := []struct {
-		name string
-		in   []float64
-		want float64
-	}{
-		{"single", []float64{3}, 3},
-		{"pair", []float64{1, 3}, 2},
-		{"negatives", []float64{-1, 1, -2, 2}, 0},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := Mean(tt.in); math.Abs(got-tt.want) > 1e-12 {
-				t.Errorf("Mean(%v) = %v, want %v", tt.in, got, tt.want)
-			}
-		})
-	}
-	if !math.IsNaN(Mean(nil)) {
-		t.Error("Mean(nil) should be NaN")
-	}
-}
-
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	// Sample variance of this classic set is 32/7.
-	want := 32.0 / 7
-	if got := Variance(xs); math.Abs(got-want) > 1e-12 {
-		t.Errorf("Variance = %v, want %v", got, want)
-	}
-	if got := StdDev(xs); math.Abs(got-math.Sqrt(want)) > 1e-12 {
-		t.Errorf("StdDev = %v, want %v", got, math.Sqrt(want))
-	}
-	if !math.IsNaN(Variance([]float64{1})) {
-		t.Error("Variance of singleton should be NaN")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	tests := []struct {
-		q, want float64
-	}{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5},
-	}
-	for _, tt := range tests {
-		if got := Quantile(xs, tt.q); math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
-		}
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("Quantile(nil) should be NaN")
-	}
-	if !math.IsNaN(Quantile(xs, 1.5)) {
-		t.Error("Quantile(q>1) should be NaN")
-	}
-}
-
-func TestQuantileDoesNotMutateInput(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3}
-	orig := append([]float64(nil), xs...)
-	Quantile(xs, 0.9)
-	for i := range xs {
-		if xs[i] != orig[i] {
-			t.Fatalf("input mutated at %d: %v vs %v", i, xs, orig)
-		}
-	}
-}
-
-func TestMeanSeries(t *testing.T) {
-	got := MeanSeries([][]float64{{1, 2, 3}, {3, 4, 5}})
-	want := []float64{2, 3, 4}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("MeanSeries[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if MeanSeries(nil) != nil {
-		t.Error("MeanSeries(nil) should be nil")
-	}
-}
 
 func TestLinspace(t *testing.T) {
 	got := Linspace(0, 1, 5)
@@ -102,103 +18,6 @@ func TestLinspace(t *testing.T) {
 	}
 	if got := Linspace(3, 9, 1); len(got) != 1 || got[0] != 3 {
 		t.Errorf("Linspace n=1 = %v", got)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Error("Clamp misbehaves")
-	}
-}
-
-// Property: for any sample, quantile is monotone in q and bounded by
-// min/max of the sample.
-func TestQuantileMonotoneProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := int(n%50) + 1
-		xs := make([]float64, m)
-		for i := range xs {
-			xs[i] = rng.NormFloat64() * 100
-		}
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		prev := math.Inf(-1)
-		for q := 0.0; q <= 1.0; q += 0.05 {
-			v := Quantile(xs, q)
-			if v < prev-1e-9 {
-				return false
-			}
-			if v < sorted[0]-1e-9 || v > sorted[m-1]+1e-9 {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: mean lies between min and max.
-func TestMeanBoundedProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := int(n%40) + 1
-		xs := make([]float64, m)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i := range xs {
-			xs[i] = rng.Float64()*200 - 100
-			lo = math.Min(lo, xs[i])
-			hi = math.Max(hi, xs[i])
-		}
-		mean := Mean(xs)
-		return mean >= lo-1e-9 && mean <= hi+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBisect(t *testing.T) {
-	root, err := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-10)
-	if err != nil {
-		t.Fatalf("Bisect: %v", err)
-	}
-	if math.Abs(root-math.Sqrt2) > 1e-9 {
-		t.Errorf("sqrt2 = %v, want %v", root, math.Sqrt2)
-	}
-	if _, err := Bisect(func(x float64) float64 { return 1 }, 0, 1, 1e-9); err == nil {
-		t.Error("unbracketed root: want error")
-	}
-	// Endpoint roots.
-	r, err := Bisect(func(x float64) float64 { return x }, 0, 1, 1e-9)
-	if err != nil || r != 0 {
-		t.Errorf("endpoint root: got %v, %v", r, err)
-	}
-}
-
-func TestFirstCrossing(t *testing.T) {
-	times := []float64{0, 1, 2, 3}
-	vals := []float64{0, 0.2, 0.6, 0.9}
-	got := FirstCrossing(times, vals, 0.4)
-	if math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("crossing = %v, want 1.5", got)
-	}
-	if !math.IsNaN(FirstCrossing(times, vals, 2)) {
-		t.Error("unreached level should give NaN")
-	}
-	if got := FirstCrossing(times, vals, 0); got != 0 {
-		t.Errorf("level at start: got %v, want 0", got)
-	}
-	if !math.IsNaN(FirstCrossing(nil, nil, 0.5)) {
-		t.Error("empty series should give NaN")
-	}
-	// Flat segment at the level.
-	got = FirstCrossing([]float64{0, 1, 2}, []float64{0, 0.5, 0.5}, 0.5)
-	if got != 1 {
-		t.Errorf("flat crossing = %v, want 1", got)
 	}
 }
 
@@ -231,15 +50,5 @@ func TestLogisticTimeToLevel(t *testing.T) {
 	}
 	if !math.IsNaN(LogisticTimeToLevel(0, 1, 10)) || !math.IsNaN(LogisticTimeToLevel(1, 1, 10)) {
 		t.Error("degenerate levels should give NaN")
-	}
-}
-
-func TestSaturatingExp(t *testing.T) {
-	// At t=0 with c=1: value 0. As t -> inf: value -> 1.
-	if got := SaturatingExp(0, 0.5, 100, 1); got != 0 {
-		t.Errorf("SaturatingExp(0) = %v, want 0", got)
-	}
-	if got := SaturatingExp(1e7, 0.5, 100, 1); math.Abs(got-1) > 1e-9 {
-		t.Errorf("SaturatingExp(inf) = %v, want 1", got)
 	}
 }

@@ -30,25 +30,6 @@ func ExampleWilliamsonThrottle() {
 	// Output: allowed 5 of 30, queue 22
 }
 
-// The DNS-based throttle (Ganger et al.): destinations with a valid DNS
-// translation are free; raw-IP contacts burn a tight budget.
-func ExampleDNSThrottle() {
-	th, err := ratelimit.NewDNSThrottle(1, 60)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	const webServer, scanTarget1, scanTarget2 = 10, 20, 30
-	th.RecordDNS(webServer, 3600)
-	fmt.Println("browse (DNS-resolved):", th.Allow(0, webServer))
-	fmt.Println("first raw-IP scan:    ", th.Allow(1, scanTarget1))
-	fmt.Println("second raw-IP scan:   ", th.Allow(1, scanTarget2))
-	// Output:
-	// browse (DNS-resolved): true
-	// first raw-IP scan:     true
-	// second raw-IP scan:    false
-}
-
 // The hybrid window the paper proposes: a short window for burst
 // tolerance stacked on a long window for a tight long-term rate.
 func ExampleHybridWindow() {

@@ -1,10 +1,8 @@
 // Package ratelimit implements the contact-rate limiting mechanisms the
 // paper analyzes and measures: Williamson's virus throttle (a working
-// set of recent destinations plus a delay queue), Ganger's DNS-based
-// throttle (only contacts to addresses without a valid DNS translation
-// and that did not initiate contact count against the budget), plain
-// unique-IP window limits, the hybrid short+long window scheme the paper
-// proposes as future work, and a token bucket.
+// set of recent destinations plus a delay queue), plain unique-IP
+// window limits, and the hybrid short+long window scheme the paper
+// proposes as future work.
 //
 // All limiters are driven by an explicit tick clock (no wall time) so
 // simulations and trace replays are deterministic.
@@ -264,71 +262,6 @@ func (t *WilliamsonThrottle) QueueLen() int { return len(t.queue) }
 
 var _ ContactLimiter = (*WilliamsonThrottle)(nil)
 
-// DNSThrottle is Ganger et al.'s self-securing NIC policy: contacts to
-// destinations with a valid DNS translation, or that previously
-// initiated contact with us, are free; contacts to "unknown" addresses
-// (pseudo-random 32-bit values picked by scanning worms perform no DNS
-// lookup) are limited to Max per Window ticks.
-type DNSThrottle struct {
-	inner *UniqueIPWindow
-
-	dnsValidUntil map[IP]int64
-	peers         map[IP]struct{} // addresses that initiated contact
-}
-
-// NewDNSThrottle builds the throttle; the paper's default is six unknown
-// addresses per minute per host.
-func NewDNSThrottle(max int, window int64) (*DNSThrottle, error) {
-	inner, err := NewUniqueIPWindow(max, window)
-	if err != nil {
-		return nil, err
-	}
-	return &DNSThrottle{
-		inner:         inner,
-		dnsValidUntil: make(map[IP]int64),
-		peers:         make(map[IP]struct{}),
-	}, nil
-}
-
-// RecordDNS notes a DNS response mapping some name to addr, valid until
-// tick expiry (now + TTL).
-func (t *DNSThrottle) RecordDNS(addr IP, expiry int64) {
-	if cur, ok := t.dnsValidUntil[addr]; !ok || expiry > cur {
-		t.dnsValidUntil[addr] = expiry
-	}
-}
-
-// RecordInbound notes that src initiated contact with us; replying to it
-// later is always legitimate.
-func (t *DNSThrottle) RecordInbound(src IP) {
-	t.peers[src] = struct{}{}
-}
-
-// Known reports whether dst would bypass the unknown-address budget at
-// tick now.
-func (t *DNSThrottle) Known(now int64, dst IP) bool {
-	if _, ok := t.peers[dst]; ok {
-		return true
-	}
-	if exp, ok := t.dnsValidUntil[dst]; ok {
-		if now <= exp {
-			return true
-		}
-		delete(t.dnsValidUntil, dst)
-	}
-	return false
-}
-
-// Allow implements ContactLimiter.
-func (t *DNSThrottle) Allow(now int64, dst IP) bool {
-	if t.Known(now, dst) {
-		return true
-	}
-	return t.inner.Allow(now, dst)
-}
-
-var _ ContactLimiter = (*DNSThrottle)(nil)
-
 // HybridWindow combines a short window (prevents long post-burst stalls)
 // with a long window (enforces a tight long-term rate), the scheme the
 // paper floats in Section 7: "one short window to prevent long delays
@@ -367,48 +300,3 @@ func (h *HybridWindow) Allow(now int64, dst IP) bool {
 }
 
 var _ ContactLimiter = (*HybridWindow)(nil)
-
-// TokenBucket is a classic token bucket: Rate tokens per tick up to
-// Burst capacity; each allowed contact costs one token. It is the
-// packets-per-tick abstraction used for link-level limits.
-type TokenBucket struct {
-	rate   float64
-	burst  float64
-	tokens float64
-	last   int64
-	primed bool
-}
-
-// NewTokenBucket builds a bucket that starts full.
-func NewTokenBucket(rate, burst float64) (*TokenBucket, error) {
-	if rate <= 0 || burst <= 0 {
-		return nil, fmt.Errorf("%w: rate=%v burst=%v", ErrBadConfig, rate, burst)
-	}
-	return &TokenBucket{rate: rate, burst: burst, tokens: burst}, nil
-}
-
-// Allow implements ContactLimiter (the destination is ignored; the
-// bucket prices every contact equally).
-func (b *TokenBucket) Allow(now int64, _ IP) bool {
-	if !b.primed {
-		b.primed = true
-		b.last = now
-	}
-	if now > b.last {
-		b.tokens += float64(now-b.last) * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-		b.last = now
-	}
-	if b.tokens >= 1 {
-		b.tokens--
-		return true
-	}
-	return false
-}
-
-// Tokens returns the current token balance (for tests and metrics).
-func (b *TokenBucket) Tokens() float64 { return b.tokens }
-
-var _ ContactLimiter = (*TokenBucket)(nil)

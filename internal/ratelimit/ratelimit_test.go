@@ -163,63 +163,6 @@ func TestWilliamsonThrottleConfigErrors(t *testing.T) {
 	}
 }
 
-func TestDNSThrottle(t *testing.T) {
-	th, err := NewDNSThrottle(2, 60)
-	if err != nil {
-		t.Fatalf("NewDNSThrottle: %v", err)
-	}
-	// DNS-translated destinations are free.
-	th.RecordDNS(10, 100)
-	for i := 0; i < 20; i++ {
-		if !th.Allow(int64(i), 10) {
-			t.Fatal("DNS-translated contact blocked")
-		}
-	}
-	// Peers that initiated contact are free.
-	th.RecordInbound(20)
-	if !th.Allow(0, 20) {
-		t.Error("reply to inbound peer blocked")
-	}
-	// Unknown addresses: budget of 2 per window.
-	if !th.Allow(1, 30) || !th.Allow(1, 31) {
-		t.Error("unknown budget should admit 2")
-	}
-	if th.Allow(1, 32) {
-		t.Error("third unknown address should be blocked")
-	}
-	// Expired DNS entries stop being free.
-	th.RecordDNS(40, 5)
-	if !th.Allow(3, 40) {
-		t.Error("valid DNS entry should pass")
-	}
-	if th.Allow(50, 40) {
-		t.Error("expired DNS entry should count as unknown (budget spent)")
-	}
-}
-
-func TestDNSThrottleKnown(t *testing.T) {
-	th, err := NewDNSThrottle(1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if th.Known(0, 1) {
-		t.Error("fresh address should be unknown")
-	}
-	th.RecordDNS(1, 5)
-	if !th.Known(3, 1) {
-		t.Error("address with valid DNS should be known")
-	}
-	if th.Known(6, 1) {
-		t.Error("expired DNS should be unknown")
-	}
-	// Expiry extension keeps the later expiry.
-	th.RecordDNS(2, 10)
-	th.RecordDNS(2, 4)
-	if !th.Known(9, 2) {
-		t.Error("RecordDNS should keep the longest expiry")
-	}
-}
-
 func TestHybridWindow(t *testing.T) {
 	// Short: 5 per 1 tick. Long: 12 per 5 ticks (the paper's observed
 	// 99.9% values for 1 s and 5 s windows).
@@ -254,70 +197,5 @@ func TestHybridWindow(t *testing.T) {
 	}
 	if _, err := NewHybridWindow(5, 10, 12, 5); err == nil {
 		t.Error("long window <= short window should fail")
-	}
-}
-
-func TestTokenBucket(t *testing.T) {
-	b, err := NewTokenBucket(1, 3)
-	if err != nil {
-		t.Fatalf("NewTokenBucket: %v", err)
-	}
-	// Starts full: burst of 3 passes.
-	for i := 0; i < 3; i++ {
-		if !b.Allow(0, 0) {
-			t.Fatalf("burst token %d should pass", i)
-		}
-	}
-	if b.Allow(0, 0) {
-		t.Error("bucket empty: should block")
-	}
-	// One tick later one token has refilled.
-	if !b.Allow(1, 0) {
-		t.Error("refilled token should pass")
-	}
-	if b.Allow(1, 0) {
-		t.Error("only one token refilled")
-	}
-	// Long idle: capped at burst.
-	if got := bAfterIdle(b); got > 3 {
-		t.Errorf("tokens after idle = %v, want <= burst", got)
-	}
-	if _, err := NewTokenBucket(0, 1); err == nil {
-		t.Error("rate=0 should fail")
-	}
-	if _, err := NewTokenBucket(1, 0); err == nil {
-		t.Error("burst=0 should fail")
-	}
-}
-
-func bAfterIdle(b *TokenBucket) float64 {
-	b.Allow(1000, 0)
-	return b.Tokens() + 1 // the Allow consumed one
-}
-
-// Property: a token bucket never admits more than burst + rate*elapsed
-// contacts over any run.
-func TestTokenBucketRateProperty(t *testing.T) {
-	f := func(seed int64, rateRaw, burstRaw uint8) bool {
-		rate := float64(rateRaw%5) + 1
-		burst := float64(burstRaw%10) + 1
-		b, err := NewTokenBucket(rate, burst)
-		if err != nil {
-			return false
-		}
-		rng := rand.New(rand.NewSource(seed))
-		allowed := 0
-		const horizon = 50
-		for now := int64(0); now < horizon; now++ {
-			for k := 0; k < rng.Intn(20); k++ {
-				if b.Allow(now, 0) {
-					allowed++
-				}
-			}
-		}
-		return float64(allowed) <= burst+rate*float64(horizon)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }

@@ -126,56 +126,6 @@ func (t *WilliamsonThrottle) UnmarshalState(data []byte) error {
 	return nil
 }
 
-type dnsEntryState struct {
-	Addr   IP    `json:"addr"`
-	Expiry int64 `json:"expiry"`
-}
-
-type dnsState struct {
-	Inner json.RawMessage `json:"inner"`
-	DNS   []dnsEntryState `json:"dns"`
-	Peers []IP            `json:"peers"`
-}
-
-// MarshalState implements StateMarshaler.
-func (t *DNSThrottle) MarshalState() ([]byte, error) {
-	inner, err := t.inner.MarshalState()
-	if err != nil {
-		return nil, err
-	}
-	st := dnsState{Inner: inner, DNS: make([]dnsEntryState, 0, len(t.dnsValidUntil))}
-	for addr, exp := range t.dnsValidUntil {
-		st.DNS = append(st.DNS, dnsEntryState{Addr: addr, Expiry: exp})
-	}
-	sort.Slice(st.DNS, func(i, j int) bool { return st.DNS[i].Addr < st.DNS[j].Addr })
-	st.Peers = make([]IP, 0, len(t.peers))
-	for ip := range t.peers {
-		st.Peers = append(st.Peers, ip)
-	}
-	sortIPs(st.Peers)
-	return json.Marshal(st)
-}
-
-// UnmarshalState implements StateMarshaler.
-func (t *DNSThrottle) UnmarshalState(data []byte) error {
-	var st dnsState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	if err := t.inner.UnmarshalState(st.Inner); err != nil {
-		return fmt.Errorf("dns throttle inner window: %w", err)
-	}
-	clear(t.dnsValidUntil)
-	for _, e := range st.DNS {
-		t.dnsValidUntil[e.Addr] = e.Expiry
-	}
-	clear(t.peers)
-	for _, ip := range st.Peers {
-		t.peers[ip] = struct{}{}
-	}
-	return nil
-}
-
 type hybridState struct {
 	Short json.RawMessage `json:"short"`
 	Long  json.RawMessage `json:"long"`
@@ -209,32 +159,9 @@ func (h *HybridWindow) UnmarshalState(data []byte) error {
 	return nil
 }
 
-type tokenBucketState struct {
-	Tokens float64 `json:"tokens"`
-	Last   int64   `json:"last"`
-	Primed bool    `json:"primed"`
-}
-
-// MarshalState implements StateMarshaler.
-func (b *TokenBucket) MarshalState() ([]byte, error) {
-	return json.Marshal(tokenBucketState{Tokens: b.tokens, Last: b.last, Primed: b.primed})
-}
-
-// UnmarshalState implements StateMarshaler.
-func (b *TokenBucket) UnmarshalState(data []byte) error {
-	var st tokenBucketState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	b.tokens, b.last, b.primed = st.Tokens, st.Last, st.Primed
-	return nil
-}
-
 var (
 	_ StateMarshaler = (*UniqueIPWindow)(nil)
 	_ StateMarshaler = (*SlidingUniqueIPWindow)(nil)
 	_ StateMarshaler = (*WilliamsonThrottle)(nil)
-	_ StateMarshaler = (*DNSThrottle)(nil)
 	_ StateMarshaler = (*HybridWindow)(nil)
-	_ StateMarshaler = (*TokenBucket)(nil)
 )

@@ -50,28 +50,6 @@ func (t *Table) PathCoverage(nodes []int) (float64, error) {
 	return float64(hits) / float64(total), nil
 }
 
-// NodeTransit counts, for every node, the number of ordered
-// source–destination shortest paths that transit it (pass through it as
-// an intermediate hop, endpoints excluded) — the unnormalized
-// betweenness the paper's degree-ranked "backbone" designation is a
-// proxy for.
-func (t *Table) NodeTransit() []int {
-	transit := make([]int, t.n)
-	for s := 0; s < t.n; s++ {
-		for d := 0; d < t.n; d++ {
-			if s == d || t.Dist(s, d) < 0 {
-				continue
-			}
-			u := t.NextHop(s, d)
-			for u != d {
-				transit[u]++
-				u = t.NextHop(u, d)
-			}
-		}
-	}
-	return transit
-}
-
 // MeanPathLength returns the average hop count over all connected
 // ordered pairs (0 for graphs with fewer than 2 reachable pairs).
 func (t *Table) MeanPathLength() float64 {

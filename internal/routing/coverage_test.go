@@ -106,25 +106,6 @@ func TestBackboneCoversMostPaths(t *testing.T) {
 	}
 }
 
-func TestNodeTransitStar(t *testing.T) {
-	const n = 5
-	g, err := topology.Star(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := Build(g)
-	transit := tab.NodeTransit()
-	// Hub transits every leaf-to-leaf pair: (n-1)(n-2) ordered pairs.
-	if want := (n - 1) * (n - 2); transit[topology.Hub] != want {
-		t.Errorf("hub transit = %d, want %d", transit[topology.Hub], want)
-	}
-	for v := 1; v < n; v++ {
-		if transit[v] != 0 {
-			t.Errorf("leaf %d transit = %d, want 0", v, transit[v])
-		}
-	}
-}
-
 func TestMeanPathLength(t *testing.T) {
 	g, err := topology.Star(5)
 	if err != nil {
@@ -138,26 +119,5 @@ func TestMeanPathLength(t *testing.T) {
 	}
 	if got := Build(topology.New(3)).MeanPathLength(); got != 0 {
 		t.Errorf("edgeless mean path length = %v, want 0", got)
-	}
-}
-
-// Transit correlates with degree on preferential-attachment graphs: the
-// top-degree node should be among the top transit nodes.
-func TestTransitDegreeCorrelation(t *testing.T) {
-	g, err := topology.BarabasiAlbert(300, 1, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := Build(g)
-	transit := tab.NodeTransit()
-	topDegree := g.NodesByDegreeDesc()[0]
-	rank := 0
-	for u, tr := range transit {
-		if tr > transit[topDegree] && u != topDegree {
-			rank++
-		}
-	}
-	if rank > 10 {
-		t.Errorf("top-degree node ranks %d by transit, want near the top", rank)
 	}
 }

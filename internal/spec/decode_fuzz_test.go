@@ -10,8 +10,10 @@ import (
 // FuzzSpecDecode feeds arbitrary bytes to Parse, the decoder wormsimd
 // runs on every HTTP submission. No input may panic, and every accepted
 // input must reach a canonical fixed point: Canonical → Parse →
-// Canonical reproduces the same bytes. The corpus seeds from the golden
-// spec fixtures and the YAML and reject cases of spec_test.go.
+// Canonical reproduces the same bytes. Every accepted spec's grid is
+// also counted: gridPoints must accept exactly the grids whose axis
+// lengths multiply to at most maxGridPoints. The corpus seeds from the
+// golden spec fixtures and the YAML and reject cases of spec_test.go.
 func FuzzSpecDecode(f *testing.F) {
 	golden, err := filepath.Glob(filepath.Join("testdata", "golden", "*.json"))
 	if err != nil {
@@ -47,6 +49,14 @@ func FuzzSpecDecode(f *testing.F) {
 		}
 		if !bytes.Equal(canon, canon2) {
 			t.Fatalf("canonical form is not a fixed point:\n%s\nvs\n%s", canon, canon2)
+		}
+		product := 1.0
+		for _, ax := range s.Grid {
+			product *= float64(len(ax.Values))
+		}
+		n, err := gridPoints(s.Grid)
+		if (err == nil) != (product <= maxGridPoints) || err == nil && float64(n) != product {
+			t.Fatalf("gridPoints = %d, %v for a %v-point grid", n, err, product)
 		}
 	})
 }

@@ -37,6 +37,10 @@ func (s *Spec) Expand() ([]*Compiled, error) {
 			return nil, fmt.Errorf("spec: grid[%d] (%s): no values", i, ax.Path)
 		}
 	}
+	total, err := gridPoints(s.Grid)
+	if err != nil {
+		return nil, err
+	}
 
 	base := *s
 	base.Grid = nil
@@ -49,10 +53,6 @@ func (s *Spec) Expand() ([]*Compiled, error) {
 		name = "scenario"
 	}
 
-	total := 1
-	for _, ax := range s.Grid {
-		total *= len(ax.Values)
-	}
 	points := make([]*Compiled, 0, total)
 	idx := make([]int, len(s.Grid))
 	for {
@@ -96,6 +96,26 @@ func (s *Spec) Expand() ([]*Compiled, error) {
 			return points, nil
 		}
 	}
+}
+
+// maxGridPoints caps the points one spec may expand to. Expand compiles
+// every point up front, so the cap bounds the time and memory one
+// expansion — and so one wormsimd submission — can take.
+const maxGridPoints = 10000
+
+// gridPoints returns the number of points the grid axes expand to: the
+// product of their lengths, 1 for no axes. A product above
+// maxGridPoints is an error, detected before it can overflow.
+func gridPoints(axes []Axis) (int, error) {
+	total := 1
+	for _, ax := range axes {
+		n := len(ax.Values)
+		if n != 0 && total > maxGridPoints/n {
+			return 0, fmt.Errorf("spec: grid has more than %d points", maxGridPoints)
+		}
+		total *= n
+	}
+	return total, nil
 }
 
 // setPath assigns raw to the dot-path in doc. Intermediate segments

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 )
 
 // minimal returns a small valid spec document in canonical JSON.
@@ -334,6 +335,47 @@ func TestExpandGrid(t *testing.T) {
 	}
 	if points[0].Scenario.DynamicQuarantine == nil || points[0].Scenario.DynamicQuarantine.TriggerLevel != 0.05 {
 		t.Errorf("quarantine axis did not create the section: %+v", points[0].Scenario.DynamicQuarantine)
+	}
+}
+
+// TestExpandRejectsHugeGrid: three 100,000-value axes (a ~600 KB spec,
+// under wormsimd's 1 MB body limit) multiply to 10^15 points. Expand
+// must refuse the grid from its axis lengths alone — an error, not a
+// makeslice panic, and before building anything.
+func TestExpandRejectsHugeGrid(t *testing.T) {
+	s, err := Parse([]byte(minimalJSON()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := make([]json.RawMessage, 100_000)
+	for i := range values {
+		values[i] = json.RawMessage("1")
+	}
+	s.Grid = []Axis{{Path: "seed", Values: values}, {Path: "ticks", Values: values}, {Path: "run.runs", Values: values}}
+	start := time.Now()
+	_, err = s.Expand()
+	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+		t.Errorf("Expand took %v to refuse the grid, want < 100ms", elapsed)
+	}
+	if err == nil || !strings.Contains(err.Error(), "more than 10000 points") {
+		t.Fatalf("Expand error = %v, want the point cap", err)
+	}
+}
+
+// TestGridPointsCap pins the count at the cap's boundary.
+func TestGridPointsCap(t *testing.T) {
+	axis := func(n int) Axis { return Axis{Values: make([]json.RawMessage, n)} }
+	if n, err := gridPoints(nil); n != 1 || err != nil {
+		t.Errorf("no grid: %d, %v; want 1 point", n, err)
+	}
+	if n, err := gridPoints([]Axis{axis(100), axis(100)}); n != maxGridPoints || err != nil {
+		t.Errorf("100x100: %d, %v; want %d points", n, err, maxGridPoints)
+	}
+	if _, err := gridPoints([]Axis{axis(100), axis(101)}); err == nil {
+		t.Error("100x101 accepted over the cap")
+	}
+	if _, err := gridPoints([]Axis{axis(maxGridPoints + 1)}); err == nil {
+		t.Error("a single axis over the cap accepted")
 	}
 }
 

@@ -3,10 +3,10 @@
 // Barabási–Albert preferential attachment as used by BRITE, Erdős–Rényi,
 // ring, grid, an explicit hierarchical subnet topology, and a
 // BRITE-style two-level AS internet — a power-law AS core whose stub
-// ASes each serve a host subnet), degree statistics, and the paper's
-// degree-ranked role assignment (top 5% of nodes by degree are backbone
-// routers, the next 10% edge routers, the remainder end hosts) with the
-// induced subnet partition.
+// ASes each serve a host subnet), degree queries, the spectral radius,
+// and the paper's degree-ranked role assignment (top 5% of nodes by
+// degree are backbone routers, the next 10% edge routers, the remainder
+// end hosts) with the induced subnet partition.
 //
 // The two-level generator is also the scale substrate: its
 // host-majority shape keeps the structural router's core table

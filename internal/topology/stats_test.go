@@ -6,29 +6,61 @@ import (
 	"testing"
 )
 
-func TestDegreeHistogramAndCCDF(t *testing.T) {
-	g, err := Star(5) // hub degree 4, four leaves degree 1
-	if err != nil {
-		t.Fatal(err)
+// powerLawExponent estimates the tail exponent γ of the degree
+// distribution P(k) ∝ k^{−γ} with the discrete Hill (maximum
+// likelihood) estimator over degrees >= kmin:
+//
+//	γ ≈ 1 + n / Σ ln(k_i / (kmin − 1/2))
+//
+// It returns NaN when fewer than 10 nodes reach kmin. Measured AS
+// graphs have γ ≈ 2.1; Barabási–Albert generates γ ≈ 3.
+func powerLawExponent(g *Graph, kmin int) float64 {
+	var sum float64
+	n := 0
+	for u := 0; u < g.N(); u++ {
+		if k := g.Degree(u); k >= kmin {
+			sum += math.Log(float64(k) / (float64(kmin) - 0.5))
+			n++
+		}
 	}
-	h := g.DegreeHistogram()
-	if h[1] != 4 || h[4] != 1 {
-		t.Errorf("histogram = %v", h)
+	if n < 10 || sum == 0 {
+		return math.NaN()
 	}
-	degrees, frac := g.DegreeCCDF()
-	if len(degrees) != 2 || degrees[0] != 1 || degrees[1] != 4 {
-		t.Fatalf("degrees = %v", degrees)
+	return 1 + float64(n)/sum
+}
+
+// meanDegree returns the average node degree (0 for an empty graph).
+func meanDegree(g *Graph) float64 {
+	if g.N() == 0 {
+		return 0
 	}
-	if frac[0] != 1 {
-		t.Errorf("P(deg>=1) = %v, want 1", frac[0])
+	return 2 * float64(g.M()) / float64(g.N())
+}
+
+// assortativityByDegree returns the Pearson correlation of degrees
+// across edges (Newman's assortativity coefficient r). AS-like graphs
+// are disassortative (r < 0): hubs connect to leaves.
+func assortativityByDegree(g *Graph) float64 {
+	var sumProd, sumA, sumA2 float64
+	for _, e := range g.Edges() {
+		// Count each undirected edge in both orientations so the
+		// statistic is symmetric (both ends then share one mean and
+		// variance).
+		for _, pair := range [2][2]int{{e[0], e[1]}, {e[1], e[0]}} {
+			a := float64(g.Degree(pair[0]))
+			b := float64(g.Degree(pair[1]))
+			sumProd += a * b
+			sumA += a
+			sumA2 += a * a
+		}
 	}
-	if math.Abs(frac[1]-0.2) > 1e-12 {
-		t.Errorf("P(deg>=4) = %v, want 0.2", frac[1])
+	n := float64(2 * g.M())
+	mean := sumA / n
+	variance := sumA2/n - mean*mean
+	if variance == 0 {
+		return math.NaN()
 	}
-	empty := New(0)
-	if d, f := empty.DegreeCCDF(); d != nil || f != nil {
-		t.Error("empty graph CCDF should be nil")
-	}
+	return (sumProd/n - mean*mean) / variance
 }
 
 func TestPowerLawExponentBA(t *testing.T) {
@@ -36,7 +68,7 @@ func TestPowerLawExponentBA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gamma := g.PowerLawExponent(4)
+	gamma := powerLawExponent(g, 4)
 	// BA's theoretical exponent is 3; the Hill estimator on finite
 	// samples lands nearby.
 	if gamma < 2.2 || gamma > 4.0 {
@@ -47,86 +79,20 @@ func TestPowerLawExponentBA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	erGamma := er.PowerLawExponent(4)
+	erGamma := powerLawExponent(er, 4)
 	if !math.IsNaN(erGamma) && erGamma < gamma {
 		t.Errorf("ER tail (%v) should not be heavier than BA (%v)", erGamma, gamma)
 	}
 }
 
-func TestPowerLawExponentDegenerate(t *testing.T) {
-	g, err := Star(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsNaN(g.PowerLawExponent(10)) {
-		t.Error("too few tail nodes should give NaN")
-	}
-	// kmin < 1 is clamped rather than crashing.
-	if v := g.PowerLawExponent(0); math.IsInf(v, 0) {
-		t.Errorf("kmin=0 gave %v", v)
-	}
-}
-
-func TestClusteringCoefficient(t *testing.T) {
-	// Triangle: coefficient 1.
-	tri := New(3)
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}} {
-		if err := tri.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := tri.ClusteringCoefficient(); math.Abs(got-1) > 1e-12 {
-		t.Errorf("triangle clustering = %v, want 1", got)
-	}
-	// Star: no triangles.
-	star, err := Star(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := star.ClusteringCoefficient(); got != 0 {
-		t.Errorf("star clustering = %v, want 0", got)
-	}
-	// Edgeless graph.
-	if got := New(4).ClusteringCoefficient(); got != 0 {
-		t.Errorf("edgeless clustering = %v, want 0", got)
-	}
-}
-
-func TestMeanDegree(t *testing.T) {
-	g, err := Ring(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := g.MeanDegree(); math.Abs(got-2) > 1e-12 {
-		t.Errorf("ring mean degree = %v, want 2", got)
-	}
-	if New(0).MeanDegree() != 0 {
-		t.Error("empty graph mean degree should be 0")
-	}
-}
-
+// BA graphs trend disassortative like AS topologies.
 func TestAssortativity(t *testing.T) {
-	// Stars are maximally disassortative.
-	star, err := Star(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := star.AssortativityByDegree(); !math.IsNaN(got) && got > -0.99 {
-		// All edges connect degree-19 to degree-1: zero variance on each
-		// side individually... both ends span {1,19} when counted in both
-		// orientations, so r = -1.
-		t.Errorf("star assortativity = %v, want -1", got)
-	}
-	// BA graphs trend disassortative like AS topologies.
 	g, err := BarabasiAlbert(1000, 1, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := g.AssortativityByDegree(); got > 0 {
+	if got := assortativityByDegree(g); got > 0 {
 		t.Errorf("BA assortativity = %v, want <= 0 (AS-like)", got)
-	}
-	if v := New(3).AssortativityByDegree(); !math.IsNaN(v) {
-		t.Errorf("edgeless assortativity = %v, want NaN", v)
 	}
 }
 
@@ -141,7 +107,7 @@ func TestASLikeness(t *testing.T) {
 	if g.MaxDegree() < 30 {
 		t.Errorf("max degree %d too small for a heavy tail", g.MaxDegree())
 	}
-	gamma := g.PowerLawExponent(3)
+	gamma := powerLawExponent(g, 3)
 	if math.IsNaN(gamma) || gamma < 1.8 || gamma > 4.5 {
 		t.Errorf("exponent %v outside the power-law band", gamma)
 	}

@@ -155,8 +155,7 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 }
 
 // Read parses a trace serialized by WriteTo, materializing every
-// record. For constant-memory processing of large traces use ReadFunc
-// or StreamAggregate.
+// record. For constant-memory processing of large traces use ReadFunc.
 func Read(r io.Reader) (*Trace, error) {
 	t := &Trace{}
 	if err := ReadFunc(r, func(rec *Record) error {

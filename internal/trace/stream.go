@@ -67,95 +67,3 @@ func parseRecord(text string) (Record, error) {
 		DNSTTL:    int64(vals[8]),
 	}, nil
 }
-
-// AggregateAnalyzer is the incremental form of AnalyzeAggregate: feed
-// time-ordered records one at a time, then call Finish. Useful for
-// analyzing traces too large to hold in memory.
-type AggregateAnalyzer struct {
-	a     *analyzer
-	set   hostSet
-	stats *ContactStats
-
-	all     map[ratelimit.IP]struct{}
-	noPrior map[ratelimit.IP]struct{}
-	nonDNS  map[ratelimit.IP]struct{}
-	done    bool
-}
-
-// NewAggregateAnalyzer builds an incremental aggregate analyzer over
-// the given internal hosts and window (milliseconds).
-func NewAggregateAnalyzer(hosts []int, window int64) (*AggregateAnalyzer, error) {
-	if window <= 0 {
-		return nil, fmt.Errorf("trace: window %d must be positive", window)
-	}
-	return &AggregateAnalyzer{
-		a:       newAnalyzer(window),
-		set:     makeHostSet(hosts),
-		stats:   &ContactStats{Window: window},
-		all:     make(map[ratelimit.IP]struct{}),
-		noPrior: make(map[ratelimit.IP]struct{}),
-		nonDNS:  make(map[ratelimit.IP]struct{}),
-	}, nil
-}
-
-func (s *AggregateAnalyzer) flush() {
-	s.stats.All.Add(len(s.all))
-	s.stats.NoPrior.Add(len(s.noPrior))
-	s.stats.NonDNS.Add(len(s.nonDNS))
-	clear(s.all)
-	clear(s.noPrior)
-	clear(s.nonDNS)
-}
-
-// Feed processes one record. Records must arrive in time order.
-func (s *AggregateAnalyzer) Feed(r *Record) error {
-	if s.done {
-		return fmt.Errorf("trace: analyzer already finished")
-	}
-	if r.Time < s.a.winStart {
-		return fmt.Errorf("trace: out-of-order record at %d (window start %d)", r.Time, s.a.winStart)
-	}
-	for r.Time-s.a.winStart >= s.a.window {
-		s.flush()
-		s.a.winStart += s.a.window
-	}
-	s.a.observe(r)
-	if !r.Outbound() {
-		return nil
-	}
-	if _, ok := s.set[HostIndex(r.Src)]; !ok {
-		return nil
-	}
-	s.all[r.Dst] = struct{}{}
-	np, nd := s.a.classify(r)
-	if np {
-		s.noPrior[r.Dst] = struct{}{}
-	}
-	if nd {
-		s.nonDNS[r.Dst] = struct{}{}
-	}
-	return nil
-}
-
-// Finish flushes the final window and returns the statistics. The
-// analyzer cannot be reused afterwards.
-func (s *AggregateAnalyzer) Finish() *ContactStats {
-	if !s.done {
-		s.flush()
-		s.done = true
-	}
-	return s.stats
-}
-
-// StreamAggregate runs the aggregate analysis directly over a
-// serialized trace stream with constant memory.
-func StreamAggregate(r io.Reader, hosts []int, window int64) (*ContactStats, error) {
-	an, err := NewAggregateAnalyzer(hosts, window)
-	if err != nil {
-		return nil, err
-	}
-	if err := ReadFunc(r, an.Feed); err != nil {
-		return nil, err
-	}
-	return an.Finish(), nil
-}

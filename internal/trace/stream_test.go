@@ -58,124 +58,3 @@ func TestReadFuncMalformed(t *testing.T) {
 		t.Error("short line should fail")
 	}
 }
-
-func TestStreamAggregateMatchesInMemory(t *testing.T) {
-	tr := handTrace()
-	want, err := AnalyzeAggregate(tr, []int{0}, 5*Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if _, err := tr.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := StreamAggregate(strings.NewReader(b.String()), []int{0}, 5*Second)
-	if err != nil {
-		t.Fatalf("StreamAggregate: %v", err)
-	}
-	for q := 0.1; q <= 1.0; q += 0.1 {
-		if got.All.Quantile(q) != want.All.Quantile(q) ||
-			got.NoPrior.Quantile(q) != want.NoPrior.Quantile(q) ||
-			got.NonDNS.Quantile(q) != want.NonDNS.Quantile(q) {
-			t.Fatalf("stream and in-memory disagree at q=%v", q)
-		}
-	}
-	if got.All.Total() != want.All.Total() {
-		t.Errorf("window counts differ: %d vs %d", got.All.Total(), want.All.Total())
-	}
-}
-
-func TestStreamAggregateOnGeneratedTrace(t *testing.T) {
-	cfg := smallConfig(5 * Minute)
-	tr, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := AnalyzeAggregate(tr, cfg.HostsOfClass(ClassInfected), 5*Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if _, err := tr.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := StreamAggregate(strings.NewReader(b.String()),
-		cfg.HostsOfClass(ClassInfected), 5*Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.All.Quantile(0.999) != want.All.Quantile(0.999) {
-		t.Errorf("P99.9 differs: %d vs %d", got.All.Quantile(0.999), want.All.Quantile(0.999))
-	}
-}
-
-func TestStreamPerHostMatchesInMemory(t *testing.T) {
-	tr := handTrace()
-	want, err := AnalyzePerHost(tr, []int{0, 1}, 5*Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if _, err := tr.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := StreamPerHost(strings.NewReader(b.String()), []int{0, 1}, 5*Second)
-	if err != nil {
-		t.Fatalf("StreamPerHost: %v", err)
-	}
-	if got.All.Total() != want.All.Total() {
-		t.Fatalf("sample counts differ: %d vs %d", got.All.Total(), want.All.Total())
-	}
-	for q := 0.1; q <= 1.0; q += 0.1 {
-		if got.All.Quantile(q) != want.All.Quantile(q) ||
-			got.NonDNS.Quantile(q) != want.NonDNS.Quantile(q) {
-			t.Fatalf("stream and in-memory per-host disagree at q=%v", q)
-		}
-	}
-}
-
-func TestPerHostAnalyzerErrors(t *testing.T) {
-	if _, err := NewPerHostAnalyzer([]int{0}, 0); err == nil {
-		t.Error("zero window should fail")
-	}
-	an, err := NewPerHostAnalyzer([]int{0}, 5*Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := an.Feed(&Record{Time: 10 * Second}); err != nil {
-		t.Fatal(err)
-	}
-	if err := an.Feed(&Record{Time: 1}); err == nil {
-		t.Error("out-of-order record should fail")
-	}
-	an.Finish()
-	if err := an.Feed(&Record{Time: 20 * Second}); err == nil {
-		t.Error("feeding after Finish should fail")
-	}
-}
-
-func TestAggregateAnalyzerErrors(t *testing.T) {
-	if _, err := NewAggregateAnalyzer([]int{0}, 0); err == nil {
-		t.Error("zero window should fail")
-	}
-	an, err := NewAggregateAnalyzer([]int{0}, 5*Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := an.Feed(&Record{Time: 10 * Second}); err != nil {
-		t.Fatal(err)
-	}
-	if err := an.Feed(&Record{Time: 1}); err == nil {
-		t.Error("out-of-order record should fail")
-	}
-	an.Finish()
-	if err := an.Feed(&Record{Time: 20 * Second}); err == nil {
-		t.Error("feeding after Finish should fail")
-	}
-	// Finish is idempotent.
-	a := an.Finish()
-	b := an.Finish()
-	if a != b {
-		t.Error("Finish should return the same stats")
-	}
-}

@@ -1,8 +1,6 @@
 // Package worm defines worm target-selection strategies (shared by the
-// discrete-event simulator) and behavioural profiles of the concrete
-// worms the paper's trace study observed (Blaster, Welchia) plus the
-// classic random scanners it cites (Code Red, Slammer), used by the
-// synthetic trace generator.
+// discrete-event simulator) and the protocol type of the worm scans the
+// trace records carry.
 package worm
 
 import (

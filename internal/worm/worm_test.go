@@ -160,28 +160,6 @@ func TestPickersInRangeProperty(t *testing.T) {
 	}
 }
 
-func TestProfiles(t *testing.T) {
-	if len(KnownProfiles()) != 4 {
-		t.Fatalf("profiles = %d, want 4", len(KnownProfiles()))
-	}
-	b, ok := ProfileByName("blaster")
-	if !ok || b.DstPort != 135 || b.Proto != ProtoTCP {
-		t.Errorf("blaster profile wrong: %+v ok=%v", b, ok)
-	}
-	w, ok := ProfileByName("welchia")
-	if !ok || !w.ICMPProbe {
-		t.Errorf("welchia profile wrong: %+v ok=%v", w, ok)
-	}
-	// The paper's footnote: Welchia's peak is an order of magnitude
-	// above Blaster's.
-	if w.PeakScanRate < 10*b.PeakScanRate {
-		t.Errorf("welchia %d vs blaster %d: want >= 10x", w.PeakScanRate, b.PeakScanRate)
-	}
-	if _, ok := ProfileByName("nimda"); ok {
-		t.Error("unknown profile should not resolve")
-	}
-}
-
 func TestProtoString(t *testing.T) {
 	tests := []struct {
 		p    Proto
