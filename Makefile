@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race vet audit chaos fuzz-smoke daemon-smoke crash-smoke replay-smoke bench bench-figures bench-smoke bench-scale bench-compare figures clean
+.PHONY: check build test race vet audit chaos fuzz-smoke daemon-smoke crash-smoke replay-smoke examples bench bench-figures bench-smoke bench-scale bench-compare figures clean
 
 ## check: the full gate — vet, build, race-enabled tests. The race run
 ## covers the concurrent layers: the replica and figure pools, the
@@ -98,6 +98,15 @@ replay-smoke:
 	$(GO) test -run 'TestGoldenReplay|TestReplay|TestRecordReplayer|TestSyntheticReplayer|TestWormFlow' -v ./internal/sim ./internal/trace
 	$(GO) test -run 'TestWorkload|TestMergeRunFlagsWorkload|TestRunSyntheticWorkload|TestRunTraceFileWorkload|TestCompileWorkload' -v ./internal/core ./internal/spec
 	$(GO) test -run 'TestRunTraceReplay|TestCollateralShape' -v ./cmd/wormsim ./internal/experiment
+
+## examples: run the library examples end to end — the public-API
+## consumers, which `build` only compiles. tracestudy (~13 s) is left
+## out; run it with `go run ./examples/tracestudy`.
+examples:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/enterprise
+	$(GO) run ./examples/immunization
+	$(GO) run ./examples/detection
 
 ## bench: the per-tick engine microbenchmarks, repeated so the output
 ## feeds benchstat directly (`make bench > new.txt && benchstat old.txt

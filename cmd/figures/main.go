@@ -198,7 +198,7 @@ func runSpec(ctx context.Context, fs *flag.FlagSet, path string, cli core.RunOpt
 	mod := func(c *spec.Compiled) {
 		c.Options = core.MergeRunFlags(fs, c.Options)
 	}
-	results, sstats, err := spec.Sweep(ctx, s, mod)
+	results, sstats, err := spec.Sweep(ctx, s, mod, nil)
 	for _, r := range results {
 		for _, w := range r.Warnings {
 			fmt.Fprintf(os.Stderr, "figures: warning: %s: %s\n", r.Point.Name, w)

@@ -232,9 +232,9 @@ func run(ctx context.Context, args []string) error {
 // section; a single-point spec prints the full series, a sweep prints
 // one summary line per point.
 func runSpec(ctx context.Context, fs *flag.FlagSet, s *spec.Spec, progress bool, metricsPath string) error {
-	points := 1
-	for _, ax := range s.Grid {
-		points *= len(ax.Values)
+	points, err := s.Points()
+	if err != nil {
+		return err
 	}
 	if metricsPath != "" && points > 1 {
 		return fmt.Errorf("-metrics needs a single-scenario spec; this sweep has %d points", points)
@@ -251,7 +251,7 @@ func runSpec(ctx context.Context, fs *flag.FlagSet, s *spec.Spec, progress bool,
 			}
 		}
 		if metricsPath != "" {
-			ticks := c.Scenario.Ticks
+			ticks := c.Spec.Ticks
 			if ticks == 0 {
 				ticks = 150
 			}
@@ -262,7 +262,7 @@ func runSpec(ctx context.Context, fs *flag.FlagSet, s *spec.Spec, progress bool,
 			}
 		}
 	}
-	results, sstats, err := spec.Sweep(ctx, s, mod)
+	results, sstats, err := spec.Sweep(ctx, s, mod, nil)
 	for _, r := range results {
 		for _, w := range r.Warnings {
 			fmt.Fprintf(os.Stderr, "wormsim: warning: %s: %s\n", r.Point.Name, w)
@@ -323,7 +323,8 @@ func runSpecFuzz(ctx context.Context, count int, seed int64, cli core.RunOptions
 		}
 		opts := cli
 		opts.Check = true
-		res, _, err := c.Scenario.Run(ctx, c.Runs, opts)
+		c.Options = opts
+		res, _, err := c.Run(ctx, nil)
 		if err != nil {
 			canon, _ := s.Canonical()
 			fmt.Fprintf(os.Stderr, "wormsim: specfuzz: sample %d failed:\n%s", i, canon)

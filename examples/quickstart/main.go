@@ -16,29 +16,31 @@ import (
 	"repro/internal/model"
 	"repro/internal/plot"
 	"repro/internal/runner"
+	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
 func main() {
 	// A Code-Red-style worm: every tick each infected host makes 10
 	// scan attempts, each hitting a uniformly random address with
 	// probability β = 0.8.
-	wormSpec := core.RandomWorm(0.8)
-	wormSpec.ScansPerTick = 10
-
-	open := core.Scenario{
-		Topology:        core.PowerLaw(1000),
-		Worm:            wormSpec,
+	open := &spec.Spec{
+		Format:          spec.Format,
+		Version:         spec.Version,
+		Topology:        spec.Topology{Kind: "powerlaw", Nodes: 1000},
+		Worm:            spec.Worm{Kind: "random", Beta: 0.8, ScansPerTick: 10},
 		Ticks:           150,
 		InitialInfected: 5,
+		Run:             &spec.Run{Runs: 10},
 	}
-	defended := open
-	defended.Defense = core.BackboneRateLimit(0.4)
+	defended := *open
+	defended.Defenses = []spec.Defense{{Kind: "backbone", Rate: 0.4}}
 
 	// Replicas run concurrently on a bounded worker pool; the averaged
 	// series is identical for any job count. Timeout caps the whole
 	// batch, and Progress reports throughput as replicas finish.
 	ctx := context.Background()
-	openRes, _, err := open.Run(ctx, 10, core.RunOptions{
+	openRes, err := run(ctx, open, core.RunOptions{
 		Timeout: 2 * time.Minute,
 		Progress: func(s runner.Stats) {
 			fmt.Fprintf(os.Stderr, "open: %d/%d runs (%.0f ticks/sec)\n",
@@ -48,7 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defRes, _, err := defended.Run(ctx, 10, core.RunOptions{Jobs: 4})
+	defRes, err := run(ctx, &defended, core.RunOptions{Jobs: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,6 +89,17 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(out)
+}
+
+// run compiles s and executes its replica batch under o.
+func run(ctx context.Context, s *spec.Spec, o core.RunOptions) (*sim.Result, error) {
+	c, err := s.Compile()
+	if err != nil {
+		return nil, err
+	}
+	c.Options = o
+	res, _, err := c.Run(ctx, nil)
+	return res, err
 }
 
 func series(label string, ys []float64) plot.Series {

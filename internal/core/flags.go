@@ -13,7 +13,8 @@ import (
 // knob exists on every command with one name, one type, and one help
 // string; o's pre-set fields become the flag defaults, which is how the
 // CLIs keep their different keep-going defaults. Progress, Collectors,
-// and Net are runtime hooks, not flags, and are left untouched.
+// and OnCheckpointError are runtime hooks, not flags, and are left
+// untouched.
 func BindRunFlags(fs *flag.FlagSet, o *RunOptions) {
 	fs.IntVar(&o.Jobs, "jobs", o.Jobs, "max concurrent replica simulations (0 = GOMAXPROCS)")
 	fs.DurationVar(&o.Timeout, "timeout", o.Timeout, "abort the whole batch after this duration (0 = none)")

@@ -1,6 +1,16 @@
+// Package core runs replica batches: RunOptions is the one declarative
+// description of how a batch executes (parallelism, deadlines,
+// retries, checkpoints, progress, metrics, trace-replay workload),
+// BindRunFlags exposes it on a command line, and Run executes a
+// sim.Config under it on the bounded replica pool.
+//
+// Scenarios themselves are described by internal/spec: a spec.Spec
+// lowers to the sim.Config Run takes, and (*spec.Compiled).Run is the
+// one-call path from a scenario to its averaged series.
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -16,9 +26,9 @@ import (
 // RunOptions is the one declarative description of how a batch of
 // replicas executes: parallelism, deadlines, fault tolerance,
 // checkpointing, and observability. It is the single source of truth
-// for every run knob — Scenario.Run takes it, experiment.Options
-// embeds it, BindRunFlags exposes it on a command line, and the spec
-// compiler (internal/spec) produces it from a scenario file. The zero
+// for every run knob — Run takes it, experiment.Options embeds it,
+// BindRunFlags exposes it on a command line, and the spec compiler
+// (internal/spec) produces it from a scenario file. The zero
 // value runs with library defaults (GOMAXPROCS replica workers, no
 // timeout, fail fast).
 //
@@ -83,16 +93,11 @@ type RunOptions struct {
 	// aborts the replica as before. Not serializable; caller-supplied.
 	OnCheckpointError func(run int, err error) error
 	// Collectors, when non-nil, builds a per-replica metrics collector
-	// (see internal/obs); called from worker goroutines and must be
-	// safe for concurrent calls with distinct run indices. Not
-	// serializable; caller-supplied.
+	// (see internal/obs), replacing the config's own CollectorFactory;
+	// called from worker goroutines and must be safe for concurrent
+	// calls with distinct run indices. Not serializable;
+	// caller-supplied.
 	Collectors func(run int) obs.Collector
-	// Net, when non-nil, supplies prebuilt topology state (graph,
-	// roles, routing tables) for the scenario, skipping
-	// materialization — see Scenario.BuildNet. The Net's key must
-	// match the scenario's NetKey; sweeps use this to share one
-	// routing construction across grid points.
-	Net *Net
 }
 
 // Validate checks every knob. Error messages name the command-line
@@ -144,34 +149,72 @@ func (o *RunOptions) RunnerOptions() []runner.Option {
 	return opts
 }
 
-// ReplicaCheckpoint is the per-replica checkpoint naming scheme shared
-// by every checkpoint layout in the module (core's flat directory,
-// experiment's per-figure batches): replica run of a batch rooted at
-// dir checkpoints to dir/replica-NNN.ckpt.
-func ReplicaCheckpoint(dir string, run int) string {
+// Run executes cfg `runs` times on a bounded replica pool and returns
+// the averaged per-tick series with the batch's final runner.Stats
+// (replicas completed/failed/retried, ticks simulated, failure
+// details). It is the one batch entry point the spec compiler, the
+// sweep engine, and the figure harness share: it validates the
+// options, applies the batch timeout, installs the audit, collectors,
+// workload, and checkpoint/resume sinks on cfg, lowers the remaining
+// knobs through RunOptions.RunnerOptions, and executes on
+// sim.MultiRun. Each replica seeds its RNG from cfg.Seed plus its
+// index, so the result is deterministic and independent of the job
+// count. Cancelling ctx (or exceeding o.Timeout) aborts the batch
+// between simulation ticks and returns the context's error.
+func Run(ctx context.Context, cfg sim.Config, runs int, o RunOptions) (*sim.Result, runner.Stats, error) {
+	if err := o.Validate(); err != nil {
+		return nil, runner.Stats{}, err
+	}
+	if o.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
+		defer cancel()
+	}
+	cfg.Check = cfg.Check || o.Check
+	if o.Collectors != nil {
+		cfg.CollectorFactory = o.Collectors
+	}
+	if o.Workload != nil {
+		if err := applyWorkload(&cfg, o.Workload); err != nil {
+			return nil, runner.Stats{}, err
+		}
+	}
+	info, statErr := os.Stat(o.Resume)
+	fromFile := o.Resume != "" && statErr == nil && !info.IsDir()
+	if fromFile && runs != 1 {
+		return nil, runner.Stats{}, fmt.Errorf("core: -resume with a single checkpoint file needs runs=1, got %d (pass the checkpoint directory instead)", runs)
+	}
+	if err := wireCheckpoints(&cfg, &o, fromFile); err != nil {
+		return nil, runner.Stats{}, err
+	}
+	return sim.MultiRun(ctx, cfg, runs, o.RunnerOptions()...)
+}
+
+// replicaCheckpoint names replica run's checkpoint in the batch
+// directory dir: dir/replica-NNN.ckpt.
+func replicaCheckpoint(dir string, run int) string {
 	return filepath.Join(dir, fmt.Sprintf("replica-%03d.ckpt", run))
 }
 
-// WireCheckpoints installs per-replica checkpoint and resume sinks on
-// cfg; core batches and experiment's per-figure batches both wire them
-// here. A non-empty dir is created, and replica r then writes
-// ReplicaCheckpoint(dir, r) every `every` ticks (0 means 10); onErr,
-// when non-nil, decides whether a failed write aborts the replica (see
-// RunOptions.OnCheckpointError). A non-empty resume makes replica r
-// restore from ReplicaCheckpoint(resume, r) — or, with resumeFile, from
-// the one checkpoint file resume — and start fresh when that file does
-// not exist.
-func WireCheckpoints(cfg *sim.Config, dir string, every int, onErr func(run int, err error) error, resume string, resumeFile bool) error {
-	if dir != "" {
+// wireCheckpoints installs o's per-replica checkpoint and resume sinks
+// on cfg. A non-empty o.Checkpoint is created, and replica r then
+// writes replicaCheckpoint(o.Checkpoint, r) every o.CheckpointEvery
+// ticks (0 means 10), consulting o.OnCheckpointError on a failed
+// write. A non-empty o.Resume makes replica r restore from
+// replicaCheckpoint(o.Resume, r) — or, with resumeFile, from the one
+// checkpoint file o.Resume — and start fresh when that file does not
+// exist.
+func wireCheckpoints(cfg *sim.Config, o *RunOptions, resumeFile bool) error {
+	if dir, onErr := o.Checkpoint, o.OnCheckpointError; dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return fmt.Errorf("core: checkpoint dir: %w", err)
 		}
-		cfg.CheckpointEvery = every
-		if every <= 0 {
+		cfg.CheckpointEvery = o.CheckpointEvery
+		if cfg.CheckpointEvery <= 0 {
 			cfg.CheckpointEvery = 10
 		}
 		cfg.CheckpointFactory = func(run int) func(*sim.Snapshot) error {
-			path := ReplicaCheckpoint(dir, run)
+			path := replicaCheckpoint(dir, run)
 			return func(snap *sim.Snapshot) error {
 				err := sim.WriteSnapshot(path, snap)
 				if err != nil && onErr != nil {
@@ -183,11 +226,11 @@ func WireCheckpoints(cfg *sim.Config, dir string, every int, onErr func(run int,
 			}
 		}
 	}
-	if resume != "" {
+	if resume := o.Resume; resume != "" {
 		cfg.ResumeFactory = func(run int) (*sim.Snapshot, error) {
 			path := resume
 			if !resumeFile {
-				path = ReplicaCheckpoint(resume, run)
+				path = replicaCheckpoint(resume, run)
 			}
 			snap, err := sim.ReadSnapshot(path)
 			if errors.Is(err, fs.ErrNotExist) {

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"context"
@@ -7,44 +7,40 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/topology"
+	"repro/internal/spec"
 	"repro/internal/trace"
 )
 
 // replayTestScenario is an enterprise topology with Williamson
 // throttles on its hosts — the deployment the collateral-damage
 // measurement targets.
-func replayTestScenario() Scenario {
-	return Scenario{
-		Topology: Enterprise(topology.HierarchicalConfig{
-			Backbones: 1, EdgesPer: 2, HostsPerSubnet: 12,
-		}),
-		Worm:    RandomWorm(0.8),
-		Defense: HostContactThrottle(4, 1, 20),
-		Ticks:   60,
-		Seed:    5,
-	}
+func replayTestScenario() *spec.Spec {
+	s := scenario(spec.Topology{Kind: "enterprise", Backbones: 1, EdgesPerBackbone: 2, HostsPerSubnet: 12},
+		random08, 60, spec.Defense{Kind: "throttle", WorkingSet: 4, Period: 1, Hosts: 20})
+	s.Seed = 5
+	return s
 }
 
 func TestWorkloadFlagBinding(t *testing.T) {
-	var o RunOptions
+	var o core.RunOptions
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	BindRunFlags(fs, &o)
+	core.BindRunFlags(fs, &o)
 	if err := fs.Parse([]string{"-trace-replay", "synthetic", "-trace-tick-ms", "500"}); err != nil {
 		t.Fatal(err)
 	}
-	if o.Workload == nil || o.Workload.Kind != WorkloadSynthetic || o.Workload.TickMS != 500 {
+	if o.Workload == nil || o.Workload.Kind != core.WorkloadSynthetic || o.Workload.TickMS != 500 {
 		t.Fatalf("flags parsed to %+v", o.Workload)
 	}
 
-	var o2 RunOptions
+	var o2 core.RunOptions
 	fs2 := flag.NewFlagSet("test", flag.ContinueOnError)
-	BindRunFlags(fs2, &o2)
+	core.BindRunFlags(fs2, &o2)
 	if err := fs2.Parse([]string{"-trace-replay", "trace.log"}); err != nil {
 		t.Fatal(err)
 	}
-	if o2.Workload == nil || o2.Workload.Kind != WorkloadTrace || o2.Workload.Path != "trace.log" {
+	if o2.Workload == nil || o2.Workload.Kind != core.WorkloadTrace || o2.Workload.Path != "trace.log" {
 		t.Fatalf("flags parsed to %+v", o2.Workload)
 	}
 }
@@ -53,16 +49,16 @@ func TestWorkloadFlagBinding(t *testing.T) {
 // profile when the command line overrides only the tick mapping, and
 // the merge never mutates the base spec in place.
 func TestMergeRunFlagsWorkload(t *testing.T) {
-	base := RunOptions{Workload: &WorkloadSpec{
-		Kind: WorkloadSynthetic, Infected: 3, Normal: 10, TickMS: 1000,
+	base := core.RunOptions{Workload: &core.WorkloadSpec{
+		Kind: core.WorkloadSynthetic, Infected: 3, Normal: 10, TickMS: 1000,
 	}}
-	var cli RunOptions
+	var cli core.RunOptions
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	BindRunFlags(fs, &cli)
+	core.BindRunFlags(fs, &cli)
 	if err := fs.Parse([]string{"-trace-tick-ms", "250"}); err != nil {
 		t.Fatal(err)
 	}
-	out := MergeRunFlags(fs, base)
+	out := core.MergeRunFlags(fs, base)
 	if out.Workload.TickMS != 250 {
 		t.Errorf("merged TickMS = %d, want 250", out.Workload.TickMS)
 	}
@@ -75,21 +71,21 @@ func TestMergeRunFlagsWorkload(t *testing.T) {
 }
 
 func TestWorkloadSpecValidate(t *testing.T) {
-	bad := []WorkloadSpec{
+	bad := []core.WorkloadSpec{
 		{},
 		{Kind: "replay"},
-		{Kind: WorkloadTrace},
-		{Kind: WorkloadSynthetic, Path: "x"},
-		{Kind: WorkloadSynthetic, TickMS: -1},
-		{Kind: WorkloadSynthetic, BlasterFraction: 1.5},
-		{Kind: WorkloadSynthetic, Infected: -1},
+		{Kind: core.WorkloadTrace},
+		{Kind: core.WorkloadSynthetic, Path: "x"},
+		{Kind: core.WorkloadSynthetic, TickMS: -1},
+		{Kind: core.WorkloadSynthetic, BlasterFraction: 1.5},
+		{Kind: core.WorkloadSynthetic, Infected: -1},
 	}
 	for i, w := range bad {
 		if err := w.Validate(); err == nil {
 			t.Errorf("case %d: %+v validated", i, w)
 		}
 	}
-	ok := WorkloadSpec{Kind: WorkloadSynthetic, TickMS: 500, Infected: 2, Normal: 8}
+	ok := core.WorkloadSpec{Kind: core.WorkloadSynthetic, TickMS: 500, Infected: 2, Normal: 8}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
 	}
@@ -99,13 +95,12 @@ func TestWorkloadSpecValidate(t *testing.T) {
 // replay workload and checks the collateral counters flow through the
 // collector seam.
 func TestRunSyntheticWorkload(t *testing.T) {
-	sc := replayTestScenario()
 	tally := obs.NewTally()
-	res, _, err := sc.Run(context.Background(), 1, RunOptions{
+	res, _, err := run(context.Background(), replayTestScenario(), 1, core.RunOptions{
 		Check:      true,
 		Collectors: func(int) obs.Collector { return tally },
-		Workload: &WorkloadSpec{
-			Kind: WorkloadSynthetic, Normal: 12, Servers: 2, P2P: 3, Infected: 3,
+		Workload: &core.WorkloadSpec{
+			Kind: core.WorkloadSynthetic, Normal: 12, Servers: 2, P2P: 3, Infected: 3,
 			BlasterFraction: 0.5,
 		},
 	})
@@ -148,12 +143,11 @@ func TestRunTraceFileWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sc := replayTestScenario()
 	tally := obs.NewTally()
-	res, _, err := sc.Run(context.Background(), 1, RunOptions{
+	res, _, err := run(context.Background(), replayTestScenario(), 1, core.RunOptions{
 		Check:      true,
 		Collectors: func(int) obs.Collector { return tally },
-		Workload:   &WorkloadSpec{Kind: WorkloadTrace, Path: path},
+		Workload:   &core.WorkloadSpec{Kind: core.WorkloadTrace, Path: path},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -519,7 +519,7 @@ func (s *Server) execute(ctx context.Context, j *Job) (runner.Report, error) {
 		}
 	}
 
-	results, _, err := spec.SweepCache(ctx, j.spec, mod, s.cache)
+	results, _, err := spec.Sweep(ctx, j.spec, mod, s.cache)
 	if err != nil {
 		return runner.Report{}, err
 	}

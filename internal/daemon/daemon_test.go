@@ -7,14 +7,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/topology"
 )
 
 // testSpec renders a small scenario spec with the given shape. extra is
@@ -435,6 +439,63 @@ func TestServerRestartResume(t *testing.T) {
 
 	if !bytes.Equal(resumed, control) {
 		t.Fatalf("resumed result diverged from uninterrupted run:\nresumed %d bytes\ncontrol %d bytes", len(resumed), len(control))
+	}
+}
+
+// TestRestartCountsPointsWithoutCompiling: reloading a persisted job
+// needs only its grid-point count, which Spec.Points takes from the
+// axis lengths. Restarting over a settled job with a ~100k-host point
+// must allocate less than generating that point's graph once — it
+// must not compile (and so materialize) the point.
+func TestRestartCountsPointsWithoutCompiling(t *testing.T) {
+	dataDir := t.TempDir()
+	dir := filepath.Join(dataDir, "jobs", "j000001")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	doc := `{
+  "format": "wormsim-scenario",
+  "version": 1,
+  "topology": {"kind": "twolevel", "ases": 400, "attach_m": 2, "transit_fraction": 0.05, "hosts_per_stub": 264},
+  "worm": {"kind": "random", "beta": 0.8}
+}`
+	rec, _ := json.Marshal(jobRecord{ID: "j000001", State: StateDone, PointsTotal: 1, PointsDone: 1})
+	if err := os.WriteFile(filepath.Join(dir, "spec.json"), []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "job.json"), rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	allocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var s *Server
+	restart := allocs(func() {
+		var err error
+		if s, err = New(Config{DataDir: dataDir}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	defer s.Close()
+	build := allocs(func() {
+		_, _, _, err := topology.TwoLevel(topology.TwoLevelConfig{
+			ASes: 400, AttachM: 2, TransitFraction: 0.05, HostsPerStub: 264,
+		}, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if restart >= build {
+		t.Errorf("restart allocated %d bytes, one materialization %d: the settled job was compiled", restart, build)
+	}
+	if j := s.jobs["j000001"]; j == nil || j.pointsTotal != 1 || j.state != StateDone {
+		t.Fatalf("reloaded job = %+v, want done with 1 point", j)
 	}
 }
 

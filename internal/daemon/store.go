@@ -135,7 +135,7 @@ func loadJob(dir string) (*Job, jobRecord, error) {
 	if err != nil {
 		return nil, rec, fmt.Errorf("spec.json: %w", err)
 	}
-	points, err := ps.Expand()
+	points, err := ps.Points()
 	if err != nil {
 		return nil, rec, fmt.Errorf("spec.json: %w", err)
 	}
@@ -150,7 +150,7 @@ func loadJob(dir string) (*Job, jobRecord, error) {
 		broker:      newBroker(defaultHistory),
 		state:       rec.State,
 		err:         rec.Error,
-		pointsTotal: len(points),
+		pointsTotal: points,
 		pointsDone:  rec.PointsDone,
 	}
 	switch rec.State {

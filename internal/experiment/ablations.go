@@ -131,7 +131,10 @@ func AblLinkWeights(ctx context.Context, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	weights := routing.Build(g).LinkWeights(g)
+	weights, err := routing.NewStructural(g, routing.EnumerateLinks(g)).LinkWeights(g)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: abl-weights: %w", err)
+	}
 	fig := plot.Figure{
 		Title:  "Ablation: uniform vs routing-table-weighted link budgets",
 		XLabel: "time (ticks)",

@@ -25,9 +25,9 @@ import (
 
 // Options tunes cost vs fidelity of a figure run. The run-execution
 // knobs (Jobs, Check, retries, checkpointing, ...) are the
-// embedded core.RunOptions — the same declarative struct the core
-// facade and the spec compiler use; experiment adds only the
-// figure-harness parameters on top.
+// embedded core.RunOptions — the same declarative struct core.Run and
+// the spec compiler use; every figure batch runs through core.Run, and
+// experiment adds only the figure-harness parameters on top.
 //
 // Figure checkpoints are laid out as
 // <Checkpoint>/<figure>/batch-NN/replica-NNN.ckpt — batches are
@@ -36,8 +36,10 @@ import (
 // a layout left by a previous interrupted run with identical options
 // (usually the same directory as Checkpoint); replicas without a
 // checkpoint start fresh. The single-file Resume form core supports
-// does not apply here. KeepGoing degrades per figure: each figure's
-// batch averages over the replicas that completed, and the per-figure
+// does not apply here, and neither do Workload and Collectors: each
+// figure defines its own workload, and Metrics is the harness's
+// collector. KeepGoing degrades per figure: each figure's batch
+// averages over the replicas that completed, and the per-figure
 // "replica_failed"/"replica_retries" counters (in Metrics) record what
 // was lost. When figures themselves run in parallel (RunAllStats), keep
 // Jobs small to avoid oversubscription.
@@ -56,8 +58,7 @@ type Options struct {
 	Quick bool
 	// Metrics, when non-nil, collects per-figure observability counters
 	// (summed over every simulation replica a figure runs) into the
-	// sink. Safe for concurrent figures. Takes precedence over the
-	// embedded Collectors hook, which the figure harness does not use.
+	// sink. Safe for concurrent figures.
 	Metrics *BatchMetrics
 
 	// figID is the figure currently being built; RunContext stamps it on
@@ -129,29 +130,26 @@ func (b *BatchMetrics) IDs() []string {
 }
 
 // multiRun is the one funnel every figure builder runs its simulation
-// batches through: it applies the audit, metrics, and checkpoint
-// options, lowers the fault-tolerance and parallelism knobs through
-// core.RunOptions.RunnerOptions (the module's single lowering point),
+// batches through: it points the checkpoint options at the batch's
+// <fig>/batch-NN directories, runs the batch through core.Run (which
+// applies the audit, metrics, checkpoint, and fault-tolerance knobs),
 // and attributes the batch's counters to the figure being built.
 func (o Options) multiRun(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
-	cfg.Check = o.Check
-	if o.Metrics != nil {
-		cfg.CollectorFactory = func(int) obs.Collector { return obs.NewTally() }
-	}
-	if (o.Checkpoint != "" || o.Resume != "") && o.ckptSeq != nil {
+	ro := o.RunOptions
+	ro.Checkpoint, ro.Resume, ro.Collectors, ro.Workload = "", "", nil, nil
+	if o.ckptSeq != nil {
 		batch := fmt.Sprintf("batch-%02d", o.ckptSeq.Add(1))
-		var dir, rdir string
 		if o.Checkpoint != "" {
-			dir = filepath.Join(o.Checkpoint, o.figID, batch)
+			ro.Checkpoint = filepath.Join(o.Checkpoint, o.figID, batch)
 		}
 		if o.Resume != "" {
-			rdir = filepath.Join(o.Resume, o.figID, batch)
-		}
-		if err := core.WireCheckpoints(&cfg, dir, o.CheckpointEvery, nil, rdir, false); err != nil {
-			return nil, err
+			ro.Resume = filepath.Join(o.Resume, o.figID, batch)
 		}
 	}
-	res, stats, err := sim.MultiRun(ctx, cfg, o.runs(), o.RunnerOptions()...)
+	if o.Metrics != nil {
+		ro.Collectors = func(int) obs.Collector { return obs.NewTally() }
+	}
+	res, stats, err := core.Run(ctx, cfg, o.runs(), ro)
 	if err != nil {
 		return nil, err
 	}

@@ -11,8 +11,8 @@
 // BFS over the core dequeues core nodes in the same order as Build's
 // full-graph BFS and Structural names the very link Build's next hop
 // does, equal-length tie-breaks included (DESIGN.md §9). Build's Table
-// stays the analysis path (Dist, PathCoverage, LinkWeights) and the
-// tests' reference.
+// stays the analysis path (Dist, PathCoverage) and the tests'
+// reference; Structural.LinkWeights computes the same link weights.
 package routing
 
 import (
@@ -145,7 +145,11 @@ func (t *Table) LinkLoads() map[LinkID]int {
 // load, so heavily used links get proportionally more budget. Links not
 // present in loads get the minimum weight floor (1/mean of one entry).
 func (t *Table) LinkWeights(g *topology.Graph) map[LinkID]float64 {
-	loads := t.LinkLoads()
+	return weights(g, t.LinkLoads())
+}
+
+// weights normalizes per-link loads into LinkWeights' form.
+func weights(g *topology.Graph, loads map[LinkID]int) map[LinkID]float64 {
 	edges := g.Edges()
 	if len(edges) == 0 {
 		return map[LinkID]float64{}
@@ -155,19 +159,19 @@ func (t *Table) LinkWeights(g *topology.Graph) map[LinkID]float64 {
 		total += loads[MakeLinkID(e[0], e[1])]
 	}
 	mean := float64(total) / float64(len(edges))
-	weights := make(map[LinkID]float64, len(edges))
+	out := make(map[LinkID]float64, len(edges))
 	for _, e := range edges {
 		id := MakeLinkID(e[0], e[1])
 		l := loads[id]
 		if mean <= 0 {
-			weights[id] = 1
+			out[id] = 1
 			continue
 		}
 		w := float64(l) / mean
 		if w < 1/mean { // floor: every live link can carry something
 			w = 1 / mean
 		}
-		weights[id] = w
+		out[id] = w
 	}
-	return weights
+	return out
 }

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"errors"
 	"math/bits"
 
 	"repro/internal/topology"
@@ -270,3 +271,50 @@ func (s *Structural) Core() int { return s.nc }
 
 // Hosts returns the number of degree-1 hosts routed structurally.
 func (s *Structural) Hosts() int { return len(s.node) - s.nc }
+
+// LinkWeights returns Table.LinkWeights(g) — the paper's
+// routing-table-proportional link weights — from the structural router
+// in O(N + C²) time and O(N) space, where C is the core size, instead
+// of the dense table's O(N²). g must be the graph s was built for. A
+// nil s, which NewStructural returns for a disconnected graph, is an
+// error.
+func (s *Structural) LinkWeights(g *topology.Graph) (map[LinkID]float64, error) {
+	if s == nil {
+		return nil, errors.New("routing: link weights need a connected graph")
+	}
+	return weights(g, s.linkLoads()), nil
+}
+
+// linkLoads counts Table.LinkLoads' routing-table entries per link
+// without the table. A host's uplink carries the host's N-1 entries
+// plus its router's one entry toward it. Every other entry (u, d) is
+// a core node's hop toward d's core column, so core node u's hop
+// toward column c carries one entry per node in that column: the core
+// node itself and the hosts attached to it.
+func (s *Structural) linkLoads() map[LinkID]int {
+	n := len(s.node)
+	hosts := make([]int, s.nc) // hosts attached to each core node
+	loads := make(map[LinkID]int)
+	for v, r := range s.node {
+		if r.attach >= 0 {
+			hosts[r.core]++
+			loads[MakeLinkID(v, int(r.attach))] += n
+		}
+	}
+	coreLoad := make([]int, len(s.fwdLink)) // per core CSR entry
+	for cu := 0; cu < s.nc; cu++ {
+		for c := 0; c < s.nc; c++ {
+			if c != cu {
+				slot := unpackSlot(s.hopBits, c*s.colBits+int(s.rowOff[cu]), s.wbits[cu])
+				coreLoad[int(s.coreStart[cu])+int(slot)] += 1 + hosts[c]
+			}
+		}
+	}
+	for k, l := range coreLoad {
+		if l > 0 {
+			li := int(s.fwdLink[k])
+			loads[MakeLinkID(s.links.From(li), s.links.To(li))] += l
+		}
+	}
+	return loads
+}

@@ -90,3 +90,71 @@ func TestStructuralPackedMatchesLegacy(t *testing.T) {
 		})
 	}
 }
+
+// TestStructuralLinkLoadsMatchTable: the O(N + C²) structural link
+// loads equal the dense table's LinkLoads entry for entry, so the link
+// weights the engine applies are the ones Table.LinkWeights defines.
+func TestStructuralLinkLoadsMatchTable(t *testing.T) {
+	star, err := topology.Star(30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ba1, err := topology.BarabasiAlbert(200, 1, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ba2, err := topology.BarabasiAlbert(120, 2, rand.New(rand.NewSource(6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hg, _, _, err := topology.Hierarchical(topology.HierarchicalConfig{
+		Backbones: 2, EdgesPer: 3, HostsPerSubnet: 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl, _, _, err := topology.TwoLevel(topology.TwoLevelConfig{
+		ASes: 24, AttachM: 2, TransitFraction: 0.25, HostsPerStub: 8,
+	}, rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*topology.Graph{
+		"star": star, "ba-m1": ba1, "ba-m2": ba2, "enterprise": hg, "twolevel": tl,
+	} {
+		tab := Build(g)
+		s := NewStructural(g, EnumerateLinks(g))
+		want, got := tab.LinkLoads(), s.linkLoads()
+		if len(got) != len(want) {
+			t.Errorf("%s: %d loaded links, want %d", name, len(got), len(want))
+		}
+		for id, l := range want {
+			if got[id] != l {
+				t.Errorf("%s: link %v load = %d, want %d", name, id, got[id], l)
+			}
+		}
+		w, err := s.LinkWeights(g)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for id, x := range tab.LinkWeights(g) {
+			if w[id] != x {
+				t.Errorf("%s: link %v weight = %v, want %v", name, id, w[id], x)
+			}
+		}
+	}
+}
+
+// TestStructuralLinkWeightsDisconnected: a disconnected graph has no
+// structural router, and asking it for link weights is an error.
+func TestStructuralLinkWeightsDisconnected(t *testing.T) {
+	g := topology.New(4)
+	for _, e := range [][2]int{{0, 1}, {2, 3}} {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := NewStructural(g, EnumerateLinks(g)).LinkWeights(g); err == nil {
+		t.Error("link weights of a disconnected graph: no error")
+	}
+}

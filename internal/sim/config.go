@@ -161,7 +161,7 @@ type Config struct {
 	// credit accumulator: 0.1 means one packet every ten ticks.
 	BaseRate float64
 	// LinkWeights scales each limited link's budget (nil = uniform 1).
-	// Use routing.Table.LinkWeights to reproduce the paper's
+	// Use routing.Structural.LinkWeights to reproduce the paper's
 	// routing-table-proportional weights.
 	LinkWeights map[routing.LinkID]float64
 	// NodeCaps limits the total packets a node may forward per tick

@@ -39,9 +39,8 @@ func TestFuzzSmoke(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fuzzed spec does not compile: %v\n%s", err, canon)
 			}
-			opts := c.Options
-			opts.Check = true // engine invariant audit on every tick
-			if _, _, err := c.Scenario.Run(context.Background(), c.Runs, opts); err != nil {
+			c.Options.Check = true // engine invariant audit on every tick
+			if _, _, err := c.Run(context.Background(), nil); err != nil {
 				t.Errorf("fuzzed spec failed under -check: %v\n%s", err, canon)
 			}
 		})
@@ -82,7 +81,7 @@ func TestSpectralThreshold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := c.Scenario.Run(context.Background(), c.Runs, c.Options)
+		res, _, err := c.Run(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

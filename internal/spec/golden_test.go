@@ -182,7 +182,7 @@ func TestGoldenSpecs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, _, err := c.Scenario.Run(context.Background(), c.Runs, c.Options)
+			res, _, err := c.Run(context.Background(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

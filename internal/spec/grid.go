@@ -98,6 +98,11 @@ func (s *Spec) Expand() ([]*Compiled, error) {
 	}
 }
 
+// Points returns the number of grid points the spec expands to — 1
+// with no grid — from the axis lengths alone, without compiling or
+// materializing anything. A grid over maxGridPoints is an error.
+func (s *Spec) Points() (int, error) { return gridPoints(s.Grid) }
+
 // maxGridPoints caps the points one spec may expand to. Expand compiles
 // every point up front, so the cap bounds the time and memory one
 // expansion — and so one wormsimd submission — can take.

@@ -3,13 +3,11 @@ package spec
 import (
 	"container/list"
 	"sync"
-
-	"repro/internal/core"
 )
 
 // NetCache is a size-capped LRU cache of immutable topology state
-// (core.Net: graph, roles, subnet partition, routing state), keyed by
-// Scenario.NetKey. It is the sweep engine's per-sweep dedup promoted
+// (Net: graph, roles, subnet partition, routing state), keyed by
+// Spec.NetKey. It is the sweep engine's per-sweep dedup promoted
 // to a shareable, bounded object: a sweep uses a private unbounded
 // cache, while the daemon keeps one capped cache alive across every
 // job it ever schedules, so repeated submissions over one topology
@@ -48,7 +46,7 @@ type netEntry struct {
 	elem  *list.Element
 	ready chan struct{} // closed when the build finished
 	done  bool          // set under mu once net/err are final
-	net   *core.Net
+	net   *Net
 	err   error
 }
 
@@ -64,7 +62,7 @@ func NewNetCache(cap int) *NetCache {
 // miss. The second result reports whether this call performed the
 // build — the signal SweepStats.NetBuilds counts. Build errors are
 // returned to every waiter but never cached: the next Get retries.
-func (c *NetCache) Get(key string, build func() (*core.Net, error)) (*core.Net, bool, error) {
+func (c *NetCache) Get(key string, build func() (*Net, error)) (*Net, bool, error) {
 	c.mu.Lock()
 	if e, ok := c.byKey[key]; ok {
 		c.lru.MoveToFront(e.elem)

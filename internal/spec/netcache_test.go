@@ -7,9 +7,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/core"
 )
+
+// starSpec is an n-node star scenario.
+func starSpec(n int) *Spec {
+	return &Spec{Topology: Topology{Kind: "star", Nodes: n}, Worm: Worm{Kind: "random", Beta: 0.5}}
+}
 
 // TestSweepCacheWarmReuse pins the NetBuilds semantics the daemon
 // relies on: NetBuilds counts builds *this sweep performed*, so a
@@ -19,7 +22,7 @@ import (
 func TestSweepCacheWarmReuse(t *testing.T) {
 	cache := NewNetCache(8)
 
-	cold, coldStats, err := SweepCache(context.Background(), sweepSpec(t), nil, cache)
+	cold, coldStats, err := Sweep(context.Background(), sweepSpec(t), nil, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +30,7 @@ func TestSweepCacheWarmReuse(t *testing.T) {
 		t.Fatalf("cold sweep NetBuilds = %d, want 1", coldStats.NetBuilds)
 	}
 
-	warm, warmStats, err := SweepCache(context.Background(), sweepSpec(t), nil, cache)
+	warm, warmStats, err := Sweep(context.Background(), sweepSpec(t), nil, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +52,8 @@ func TestSweepCacheWarmReuse(t *testing.T) {
 // lifetime, correctness unchanged.
 func TestNetCacheLRUEviction(t *testing.T) {
 	cache := NewNetCache(1)
-	build := func(nodes int) func() (*core.Net, error) {
-		sc := core.Scenario{Topology: core.Star(nodes), Worm: core.RandomWorm(0.5)}
-		return sc.BuildNet
+	build := func(nodes int) func() (*Net, error) {
+		return starSpec(nodes).BuildNet
 	}
 
 	if _, built, err := cache.Get("a", build(10)); err != nil || !built {
@@ -80,14 +82,13 @@ func TestNetCacheLRUEviction(t *testing.T) {
 func TestNetCacheConcurrentSingleBuild(t *testing.T) {
 	cache := NewNetCache(4)
 	var builds atomic.Int32
-	sc := core.Scenario{Topology: core.Star(50), Worm: core.RandomWorm(0.5)}
-	build := func() (*core.Net, error) {
+	build := func() (*Net, error) {
 		builds.Add(1)
-		return sc.BuildNet()
+		return starSpec(50).BuildNet()
 	}
 
 	const callers = 8
-	nets := make([]*core.Net, callers)
+	nets := make([]*Net, callers)
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
@@ -106,7 +107,7 @@ func TestNetCacheConcurrentSingleBuild(t *testing.T) {
 	}
 	for i := 1; i < callers; i++ {
 		if nets[i] != nets[0] {
-			t.Fatalf("caller %d got a different *core.Net than caller 0", i)
+			t.Fatalf("caller %d got a different *Net than caller 0", i)
 		}
 	}
 }
@@ -117,15 +118,14 @@ func TestNetCacheBuildErrorNotCached(t *testing.T) {
 	cache := NewNetCache(4)
 	boom := errors.New("boom")
 	calls := 0
-	_, built, err := cache.Get("k", func() (*core.Net, error) { calls++; return nil, boom })
+	_, built, err := cache.Get("k", func() (*Net, error) { calls++; return nil, boom })
 	if !errors.Is(err, boom) || built {
 		t.Fatalf("failed build: built=%v err=%v, want boom and built=false", built, err)
 	}
 	if s := cache.Stats(); s.Size != 0 || s.Builds != 0 {
 		t.Fatalf("stats after failed build = %+v, want empty cache", s)
 	}
-	sc := core.Scenario{Topology: core.Star(10), Worm: core.RandomWorm(0.5)}
-	_, built, err = cache.Get("k", func() (*core.Net, error) { calls++; return sc.BuildNet() })
+	_, built, err = cache.Get("k", func() (*Net, error) { calls++; return starSpec(10).BuildNet() })
 	if err != nil || !built {
 		t.Fatalf("retry after failed build: built=%v err=%v, want fresh build", built, err)
 	}
@@ -156,7 +156,7 @@ grid:
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, stats, err := Sweep(context.Background(), s, nil)
+	results, stats, err := Sweep(context.Background(), s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ grid:
 		t.Fatalf("stats = %+v, want 2 points sharing 1 net build", stats)
 	}
 	for _, r := range results {
-		key, err := r.Point.Scenario.NetKey()
+		key, err := r.Point.Spec.NetKey()
 		if err != nil {
 			t.Fatal(err)
 		}

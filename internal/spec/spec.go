@@ -1,10 +1,15 @@
 // Package spec is the declarative scenario layer: a versioned JSON/YAML
 // file format describing a complete experiment — topology, worm,
 // defense stack, quarantine, immunization, fault profile, observability
-// switches, run options, and an optional parameter grid — plus the
-// compiler lowering a parsed Spec onto the core facade
-// (core.Scenario + core.RunOptions) and the sweep engine executing grid
-// expansions as replica batches that share immutable topology state.
+// switches, run options, and an optional parameter grid. A Spec is the
+// module's one scenario vocabulary: the CLIs, the wormsimd daemon, and
+// library callers all describe an experiment point as a Spec. The
+// package lowers a Spec straight onto sim.Config (topology, worm,
+// defense stack, quarantine, immunization, faults, observation) and its
+// run section onto core.RunOptions; Compiled.Run executes one point
+// through core.Run, Spec.Model returns the paper's matching closed
+// form, and the sweep engine runs grid expansions as replica batches
+// that share immutable topology state.
 //
 // Like the engine's snapshot files (sim.Snapshot), every spec carries a
 // format/version envelope and is rejected loudly on skew: a spec
@@ -17,14 +22,14 @@ package spec
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fault"
-	"repro/internal/topology"
+	"repro/internal/runner"
+	"repro/internal/sim"
 )
 
 // Format is the envelope identifier every scenario spec must carry.
@@ -35,8 +40,7 @@ const Version = 1
 
 // Spec is the on-disk scenario description. Field names (via their
 // JSON tags) are the stable file-format vocabulary; the YAML form uses
-// the same names. Zero values inherit the same defaults as the
-// core.Scenario they compile to.
+// the same names. Zero values get the defaults noted on each field.
 type Spec struct {
 	// Format must be "wormsim-scenario".
 	Format string `json:"format"`
@@ -47,8 +51,9 @@ type Spec struct {
 
 	Topology Topology `json:"topology"`
 	Worm     Worm     `json:"worm"`
-	// Defenses is the rate-limiting deployment stack; the first entry
-	// is the primary defense (the one Scenario.Model describes).
+	// Defenses is the rate-limiting deployment stack, applied in order;
+	// a single entry is the defense Spec.Model describes. All stacked
+	// defenses share the Quarantine trigger.
 	Defenses   []Defense   `json:"defenses,omitempty"`
 	Quarantine *Quarantine `json:"quarantine,omitempty"`
 	Immunize   *Immunize   `json:"immunize,omitempty"`
@@ -142,7 +147,8 @@ type Defense struct {
 	Hosts      int   `json:"hosts,omitempty"`
 }
 
-// Workload mirrors core.WorkloadSpec: a trace-replay scan source.
+// Workload is a trace-replay scan source; it converts field for field
+// to core.WorkloadSpec, which documents it.
 type Workload struct {
 	// Kind is "synthetic" (the generator's traffic profile) or "trace"
 	// (replay a serialized trace file).
@@ -168,18 +174,30 @@ type Workload struct {
 	WormOnsetMS int64 `json:"worm_onset_ms,omitempty"`
 }
 
-// Quarantine mirrors core.QuarantineSpec.
+// Quarantine makes the defense stack dynamic (the paper's title
+// scenario): the stack stays inactive until the worm is detected and
+// engages Delay ticks later.
 type Quarantine struct {
-	TriggerScansPerTick int     `json:"trigger_scans_per_tick,omitempty"`
-	TriggerLevel        float64 `json:"trigger_level,omitempty"`
-	Delay               int     `json:"delay,omitempty"`
+	// TriggerScansPerTick fires the detector when one tick carries this
+	// many worm packets.
+	TriggerScansPerTick int `json:"trigger_scans_per_tick,omitempty"`
+	// TriggerLevel fires the detector when the infected fraction
+	// reaches this level — a perfect-knowledge trigger for comparing
+	// against detector-driven activation (<= 0 disables it).
+	TriggerLevel float64 `json:"trigger_level,omitempty"`
+	// Delay is the detection-to-deployment lag in ticks.
+	Delay int `json:"delay,omitempty"`
 }
 
-// Immunize mirrors core.ImmunizationSpec.
+// Immunize configures delayed patching.
 type Immunize struct {
+	// StartLevel triggers patching when the infected fraction reaches
+	// this level (used when StartTick is 0 or negative).
 	StartLevel float64 `json:"start_level,omitempty"`
-	StartTick  int     `json:"start_tick,omitempty"`
-	Mu         float64 `json:"mu"`
+	// StartTick triggers patching at a fixed tick when positive.
+	StartTick int `json:"start_tick,omitempty"`
+	// Mu is the per-tick patch probability.
+	Mu float64 `json:"mu"`
 }
 
 // Faults mirrors fault.Profile.
@@ -301,144 +319,24 @@ func (s *Spec) Canonical() ([]byte, error) {
 	return append(buf, '\n'), nil
 }
 
-// Compiled is one runnable grid point: the lowered scenario, its run
+// Compiled is one runnable grid point: the point's spec, its run
 // options, and the replica count.
 type Compiled struct {
 	// Name labels the point: the spec name plus, for grid points, the
 	// axis assignments ("sweep[worm.beta=0.4]").
-	Name     string
-	Scenario core.Scenario
-	Options  core.RunOptions
+	Name    string
+	Spec    *Spec
+	Options core.RunOptions
 	// Runs is the number of replicas to average (>= 1).
 	Runs int
 }
 
-// Compile lowers the spec (ignoring any grid — see Expand) onto the
-// core facade and validates the result, so every error a scenario can
-// raise surfaces before a batch is scheduled.
+// Compile lowers the spec's run section (ignoring any grid — see
+// Expand) onto core.RunOptions and validates the whole point by
+// lowering the scenario once, so every error a scenario can raise
+// surfaces before a batch is scheduled.
 func (s *Spec) Compile() (*Compiled, error) {
-	sc := core.Scenario{
-		Ticks:           s.Ticks,
-		Seed:            s.Seed,
-		TopologySeed:    s.TopologySeed,
-		InitialInfected: s.InitialInfected,
-		MaxQueue:        s.MaxQueue,
-		Drop:            s.Drop,
-		HostsOnly:       s.HostsOnly,
-	}
-
-	switch s.Topology.Kind {
-	case "star":
-		sc.Topology = core.Star(s.Topology.Nodes)
-	case "powerlaw":
-		m := s.Topology.Edges
-		if m == 0 {
-			m = 1
-		}
-		sc.Topology = core.PowerLawM(s.Topology.Nodes, m)
-	case "enterprise":
-		sc.Topology = core.Enterprise(topology.HierarchicalConfig{
-			Backbones:      s.Topology.Backbones,
-			EdgesPer:       s.Topology.EdgesPerBackbone,
-			HostsPerSubnet: s.Topology.HostsPerSubnet,
-		})
-	case "twolevel":
-		sc.Topology = core.ASInternet(topology.TwoLevelConfig{
-			ASes:            s.Topology.ASes,
-			AttachM:         s.Topology.AttachM,
-			TransitFraction: s.Topology.TransitFraction,
-			HostsPerStub:    s.Topology.HostsPerStub,
-		})
-	default:
-		return nil, fmt.Errorf("spec: unknown topology kind %q (want star, powerlaw, enterprise, twolevel)", s.Topology.Kind)
-	}
-
-	switch s.Worm.Kind {
-	case "random":
-		sc.Worm = core.RandomWorm(s.Worm.Beta)
-	case "local":
-		sc.Worm = core.LocalPreferentialWorm(s.Worm.Beta, s.Worm.LocalPref)
-	case "sequential":
-		sc.Worm = core.SequentialWorm(s.Worm.Beta)
-	default:
-		return nil, fmt.Errorf("spec: unknown worm kind %q (want random, local, sequential)", s.Worm.Kind)
-	}
-	sc.Worm.ScansPerTick = s.Worm.ScansPerTick
-	sc.Worm.ProbeFirst = s.Worm.ProbeFirst
-
-	for i, d := range s.Defenses {
-		var ds core.DefenseSpec
-		switch d.Kind {
-		case "none":
-			ds = core.NoDefense()
-		case "host":
-			ds = core.HostRateLimit(d.Fraction, d.Rate)
-		case "edge":
-			ds = core.EdgeRateLimit(d.Rate)
-		case "backbone":
-			if d.Weighted {
-				ds = core.BackboneRateLimitWeighted(d.Rate)
-			} else {
-				ds = core.BackboneRateLimit(d.Rate)
-			}
-		case "hub":
-			ds = core.HubCap(d.HubCap)
-		case "overrides":
-			rates := make(map[int]float64, len(d.Overrides))
-			for k, v := range d.Overrides {
-				node, err := strconv.Atoi(k)
-				if err != nil {
-					return nil, fmt.Errorf("spec: defenses[%d]: override key %q is not a node id", i, k)
-				}
-				rates[node] = v
-			}
-			ds = core.ScanRateOverrides(rates)
-		case "throttle":
-			ds = core.HostContactThrottle(d.WorkingSet, d.Period, d.Hosts)
-		default:
-			return nil, fmt.Errorf("spec: defenses[%d]: unknown kind %q", i, d.Kind)
-		}
-		if i == 0 {
-			sc.Defense = ds
-		} else {
-			sc.Defenses = append(sc.Defenses, ds)
-		}
-	}
-
-	if s.Quarantine != nil {
-		sc.DynamicQuarantine = &core.QuarantineSpec{
-			TriggerScansPerTick: s.Quarantine.TriggerScansPerTick,
-			TriggerLevel:        s.Quarantine.TriggerLevel,
-			Delay:               s.Quarantine.Delay,
-		}
-	}
-	if s.Immunize != nil {
-		sc.Immunize = &core.ImmunizationSpec{
-			StartLevel: s.Immunize.StartLevel,
-			StartTick:  s.Immunize.StartTick,
-			Mu:         s.Immunize.Mu,
-		}
-	}
-	if s.Faults != nil {
-		p := &fault.Profile{
-			Seed:                 s.Faults.Seed,
-			FalseAlarmPerTick:    s.Faults.FalseAlarmPerTick,
-			MissRate:             s.Faults.MissRate,
-			ImmunizationLossRate: s.Faults.ImmunizationLossRate,
-			ImmunizationDelay:    s.Faults.ImmunizationDelay,
-		}
-		for _, w := range s.Faults.LimiterOutages {
-			p.LimiterOutages = append(p.LimiterOutages, fault.Window{Start: w.Start, End: w.End})
-		}
-		sc.Faults = p
-	}
-	if s.Observe != nil {
-		sc.RecordInfections = s.Observe.Infections
-		sc.TrackSubnets = s.Observe.Subnets
-		sc.TrackLatency = s.Observe.Latency
-	}
-
-	c := &Compiled{Name: s.Name, Scenario: sc, Runs: 1}
+	c := &Compiled{Name: s.Name, Spec: s, Runs: 1}
 	if c.Name == "" {
 		c.Name = "scenario"
 	}
@@ -470,37 +368,33 @@ func (s *Spec) Compile() (*Compiled, error) {
 			return nil, err
 		}
 	}
-
 	if s.Workload != nil {
-		c.Options.Workload = &core.WorkloadSpec{
-			Kind:            s.Workload.Kind,
-			Path:            s.Workload.Path,
-			TickMS:          s.Workload.TickMS,
-			DurationMS:      s.Workload.DurationMS,
-			Seed:            s.Workload.Seed,
-			Normal:          s.Workload.Normal,
-			Servers:         s.Workload.Servers,
-			P2P:             s.Workload.P2P,
-			Infected:        s.Workload.Infected,
-			BlasterFraction: s.Workload.BlasterFraction,
-			WormOnsetMS:     s.Workload.WormOnsetMS,
-		}
+		w := core.WorkloadSpec(*s.Workload)
+		c.Options.Workload = &w
 	}
 
 	if err := c.Options.Validate(); err != nil {
 		return nil, err
 	}
-	if err := c.Scenario.Validate(); err != nil {
+	cfg, err := s.config(nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// Validate checks the whole spec, including every grid point, without
-// running anything.
-func (s *Spec) Validate() error {
-	_, err := s.Expand()
-	return err
+// Run executes the point's replica batch through core.Run. A non-nil
+// net supplies prebuilt topology state (see Spec.BuildNet); its key
+// must match the point's NetKey.
+func (c *Compiled) Run(ctx context.Context, net *Net) (*sim.Result, runner.Stats, error) {
+	cfg, err := c.Spec.config(net)
+	if err != nil {
+		return nil, runner.Stats{}, err
+	}
+	return core.Run(ctx, cfg, c.Runs, c.Options)
 }
 
 // parseDuration parses an optional duration string field.

@@ -33,7 +33,7 @@ func TestParseRoundTripByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Validate(); err != nil {
+	if _, err := s.Expand(); err != nil {
 		t.Fatal(err)
 	}
 	out, err := s.Canonical()
@@ -323,8 +323,8 @@ func TestExpandGrid(t *testing.T) {
 		points[3].Name != "mini[worm.beta=0.6,seed=1]" {
 		t.Errorf("point order wrong: %q, %q, ..., %q", points[0].Name, points[1].Name, points[3].Name)
 	}
-	if points[3].Scenario.Worm.Beta != 0.6 || points[3].Scenario.Seed != 1 {
-		t.Errorf("point 3 values wrong: %+v", points[3].Scenario)
+	if points[3].Spec.Worm.Beta != 0.6 || points[3].Spec.Seed != 1 {
+		t.Errorf("point 3 values wrong: %+v", points[3].Spec)
 	}
 
 	// An axis can target a section the base spec omitted entirely.
@@ -333,8 +333,8 @@ func TestExpandGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if points[0].Scenario.DynamicQuarantine == nil || points[0].Scenario.DynamicQuarantine.TriggerLevel != 0.05 {
-		t.Errorf("quarantine axis did not create the section: %+v", points[0].Scenario.DynamicQuarantine)
+	if points[0].Spec.Quarantine == nil || points[0].Spec.Quarantine.TriggerLevel != 0.05 {
+		t.Errorf("quarantine axis did not create the section: %+v", points[0].Spec.Quarantine)
 	}
 }
 
@@ -359,6 +359,32 @@ func TestExpandRejectsHugeGrid(t *testing.T) {
 	}
 	if err == nil || !strings.Contains(err.Error(), "more than 10000 points") {
 		t.Fatalf("Expand error = %v, want the point cap", err)
+	}
+}
+
+// TestExpandWeightedBackboneScales: a weighted backbone takes its
+// link weights from the structural router in O(N + C²), not from the
+// dense all-pairs table, so expanding a 9,768-node two-level spec —
+// which wormsimd does inside its Submit handler — stays fast. The dense
+// table took seconds and gigabytes here, growing with N².
+func TestExpandWeightedBackboneScales(t *testing.T) {
+	s := &Spec{
+		Format: Format, Version: Version,
+		Topology: Topology{Kind: "twolevel", ASes: 40, AttachM: 2, TransitFraction: 0.05, HostsPerStub: 256},
+		Worm:     Worm{Kind: "random", Beta: 0.8},
+		Defenses: []Defense{{Kind: "backbone", Rate: 0.4, Weighted: true}},
+	}
+	start := time.Now()
+	points, err := s.Expand()
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.Topology.nodes(); err != nil || n != 9768 || len(points) != 1 {
+		t.Fatalf("%d points over %d nodes (%v), want 1 over 9768", len(points), n, err)
+	}
+	if elapsed > 200*time.Millisecond {
+		t.Errorf("Expand took %v, want < 200ms", elapsed)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 
 // PointResult is the outcome of one grid point of a sweep.
 type PointResult struct {
-	// Point is the compiled scenario that ran (name, scenario,
-	// options, replica count).
+	// Point is the compiled scenario that ran (name, spec, options,
+	// replica count).
 	Point *Compiled
 	// Result is the averaged series (nil when Err is set).
 	Result *sim.Result
@@ -32,8 +32,7 @@ type SweepStats struct {
 	// materialized — cache misses that built, not Gets. Grid points
 	// whose axes leave the topology alone share one build, so a pure
 	// worm/defense sweep on a cold cache builds 1 regardless of grid
-	// size; a sweep run over an already-warm shared cache (SweepCache)
-	// can report 0.
+	// size; a sweep run over an already-warm shared cache can report 0.
 	NetBuilds int
 	// Failed counts points that errored.
 	Failed int
@@ -45,13 +44,14 @@ type SweepStats struct {
 // oversubscribe each other, and so results arrive in grid order).
 //
 // Immutable topology state is deduplicated across points by
-// Scenario.NetKey: the first point with a given key materializes the
-// graph and routing tables (core.Scenario.BuildNet), and every later
-// point with the same key reuses them via RunOptions.Net. A β sweep
-// over a 100k-node topology builds routing once, not once per point.
-// Sweep dedups through a private, unbounded NetCache that lives for
-// this call only; a long-lived scheduler sharing one warm cache across
-// many sweeps uses SweepCache instead.
+// Spec.NetKey through cache: the first point with a given key
+// materializes the graph and routing tables (Spec.BuildNet), and every
+// later point with the same key reuses them. A β sweep over a
+// 100k-node topology builds routing once, not once per point. A nil
+// cache means a private, unbounded one that lives for this call only;
+// a long-lived scheduler (the wormsimd daemon) passes one capped cache
+// that outlives every sweep, so SweepStats.NetBuilds counts only the
+// builds this sweep performed.
 //
 // mod, when non-nil, is applied to each compiled point before it runs
 // — the CLIs use it to overlay command-line flags on the spec's run
@@ -59,16 +59,10 @@ type SweepStats struct {
 // modified) options set KeepGoing, in which case the failure is
 // recorded in its PointResult and the sweep continues; Sweep returns
 // an error only when every point failed or the context was cancelled.
-func Sweep(ctx context.Context, s *Spec, mod func(*Compiled)) ([]PointResult, SweepStats, error) {
-	return SweepCache(ctx, s, mod, NewNetCache(0))
-}
-
-// SweepCache is Sweep running its topology dedup through a
-// caller-supplied NetCache — the sharing point between the sweep engine
-// and the wormsimd daemon, whose cache outlives any one sweep and is
-// capped by an LRU. SweepStats.NetBuilds counts only the builds this
-// sweep performed: points served from an already-warm cache report 0.
-func SweepCache(ctx context.Context, s *Spec, mod func(*Compiled), cache *NetCache) ([]PointResult, SweepStats, error) {
+func Sweep(ctx context.Context, s *Spec, mod func(*Compiled), cache *NetCache) ([]PointResult, SweepStats, error) {
+	if cache == nil {
+		cache = NewNetCache(0)
+	}
 	points, err := s.Expand()
 	if err != nil {
 		return nil, SweepStats{}, err
@@ -80,26 +74,21 @@ func SweepCache(ctx context.Context, s *Spec, mod func(*Compiled), cache *NetCac
 			mod(c)
 		}
 		stats.Points++
-		pr := PointResult{Point: c, Warnings: c.Scenario.Warnings()}
-
-		key, kerr := c.Scenario.NetKey()
-		if kerr != nil {
-			pr.Err = kerr
-		} else {
-			sc := c.Scenario
-			net, built, kerr := cache.Get(key, sc.BuildNet)
+		pr := PointResult{Point: c, Warnings: c.Spec.Warnings()}
+		key, err := c.Spec.NetKey()
+		var net *Net
+		if err == nil {
+			var built bool
+			net, built, err = cache.Get(key, c.Spec.BuildNet)
 			if built {
 				stats.NetBuilds++
 			}
-			if kerr != nil {
-				pr.Err = kerr
-			} else {
-				opts := c.Options
-				opts.Net = net
-				pr.Result, pr.Stats, pr.Err = c.Scenario.Run(ctx, c.Runs, opts)
-			}
 		}
-
+		if err != nil {
+			pr.Err = err
+		} else {
+			pr.Result, pr.Stats, pr.Err = c.Run(ctx, net)
+		}
 		if pr.Err != nil {
 			stats.Failed++
 			pr.Err = fmt.Errorf("spec: point %s: %w", c.Name, pr.Err)

@@ -38,7 +38,7 @@ grid:
 // state between them.
 func TestSweepSharesNet(t *testing.T) {
 	s := sweepSpec(t)
-	results, stats, err := Sweep(context.Background(), s, nil)
+	results, stats, err := Sweep(context.Background(), s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestSweepSharesNet(t *testing.T) {
 func TestSweepTopologyAxisRebuilds(t *testing.T) {
 	s := sweepSpec(t)
 	s.Grid = []Axis{{Path: "topology.nodes", Values: rawValues("60", "80")}}
-	_, stats, err := Sweep(context.Background(), s, nil)
+	_, stats, err := Sweep(context.Background(), s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +84,14 @@ func TestSweepTopologyAxisRebuilds(t *testing.T) {
 // produce the exact series the scenario produces standalone.
 func TestSweepSharedSeriesIdentity(t *testing.T) {
 	s := sweepSpec(t)
-	results, _, err := Sweep(context.Background(), s, nil)
+	results, _, err := Sweep(context.Background(), s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range results {
-		solo, _, err := r.Point.Scenario.Run(context.Background(), 1, core.RunOptions{})
+		pt := *r.Point
+		pt.Runs, pt.Options = 1, core.RunOptions{}
+		solo, _, err := pt.Run(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +117,7 @@ func TestSweepKeepGoing(t *testing.T) {
 			c.Runs = 0 // invalid replica count -> Run error
 		}
 	}
-	results, stats, err := Sweep(context.Background(), s, breakPoint)
+	results, stats, err := Sweep(context.Background(), s, breakPoint, nil)
 	if err != nil {
 		t.Fatalf("keep-going sweep returned %v", err)
 	}
@@ -141,7 +143,7 @@ func TestSweepKeepGoing(t *testing.T) {
 			c.Runs = 0
 		}
 	}
-	results, stats, err = Sweep(context.Background(), s, abort)
+	results, stats, err = Sweep(context.Background(), s, abort, nil)
 	if err == nil {
 		t.Fatal("sweep without keep-going did not abort")
 	}
@@ -156,7 +158,7 @@ func TestSweepAllFailed(t *testing.T) {
 		c.Options.KeepGoing = true
 		c.Runs = 0
 	}
-	_, stats, err := Sweep(context.Background(), s, sabotage)
+	_, stats, err := Sweep(context.Background(), s, sabotage, nil)
 	if err == nil || !strings.Contains(err.Error(), "all 3 sweep points failed") {
 		t.Fatalf("err = %v, want all-points-failed", err)
 	}
