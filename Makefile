@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race vet audit chaos fuzz-smoke daemon-smoke crash-smoke replay-smoke examples bench bench-figures bench-smoke bench-scale bench-compare figures clean
+.PHONY: check build test race vet audit chaos fuzz-smoke daemon-smoke crash-smoke replay-smoke examples figures-golden bench bench-figures bench-smoke bench-scale bench-compare figures clean
 
 ## check: the full gate — vet, build, race-enabled tests. The race run
 ## covers the concurrent layers: the replica and figure pools, the
@@ -107,6 +107,21 @@ examples:
 	$(GO) run ./examples/enterprise
 	$(GO) run ./examples/immunization
 	$(GO) run ./examples/detection
+
+## figures-golden: the quick-figures digest gate — regenerates every
+## table and figure at -quick size into a temp directory and requires
+## each written file to match cmd/figures/testdata/quick.sha256 byte
+## for byte, with no file missing or extra. Any refactor of the figure
+## harness, the spec lowering or the engine that is meant to change no
+## output must pass it unchanged (~12 s on 2 vCPUs). After an intended
+## output change, regenerate the digests with
+## `go run ./cmd/figures -quick -ascii=false -jobs 2 -out d && (cd d && sha256sum *) > cmd/figures/testdata/quick.sha256`.
+figures-golden:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/figures -quick -ascii=false -jobs 2 -out "$$dir" > /dev/null && \
+	(cd "$$dir" && sha256sum --quiet -c "$(CURDIR)/cmd/figures/testdata/quick.sha256") && \
+	test "$$(ls "$$dir" | wc -l)" -eq "$$(wc -l < cmd/figures/testdata/quick.sha256)" || \
+	{ echo "figures-golden: quick figure outputs differ from cmd/figures/testdata/quick.sha256"; exit 1; }
 
 ## bench: the per-tick engine microbenchmarks, repeated so the output
 ## feeds benchstat directly (`make bench > new.txt && benchstat old.txt

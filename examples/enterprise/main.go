@@ -21,75 +21,52 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/runner"
-	"repro/internal/sim"
-	"repro/internal/topology"
-	"repro/internal/worm"
+	"repro/internal/spec"
 )
 
 func main() {
-	g, roles, subnet, err := topology.Hierarchical(topology.HierarchicalConfig{
-		Backbones:      3,
-		EdgesPer:       4,
-		HostsPerSubnet: 40,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	localPref, err := worm.NewLocalPreferentialFactory(0.85)
-	if err != nil {
-		log.Fatal(err)
-	}
-	base := sim.Config{
-		Graph:           g,
-		Roles:           roles,
-		Subnet:          subnet,
-		Beta:            0.8,
-		ScansPerTick:    10,
-		Strategy:        localPref,
-		InitialInfected: 1,
+	base := spec.Spec{
+		Format:  spec.Format,
+		Version: spec.Version,
+		Topology: spec.Topology{
+			Kind: "enterprise", Backbones: 3, EdgesPerBackbone: 4, HostsPerSubnet: 40,
+		},
+		Worm:            spec.Worm{Kind: "local", Beta: 0.8, ScansPerTick: 10, LocalPref: 0.85},
 		Ticks:           400,
 		Seed:            7,
+		InitialInfected: 1,
 		MaxQueue:        50,
+		// Replicas for each posture run concurrently on the bounded
+		// pool; the averaged curves are identical for any job count.
+		Run: &spec.Run{Runs: 10, Jobs: 4},
 	}
-	uplinks := sim.DeployEdgeUplinks(g, roles, subnet)
-	hosts, err := sim.DeployHostFraction(g, roles, 0.4, 7)
-	if err != nil {
-		log.Fatal(err)
-	}
-	throttle := make(map[int]float64, len(hosts))
-	for _, h := range hosts {
-		throttle[h] = 0.01 // Williamson-style: ~1 new contact per 100 ticks
-	}
+	// Edge filters rate-limit every subnet uplink; host throttles cut
+	// 40% of the desktops to ~1 new contact per 100 ticks
+	// (Williamson-style).
+	edge := spec.Defense{Kind: "edge", Rate: 0.2}
+	hosts := spec.Defense{Kind: "host", Fraction: 0.4, Rate: 0.01}
 
 	postures := []struct {
-		name string
-		mod  func(*sim.Config)
+		name     string
+		defenses []spec.Defense
 	}{
-		{"no defense", func(c *sim.Config) {}},
-		{"edge routers only", func(c *sim.Config) {
-			c.LimitedLinks = uplinks
-			c.BaseRate = 0.2
-		}},
-		{"40% host throttles only", func(c *sim.Config) {
-			c.ScanRateOverride = throttle
-		}},
-		{"edge routers + 40% host throttles", func(c *sim.Config) {
-			c.LimitedLinks = uplinks
-			c.BaseRate = 0.2
-			c.ScanRateOverride = throttle
-		}},
+		{"no defense", nil},
+		{"edge routers only", []spec.Defense{edge}},
+		{"40% host throttles only", []spec.Defense{hosts}},
+		{"edge routers + 40% host throttles", []spec.Defense{edge, hosts}},
 	}
 
 	fmt.Println("Local-preferential worm in a 12-subnet enterprise (480 hosts)")
 	fmt.Printf("%-36s %10s %10s %8s\n", "posture", "t(25%)", "t(50%)", "final")
 	var t50 []float64
 	for _, p := range postures {
-		cfg := base
-		p.mod(&cfg)
-		// Replicas for each posture run concurrently on the bounded pool;
-		// the averaged curves are identical for any job count.
-		res, _, err := sim.MultiRun(context.Background(), cfg, 10, runner.WithJobs(4))
+		s := base
+		s.Defenses = p.defenses
+		c, err := s.Compile()
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, _, err := c.Run(context.Background(), nil)
 		if err != nil {
 			log.Fatal(err)
 		}

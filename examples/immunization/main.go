@@ -11,36 +11,20 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"math/rand"
 
 	"repro/internal/model"
-	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/topology"
-	"repro/internal/worm"
+	"repro/internal/spec"
 )
 
 func main() {
-	g, err := topology.BarabasiAlbert(1000, 1, rand.New(rand.NewSource(4)))
-	if err != nil {
-		log.Fatal(err)
-	}
-	roles, err := topology.AssignRoles(g, topology.PaperRoles)
-	if err != nil {
-		log.Fatal(err)
-	}
-	caps := make(map[int]int)
-	for _, b := range sim.DeployBackbone(roles) {
-		caps[b] = 40
-	}
-	base := sim.Config{
-		Graph:           g,
-		Roles:           roles,
-		Beta:            0.8,
-		Strategy:        worm.NewRandomFactory(),
-		InitialInfected: 5,
-		Ticks:           250,
-		Seed:            11,
+	base := spec.Spec{
+		Format: spec.Format, Version: spec.Version,
+		Topology: spec.Topology{Kind: "powerlaw", Nodes: 1000},
+		Worm:     spec.Worm{Kind: "random", Beta: 0.8},
+		Ticks:    250, Seed: 11, TopologySeed: 4, InitialInfected: 5,
+		MaxQueue: -1, // unbounded link buffers
+		Run:      &spec.Run{Runs: 10, Jobs: 4},
 	}
 
 	fmt.Println("Total ever-infected population vs immunization start (µ=0.05/tick)")
@@ -48,14 +32,16 @@ func main() {
 	ctx := context.Background()
 	for _, level := range []float64{0.1, 0.2, 0.5, 0.8} {
 		noRL := base
-		noRL.Immunize = &sim.Immunization{StartTick: -1, StartLevel: level, Mu: 0.05}
-		resNo, _, err := sim.MultiRun(ctx, noRL, 10, runner.WithJobs(4))
+		noRL.Immunize = &spec.Immunize{StartLevel: level, Mu: 0.05}
+		resNo, err := run(ctx, &noRL)
 		if err != nil {
 			log.Fatal(err)
 		}
+		// Backbone rate limiting as node caps: every backbone router
+		// forwards at most 40 packets per tick.
 		withRL := noRL
-		withRL.NodeCaps = caps
-		resRL, _, err := sim.MultiRun(ctx, withRL, 10, runner.WithJobs(4))
+		withRL.Defenses = []spec.Defense{{Kind: "backbone_cap", HubCap: 40}}
+		resRL, err := run(ctx, &withRL)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -89,4 +75,14 @@ func main() {
 	fmt.Printf("\nconstant µ=0.05 from tick 7:       %.0f%% ever infected\n", ec*100)
 	fmt.Printf("bell-curve µ (peak 0.05 at t=15):  %.0f%% ever infected\n", eb*100)
 	fmt.Println("a late-peaking bell curve lets the worm run further before patching bites.")
+}
+
+// run compiles s and executes its replica batch.
+func run(ctx context.Context, s *spec.Spec) (*sim.Result, error) {
+	c, err := s.Compile()
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := c.Run(ctx, nil)
+	return res, err
 }

@@ -3,12 +3,12 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/plot"
 	"repro/internal/ratelimit"
-	"repro/internal/routing"
 	"repro/internal/sim"
-	"repro/internal/topology"
+	"repro/internal/spec"
 	"repro/internal/worm"
 )
 
@@ -16,43 +16,39 @@ import (
 // calls out. They are registered alongside the paper figures so
 // cmd/figures and the benchmarks share one implementation.
 
-// ablationSimBase is the shared congested-simulation configuration.
-func ablationSimBase(g *topology.Graph, roles []topology.Role, subnet []int, opt Options) sim.Config {
-	return sim.Config{
-		Graph: g, Roles: roles, Subnet: subnet,
-		Beta: simBeta, ScansPerTick: congestedScans, MaxQueue: dropTailQueue,
-		Strategy:        worm.NewRandomFactory(),
-		InitialInfected: 5, Ticks: 150, Seed: opt.seed() + 7,
-	}
+// ablationBase is the shared congested-simulation spec over topo: the
+// simulation seed is offset from the topology seed, so the ablations
+// draw different epidemics on the figures' graphs.
+func (o Options) ablationBase(topo spec.Topology, ticks int) spec.Spec {
+	s := o.scenario(topo, ticks, 5)
+	s.Worm.ScansPerTick, s.MaxQueue = congestedScans, dropTailQueue
+	s.Seed, s.TopologySeed = o.seed()+7, o.seed()
+	return s
 }
 
 // AblTargeting compares target-selection strategies at a fixed contact
 // rate on the open network.
 func AblTargeting(ctx context.Context, opt Options) (*Result, error) {
-	g, roles, subnet, err := powerLawTopology(opt)
-	if err != nil {
-		return nil, err
-	}
-	lp, err := worm.NewLocalPreferentialFactory(0.8)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: abl-targeting: %w", err)
-	}
-	hit := make([]int, 0, g.N()/10)
-	for i := 0; i < g.N(); i += 10 {
+	base := opt.ablationBase(opt.powerLaw(), 250)
+	n := base.Topology.Nodes
+	hit := make([]int, 0, n/10)
+	for i := 0; i < n; i += 10 {
 		hit = append(hit, i)
 	}
 	hl, err := worm.NewHitListFactory(hit)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: abl-targeting: %w", err)
 	}
-	cases := []struct {
-		name string
-		f    worm.Factory
-	}{
-		{"random", worm.NewRandomFactory()},
-		{"localpref", lp},
-		{"sequential", worm.NewSequentialFactory()},
-		{"hitlist", hl},
+	cases := []simCase{
+		{label: "random"},
+		{label: "localpref", mod: func(s *spec.Spec) { s.Worm.Kind, s.Worm.LocalPref = "local", 0.8 }},
+		{label: "sequential", mod: func(s *spec.Spec) { s.Worm.Kind = "sequential" }},
+		// The hit-list worm has no spec kind.
+		{label: "hitlist", patch: func(c *sim.Config) { c.Strategy = hl }},
+	}
+	res, err := opt.runCases(ctx, "abl-targeting", base, cases)
+	if err != nil {
+		return nil, err
 	}
 	fig := plot.Figure{
 		Title:  "Ablation: targeting strategy at equal contact rate",
@@ -60,17 +56,10 @@ func AblTargeting(ctx context.Context, opt Options) (*Result, error) {
 		YLabel: "fraction infected",
 	}
 	metrics := make(map[string]float64)
-	for _, cse := range cases {
-		cfg := ablationSimBase(g, roles, subnet, opt)
-		cfg.Ticks = 250
-		cfg.Strategy = cse.f
-		res, err := opt.multiRun(ctx, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: abl-targeting %q: %w", cse.name, err)
-		}
-		fig.Series = append(fig.Series, simSeries(cse.name, res.Infected))
-		metrics["t10_"+cse.name] = res.TimeToLevel(0.1)
-		metrics["t50_"+cse.name] = res.TimeToLevel(0.5)
+	for i, c := range cases {
+		fig.Series = append(fig.Series, simSeries(c.label, res[i].Infected))
+		metrics["t10_"+c.label] = res[i].TimeToLevel(0.1)
+		metrics["t50_"+c.label] = res[i].TimeToLevel(0.5)
 	}
 	return &Result{
 		ID:      "abl-targeting",
@@ -83,7 +72,13 @@ func AblTargeting(ctx context.Context, opt Options) (*Result, error) {
 // AblQueueVsDrop compares queueing with dropping at link capacity under
 // backbone rate limiting.
 func AblQueueVsDrop(ctx context.Context, opt Options) (*Result, error) {
-	g, roles, subnet, err := powerLawTopology(opt)
+	base := opt.ablationBase(opt.powerLaw(), 250)
+	base.Defenses = []spec.Defense{backboneRL}
+	cases := []simCase{
+		{label: "queue"},
+		{label: "drop", mod: func(s *spec.Spec) { s.Drop = true }},
+	}
+	res, err := opt.runCases(ctx, "abl-queue", base, cases)
 	if err != nil {
 		return nil, err
 	}
@@ -93,28 +88,10 @@ func AblQueueVsDrop(ctx context.Context, opt Options) (*Result, error) {
 		YLabel: "fraction infected",
 	}
 	metrics := make(map[string]float64)
-	for _, cse := range []struct {
-		name   string
-		policy sim.QueuePolicy
-	}{{"queue", sim.PolicyQueue}, {"drop", sim.PolicyDrop}} {
-		cfg := ablationSimBase(g, roles, subnet, opt)
-		cfg.Ticks = 250
-		cfg.LimitedNodes = sim.DeployBackbone(roles)
-		cfg.BaseRate = limitedLinkRate
-		cfg.Policy = cse.policy
-		res, err := opt.multiRun(ctx, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: abl-queue %q: %w", cse.name, err)
-		}
-		fig.Series = append(fig.Series, simSeries(cse.name, res.Infected))
-		metrics["t50_"+cse.name] = res.TimeToLevel(0.5)
-		maxBacklog := 0
-		for _, q := range res.Backlog {
-			if q > maxBacklog {
-				maxBacklog = q
-			}
-		}
-		metrics["backlog_"+cse.name] = float64(maxBacklog)
+	for i, c := range cases {
+		fig.Series = append(fig.Series, simSeries(c.label, res[i].Infected))
+		metrics["t50_"+c.label] = res[i].TimeToLevel(0.5)
+		metrics["backlog_"+c.label] = float64(slices.Max(res[i].Backlog))
 	}
 	return &Result{
 		ID:      "abl-queue",
@@ -127,13 +104,16 @@ func AblQueueVsDrop(ctx context.Context, opt Options) (*Result, error) {
 // AblLinkWeights compares uniform link budgets with the paper's
 // routing-table-proportional weights.
 func AblLinkWeights(ctx context.Context, opt Options) (*Result, error) {
-	g, roles, subnet, err := powerLawTopology(opt)
+	base := opt.ablationBase(opt.powerLaw(), 250)
+	weighted := backboneRL
+	weighted.Weighted = true
+	cases := []simCase{
+		{label: "uniform", mod: defense(backboneRL)},
+		{label: "weighted", mod: defense(weighted)},
+	}
+	res, err := opt.runCases(ctx, "abl-weights", base, cases)
 	if err != nil {
 		return nil, err
-	}
-	weights, err := routing.NewStructural(g, routing.EnumerateLinks(g)).LinkWeights(g)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: abl-weights: %w", err)
 	}
 	fig := plot.Figure{
 		Title:  "Ablation: uniform vs routing-table-weighted link budgets",
@@ -141,21 +121,9 @@ func AblLinkWeights(ctx context.Context, opt Options) (*Result, error) {
 		YLabel: "fraction infected",
 	}
 	metrics := make(map[string]float64)
-	for _, cse := range []struct {
-		name string
-		w    map[routing.LinkID]float64
-	}{{"uniform", nil}, {"weighted", weights}} {
-		cfg := ablationSimBase(g, roles, subnet, opt)
-		cfg.Ticks = 250
-		cfg.LimitedNodes = sim.DeployBackbone(roles)
-		cfg.BaseRate = limitedLinkRate
-		cfg.LinkWeights = cse.w
-		res, err := opt.multiRun(ctx, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: abl-weights %q: %w", cse.name, err)
-		}
-		fig.Series = append(fig.Series, simSeries(cse.name, res.Infected))
-		metrics["t50_"+cse.name] = res.TimeToLevel(0.5)
+	for i, c := range cases {
+		fig.Series = append(fig.Series, simSeries(c.label, res[i].Infected))
+		metrics["t50_"+c.label] = res[i].TimeToLevel(0.5)
 	}
 	return &Result{
 		ID:      "abl-weights",
@@ -168,7 +136,15 @@ func AblLinkWeights(ctx context.Context, opt Options) (*Result, error) {
 // AblPatchInfected compares the paper's patch-everyone immunization
 // with patching susceptible hosts only.
 func AblPatchInfected(ctx context.Context, opt Options) (*Result, error) {
-	g, roles, subnet, err := powerLawTopology(opt)
+	base := opt.ablationBase(opt.powerLaw(), 200)
+	base.Worm.ScansPerTick = 1
+	base.Immunize = &spec.Immunize{StartLevel: 0.2, Mu: immunizeMu}
+	cases := []simCase{
+		{label: "patch_all"},
+		// Susceptible-only patching has no spec field.
+		{label: "patch_susceptible_only", patch: func(c *sim.Config) { c.Immunize.SusceptibleOnly = true }},
+	}
+	res, err := opt.runCases(ctx, "abl-patch", base, cases)
 	if err != nil {
 		return nil, err
 	}
@@ -178,23 +154,10 @@ func AblPatchInfected(ctx context.Context, opt Options) (*Result, error) {
 		YLabel: "fraction currently infected",
 	}
 	metrics := make(map[string]float64)
-	for _, cse := range []struct {
-		name    string
-		susOnly bool
-	}{{"patch_all", false}, {"patch_susceptible_only", true}} {
-		cfg := ablationSimBase(g, roles, subnet, opt)
-		cfg.ScansPerTick = 1
-		cfg.Ticks = 200
-		cfg.Immunize = &sim.Immunization{
-			StartTick: -1, StartLevel: 0.2, Mu: immunizeMu, SusceptibleOnly: cse.susOnly,
-		}
-		res, err := opt.multiRun(ctx, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: abl-patch %q: %w", cse.name, err)
-		}
-		fig.Series = append(fig.Series, simSeries(cse.name, res.Infected))
-		metrics["ever_"+cse.name] = res.FinalEverInfected()
-		metrics["final_"+cse.name] = res.FinalInfected()
+	for i, c := range cases {
+		fig.Series = append(fig.Series, simSeries(c.label, res[i].Infected))
+		metrics["ever_"+c.label] = res[i].FinalEverInfected()
+		metrics["final_"+c.label] = res[i].FinalInfected()
 	}
 	return &Result{
 		ID:      "abl-patch",
@@ -207,7 +170,16 @@ func AblPatchInfected(ctx context.Context, opt Options) (*Result, error) {
 // AblProbeFirst compares direct-exploit and probe-first worms with and
 // without backbone rate limiting.
 func AblProbeFirst(ctx context.Context, opt Options) (*Result, error) {
-	g, roles, subnet, err := powerLawTopology(opt)
+	base := opt.ablationBase(opt.powerLaw(), 250)
+	probe := func(s *spec.Spec) { s.Worm.ProbeFirst = true }
+	limited := defense(backboneRL)
+	cases := []simCase{
+		{label: "direct"},
+		{label: "probe", mod: probe},
+		{label: "direct_backboneRL", mod: limited},
+		{label: "probe_backboneRL", mod: func(s *spec.Spec) { probe(s); limited(s) }},
+	}
+	res, err := opt.runCases(ctx, "abl-probe", base, cases)
 	if err != nil {
 		return nil, err
 	}
@@ -217,27 +189,9 @@ func AblProbeFirst(ctx context.Context, opt Options) (*Result, error) {
 		YLabel: "fraction infected",
 	}
 	metrics := make(map[string]float64)
-	for _, rl := range []bool{false, true} {
-		for _, probe := range []bool{false, true} {
-			cfg := ablationSimBase(g, roles, subnet, opt)
-			cfg.Ticks = 250
-			cfg.ProbeFirst = probe
-			name := "direct"
-			if probe {
-				name = "probe"
-			}
-			if rl {
-				cfg.LimitedNodes = sim.DeployBackbone(roles)
-				cfg.BaseRate = limitedLinkRate
-				name += "_backboneRL"
-			}
-			res, err := opt.multiRun(ctx, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: abl-probe %q: %w", name, err)
-			}
-			fig.Series = append(fig.Series, simSeries(name, res.Infected))
-			metrics["t50_"+name] = res.TimeToLevel(0.5)
-		}
+	for i, c := range cases {
+		fig.Series = append(fig.Series, simSeries(c.label, res[i].Infected))
+		metrics["t50_"+c.label] = res[i].TimeToLevel(0.5)
 	}
 	return &Result{
 		ID:      "abl-probe",
@@ -249,45 +203,17 @@ func AblProbeFirst(ctx context.Context, opt Options) (*Result, error) {
 
 // AblTopology re-runs the backbone comparison across topology families.
 func AblTopology(ctx context.Context, opt Options) (*Result, error) {
-	type topoCase struct {
-		name   string
-		graph  *topology.Graph
-		roles  []topology.Role
-		subnet []int
+	ases, hosts := 120, 8
+	if opt.Quick {
+		ases, hosts = 40, 6
 	}
-	var cases []topoCase
-	{
-		g, roles, subnet, err := powerLawTopology(opt)
-		if err != nil {
-			return nil, err
-		}
-		cases = append(cases, topoCase{"ba", g, roles, subnet})
-	}
-	{
-		ases, hosts := 120, 8
-		if opt.Quick {
-			ases, hosts = 40, 6
-		}
-		g, roles, subnet, err := topology.TwoLevel(topology.TwoLevelConfig{
-			ASes: ases, AttachM: 1, TransitFraction: 0.08, HostsPerStub: hosts,
-		}, newRand(opt.seed()))
-		if err != nil {
-			return nil, fmt.Errorf("experiment: abl-topology: %w", err)
-		}
-		cases = append(cases, topoCase{"twolevel", g, roles, subnet})
-	}
-	{
-		per := 48
-		if opt.Quick {
-			per = 16
-		}
-		g, roles, subnet, err := topology.Hierarchical(topology.HierarchicalConfig{
-			Backbones: 4, EdgesPer: 5, HostsPerSubnet: per,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiment: abl-topology: %w", err)
-		}
-		cases = append(cases, topoCase{"hier", g, roles, subnet})
+	topos := []struct {
+		name string
+		topo spec.Topology
+	}{
+		{"ba", opt.powerLaw()},
+		{"twolevel", spec.Topology{Kind: "twolevel", ASes: ases, AttachM: 1, TransitFraction: 0.08, HostsPerStub: hosts}},
+		{"hier", opt.enterprise()},
 	}
 	fig := plot.Figure{
 		Title:  "Ablation: backbone-RL slowdown across topology families",
@@ -295,24 +221,19 @@ func AblTopology(ctx context.Context, opt Options) (*Result, error) {
 		YLabel: "fraction infected",
 	}
 	metrics := make(map[string]float64)
-	for _, tc := range cases {
-		open := ablationSimBase(tc.graph, tc.roles, tc.subnet, opt)
-		open.Ticks = 250
-		resOpen, err := opt.multiRun(ctx, open)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: abl-topology %q: %w", tc.name, err)
+	for _, tc := range topos {
+		cases := []simCase{
+			{label: tc.name + " open"},
+			{label: tc.name + " backboneRL", mod: defense(backboneRL)},
 		}
-		limited := open
-		limited.LimitedNodes = sim.DeployBackbone(tc.roles)
-		limited.BaseRate = limitedLinkRate
-		resLim, err := opt.multiRun(ctx, limited)
+		res, err := opt.runCases(ctx, "abl-topology", opt.ablationBase(tc.topo, 250), cases)
 		if err != nil {
-			return nil, fmt.Errorf("experiment: abl-topology %q: %w", tc.name, err)
+			return nil, err
 		}
 		fig.Series = append(fig.Series,
-			simSeries(tc.name+" open", resOpen.Infected),
-			simSeries(tc.name+" backboneRL", resLim.Infected))
-		metrics["slowdown_"+tc.name] = resLim.TimeToLevel(0.5) / resOpen.TimeToLevel(0.5)
+			simSeries(cases[0].label, res[0].Infected),
+			simSeries(cases[1].label, res[1].Infected))
+		metrics["slowdown_"+tc.name] = res[1].TimeToLevel(0.5) / res[0].TimeToLevel(0.5)
 	}
 	return &Result{
 		ID:      "abl-topology",

@@ -2,15 +2,13 @@ package experiment
 
 import (
 	"context"
-	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/plot"
 	"repro/internal/ratelimit"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/topology"
 	"repro/internal/trace"
-	"repro/internal/worm"
 )
 
 // Collateral regenerates the collateral-damage contrast behind the
@@ -42,63 +40,45 @@ import (
 // containment at a lower false-throttle rate than the working-set
 // throttle.
 func Collateral(ctx context.Context, opt Options) (*Result, error) {
-	hier := topology.HierarchicalConfig{Backbones: 2, EdgesPer: 4, HostsPerSubnet: 144}
-	gen := trace.DefaultGenConfig(opt.collateralTicks()*trace.Second, opt.seed())
+	topo := spec.Topology{Kind: "enterprise", Backbones: 2, EdgesPerBackbone: 4, HostsPerSubnet: 144}
+	w := spec.Workload{
+		Kind:   "synthetic",
+		Normal: trace.PaperNormalClients, Servers: trace.PaperServers,
+		P2P: trace.PaperP2PClients, Infected: trace.PaperInfected,
+		BlasterFraction: 0.6,
+	}
 	if opt.Quick {
-		hier = topology.HierarchicalConfig{Backbones: 1, EdgesPer: 2, HostsPerSubnet: 72}
-		gen.NormalClients, gen.Servers, gen.P2PClients, gen.Infected = 120, 4, 8, 12
+		topo = spec.Topology{Kind: "enterprise", Backbones: 1, EdgesPerBackbone: 2, HostsPerSubnet: 72}
+		w.Normal, w.Servers, w.P2P, w.Infected = 120, 4, 8, 12
 	}
-	g, roles, subnet, err := topology.Hierarchical(hier)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: collateral: %w", err)
-	}
-	hostNodes := topology.NodesWithRole(roles, topology.RoleHost)
-	if len(hostNodes) < gen.NumHosts() {
-		return nil, fmt.Errorf("experiment: collateral: %d topology hosts for %d trace hosts",
-			len(hostNodes), gen.NumHosts())
-	}
-	hostMap := make([]int32, gen.NumHosts())
-	for i := range hostMap {
-		hostMap[i] = int32(hostNodes[i])
-	}
-	base := sim.Config{
-		Graph: g, Roles: roles, Subnet: subnet,
-		Strategy: worm.NewRandomFactory(),
-		Ticks:    int(opt.collateralTicks()), Seed: opt.seed(),
-		MaxQueue: dropTailQueue,
-		Replay: &sim.ReplayConfig{
-			NewWorkload: func() (sim.Workload, error) {
-				return trace.NewSyntheticReplayer(gen, trace.Second)
-			},
-			Hosts:     hostMap,
-			WormHosts: gen.HostsOfClass(trace.ClassInfected),
-		},
-	}
-	limited := hostNodes[:gen.NumHosts()]
-	window := func(max int, span int64) func() ratelimit.ContactLimiter {
-		return func() ratelimit.ContactLimiter {
-			l, err := ratelimit.NewSlidingUniqueIPWindow(max, span)
-			if err != nil {
-				panic(err)
+	// The replay decides who scans and when; the worm's β goes unused.
+	base := opt.scenario(topo, int(opt.collateralTicks()), 0)
+	base.MaxQueue, base.Workload = dropTailQueue, &w
+	hosts := w.Normal + w.Servers + w.P2P + w.Infected
+	// The edge probe windows have no spec kind: they replace the
+	// limiter on the same trace hosts a throttle would cover.
+	window := func(max int, span int64) func(*sim.Config) {
+		return func(c *sim.Config) {
+			c.HostLimiterNodes = topology.NodesWithRole(c.Roles, topology.RoleHost)[:hosts]
+			c.HostLimiterFactory = func() ratelimit.ContactLimiter {
+				l, err := ratelimit.NewSlidingUniqueIPWindow(max, span)
+				if err != nil {
+					panic(err)
+				}
+				return l
 			}
-			return l
 		}
 	}
-	cases := []struct {
-		label   string
-		key     string
-		limiter func() ratelimit.ContactLimiter
-	}{
-		{"No rate limiting", "none", nil},
-		{"Host contact throttle (WS=4)", "host", func() ratelimit.ContactLimiter {
-			l, err := ratelimit.NewWilliamsonThrottle(4, 1)
-			if err != nil {
-				panic(err)
-			}
-			return l
-		}},
-		{"Edge probe window (derived, 4/5s)", "edge", window(4, 5)},
-		{"Edge probe window (tight, 1/5s)", "edge_tight", window(1, 5)},
+	cases := []simCase{
+		{label: "No rate limiting"},
+		{label: "Host contact throttle (WS=4)", mod: defense(spec.Defense{Kind: "throttle", WorkingSet: 4, Period: 1, Hosts: hosts})},
+		{label: "Edge probe window (derived, 4/5s)", patch: window(4, 5)},
+		{label: "Edge probe window (tight, 1/5s)", patch: window(1, 5)},
+	}
+	keys := []string{"none", "host", "edge", "edge_tight"}
+	res, err := opt.runCases(ctx, "collateral", base, cases)
+	if err != nil {
+		return nil, err
 	}
 	fig := plot.Figure{
 		Title:  "Collateral damage: trace-replay workload under contact rate limits",
@@ -106,25 +86,13 @@ func Collateral(ctx context.Context, opt Options) (*Result, error) {
 		YLabel: "fraction infected",
 	}
 	metrics := make(map[string]float64)
-	for _, cse := range cases {
-		cfg := base
-		if cse.limiter != nil {
-			cfg.HostLimiterNodes = limited
-			cfg.HostLimiterFactory = cse.limiter
-		}
-		// Collectors carry the benign/worm throttle counters out through
-		// sim.Result.Counters regardless of the harness Metrics sink.
-		cfg.CollectorFactory = func(int) obs.Collector { return obs.NewTally() }
-		res, err := opt.multiRun(ctx, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: collateral %q: %w", cse.label, err)
-		}
-		fig.Series = append(fig.Series, simSeries(cse.label, res.Infected))
-		metrics["t50_"+cse.key] = res.TimeToLevel(0.5)
-		metrics["final_"+cse.key] = res.Infected[len(res.Infected)-1]
-		if bc := res.Counters["benign_contacts"]; bc > 0 {
-			metrics["collateral_"+cse.key] =
-				float64(res.Counters["benign_throttled"]) / float64(bc)
+	for i, c := range cases {
+		r, key := res[i], keys[i]
+		fig.Series = append(fig.Series, simSeries(c.label, r.Infected))
+		metrics["t50_"+key] = r.TimeToLevel(0.5)
+		metrics["final_"+key] = r.Infected[len(r.Infected)-1]
+		if bc := r.Counters["benign_contacts"]; bc > 0 {
+			metrics["collateral_"+key] = float64(r.Counters["benign_throttled"]) / float64(bc)
 		}
 	}
 	return &Result{

@@ -8,7 +8,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -19,7 +18,7 @@ import (
 	"repro/internal/plot"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/topology"
+	"repro/internal/spec"
 	"repro/internal/trace"
 )
 
@@ -62,7 +61,7 @@ type Options struct {
 	Metrics *BatchMetrics
 
 	// figID is the figure currently being built; RunContext stamps it on
-	// the copy of Options it hands the builder so multiRun can attribute
+	// the copy of Options it hands the builder so run can attribute
 	// counters.
 	figID string
 	// ckptSeq numbers the figure's simulation batches for the
@@ -70,6 +69,9 @@ type Options struct {
 	// invocation (the pointer survives the by-value Options copies the
 	// builders make).
 	ckptSeq *atomic.Int32
+	// nets caches the figure's topologies across its batches;
+	// RunContext initializes one per figure invocation.
+	nets *spec.NetCache
 }
 
 // BatchMetrics accumulates the observability counters of every
@@ -129,14 +131,32 @@ func (b *BatchMetrics) IDs() []string {
 	return out
 }
 
-// multiRun is the one funnel every figure builder runs its simulation
-// batches through: it points the checkpoint options at the batch's
-// <fig>/batch-NN directories, runs the batch through core.Run (which
-// applies the audit, metrics, checkpoint, and fault-tolerance knobs),
-// and attributes the batch's counters to the figure being built.
-func (o Options) multiRun(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+// run is the one funnel every figure builder runs its simulation
+// batches through. It lowers s with the spec package's one lowering
+// over the figure's cached topology, applies patch (nil for none) for
+// the few engine features no spec field names, points the checkpoint
+// options at the batch's <fig>/batch-NN directories, runs the batch
+// through core.Run (which applies the audit, metrics, workload,
+// checkpoint, and fault-tolerance knobs), and attributes the batch's
+// counters to the figure being built.
+func (o Options) run(ctx context.Context, s *spec.Spec, patch func(*sim.Config)) (*sim.Result, error) {
+	net, err := o.net(s)
+	if err != nil {
+		return nil, err
+	}
+	cfg, err := s.Config(net)
+	if err != nil {
+		return nil, err
+	}
+	if patch != nil {
+		patch(&cfg)
+	}
 	ro := o.RunOptions
 	ro.Checkpoint, ro.Resume, ro.Collectors, ro.Workload = "", "", nil, nil
+	if s.Workload != nil {
+		w := core.WorkloadSpec(*s.Workload)
+		ro.Workload = &w
+	}
 	if o.ckptSeq != nil {
 		batch := fmt.Sprintf("batch-%02d", o.ckptSeq.Add(1))
 		if o.Checkpoint != "" {
@@ -146,7 +166,9 @@ func (o Options) multiRun(ctx context.Context, cfg sim.Config) (*sim.Result, err
 			ro.Resume = filepath.Join(o.Resume, o.figID, batch)
 		}
 	}
-	if o.Metrics != nil {
+	// A replay workload's point is its collateral counters, so those
+	// batches always tally.
+	if o.Metrics != nil || s.Workload != nil {
 		ro.Collectors = func(int) obs.Collector { return obs.NewTally() }
 	}
 	res, stats, err := core.Run(ctx, cfg, o.runs(), ro)
@@ -163,6 +185,46 @@ func (o Options) multiRun(ctx context.Context, cfg sim.Config) (*sim.Result, err
 		}
 	}
 	return res, nil
+}
+
+// net returns the figure's shared topology state for s, building it on
+// first use; nil (build per batch) outside RunContext.
+func (o Options) net(s *spec.Spec) (*spec.Net, error) {
+	if o.nets == nil {
+		return nil, nil
+	}
+	key, err := s.NetKey()
+	if err != nil {
+		return nil, err
+	}
+	net, _, err := o.nets.Get(key, s.BuildNet)
+	return net, err
+}
+
+// simCase is one labelled variant of a figure's base spec: mod edits
+// the spec (nil for the base itself), and patch edits the lowered
+// config for an engine feature no spec field names.
+type simCase struct {
+	label string
+	mod   func(*spec.Spec)
+	patch func(*sim.Config)
+}
+
+// runCases runs each case's variant of base in order, one batch each.
+func (o Options) runCases(ctx context.Context, id string, base spec.Spec, cases []simCase) ([]*sim.Result, error) {
+	out := make([]*sim.Result, len(cases))
+	for i, c := range cases {
+		s := base
+		if c.mod != nil {
+			c.mod(&s)
+		}
+		res, err := o.run(ctx, &s, c.patch)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: %s %q: %w", id, c.label, err)
+		}
+		out[i] = res
+	}
+	return out, nil
 }
 
 func (o Options) runs() int {
@@ -245,9 +307,6 @@ func registry() []struct {
 	}
 }
 
-// newRand builds a seeded source for topology generation.
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
 // IDs returns all known experiment IDs in order.
 func IDs() []string {
 	reg := registry()
@@ -267,6 +326,7 @@ func RunContext(ctx context.Context, id string, opt Options) (*Result, error) {
 	for _, r := range registry() {
 		if r.id == id {
 			opt.figID = id
+			opt.nets = spec.NewNetCache(0)
 			if opt.Checkpoint != "" || opt.Resume != "" {
 				// Fresh batch numbering per figure invocation, so a
 				// figure-level retry rebuilds the same checkpoint layout.
@@ -347,47 +407,58 @@ func figureTicks(res *Result) int64 {
 	return pts
 }
 
-// powerLawTopology builds the shared 1000-node AS-like graph of the
-// Section 5.4 experiments, with the degree-ranked role split and the
-// induced subnet partition. The paper used a BRITE-generated 1000-node
-// power-law graph; we use preferential attachment with m=1, which gives
-// the sparse, core-concentrated routing of an AS topology (nearly all
-// inter-subnet shortest paths transit the top-degree core — the
-// property the backbone-deployment result depends on).
-func powerLawTopology(opt Options) (*topology.Graph, []topology.Role, []int, error) {
-	n := 1000
-	if opt.Quick {
-		n = 300
+// scenario is the base spec of a simulated figure: the paper's β
+// random worm over topo, seeded from the options.
+func (o Options) scenario(topo spec.Topology, ticks, initial int) spec.Spec {
+	return spec.Spec{
+		Format: spec.Format, Version: spec.Version,
+		Topology: topo, Worm: spec.Worm{Kind: "random", Beta: simBeta},
+		Ticks: ticks, InitialInfected: initial, Seed: o.seed(),
 	}
-	g, err := topology.BarabasiAlbert(n, 1, rand.New(rand.NewSource(opt.seed())))
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("experiment: topology: %w", err)
-	}
-	roles, err := topology.AssignRoles(g, topology.PaperRoles)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("experiment: roles: %w", err)
-	}
-	subnet := topology.Subnets(g, roles)
-	return g, roles, subnet, nil
 }
 
-// overrideFor builds the host-level rate-limit map: filtered hosts scan
-// at the model's β2 = 0.01 instead of β.
-func overrideFor(hosts []int) map[int]float64 {
-	o := make(map[int]float64, len(hosts))
-	for _, h := range hosts {
-		o[h] = hostFilteredRate
+// powerLaw is the shared 1000-node AS-like graph of the Section 5.4
+// experiments (300 nodes under Quick), with the degree-ranked role
+// split and the induced subnet partition. The paper used a
+// BRITE-generated 1000-node power-law graph; we use preferential
+// attachment with m=1, which gives the sparse, core-concentrated
+// routing of an AS topology (nearly all inter-subnet shortest paths
+// transit the top-degree core — the property the backbone-deployment
+// result depends on).
+func (o Options) powerLaw() spec.Topology {
+	if o.Quick {
+		return spec.Topology{Kind: "powerlaw", Nodes: 300}
 	}
-	return o
+	return spec.Topology{Kind: "powerlaw", Nodes: 1000}
 }
 
-// backboneCaps gives every backbone node a node-level forwarding cap.
-func backboneCaps(roles []topology.Role, cap int) map[int]int {
-	m := make(map[int]int)
-	for _, b := range sim.DeployBackbone(roles) {
-		m[b] = cap
+// enterprise is the explicit backbone/edge/subnet topology of Fig 5 and
+// abl-topology: 4 backbones × 5 edge routers × 48 hosts (16 under
+// Quick).
+func (o Options) enterprise() spec.Topology {
+	t := spec.Topology{Kind: "enterprise", Backbones: 4, EdgesPerBackbone: 5, HostsPerSubnet: 48}
+	if o.Quick {
+		t.HostsPerSubnet = 16
 	}
-	return m
+	return t
+}
+
+// defense returns a one-entry defense stack.
+func defense(d spec.Defense) func(*spec.Spec) {
+	return func(s *spec.Spec) { s.Defenses = []spec.Defense{d} }
+}
+
+// Shared defense entries.
+var (
+	backboneRL = spec.Defense{Kind: "backbone", Rate: limitedLinkRate}
+	// backboneCaps caps every backbone router at 40 packets/tick.
+	backboneCaps = spec.Defense{Kind: "backbone_cap", HubCap: 40}
+)
+
+// hostRL filters a random fraction of the hosts to the model's
+// β2 = 0.01.
+func hostRL(frac float64) spec.Defense {
+	return spec.Defense{Kind: "host", Fraction: frac, Rate: hostFilteredRate}
 }
 
 // Shared simulation parameters (see DESIGN.md §5 and the calibration
@@ -397,6 +468,7 @@ const (
 	hostFilteredRate = 0.01 // the paper's β2
 	congestedScans   = 10   // scan attempts/tick for the congestion figures
 	dropTailQueue    = 50   // ns-2 default DropTail buffer
+	unboundedQueue   = -1   // spec max_queue for unbounded link buffers
 	limitedLinkRate  = 0.4  // packets/tick through a rate-limited link
 	immunizeMu       = 0.05 // per-tick patch probability in the sims
 )

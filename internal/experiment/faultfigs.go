@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/fault"
 	"repro/internal/plot"
-	"repro/internal/sim"
-	"repro/internal/worm"
+	"repro/internal/spec"
 )
 
 // FaultDetector regenerates the robustness extension figure: how much
@@ -39,30 +37,25 @@ import (
 // seed seed+r (sim.MultiRun derives it), so the sweep is exactly
 // reproducible.
 func FaultDetector(ctx context.Context, opt Options) (*Result, error) {
-	g, roles, _, err := powerLawTopology(opt)
-	if err != nil {
-		return nil, err
-	}
 	ticks := 150
 	if opt.Quick {
 		ticks = 100
 	}
-	base := sim.Config{
-		Graph: g, Roles: roles, Beta: simBeta, Strategy: worm.NewRandomFactory(),
-		InitialInfected: 5, Ticks: ticks, Seed: opt.seed(),
-		ScansPerTick: congestedScans, MaxQueue: dropTailQueue,
-		NodeCaps:   backboneCaps(roles, 40),
-		Quarantine: &sim.Quarantine{TriggerLevel: 0.05, Delay: 2},
-		Immunize:   &sim.Immunization{StartTick: -1, StartLevel: 0.2, Mu: immunizeMu},
-	}
+	base := opt.scenario(opt.powerLaw(), ticks, 5)
+	base.Worm.ScansPerTick, base.MaxQueue = congestedScans, dropTailQueue
+	base.Defenses = []spec.Defense{backboneCaps}
+	base.Quarantine = &spec.Quarantine{TriggerLevel: 0.05, Delay: 2}
+	base.Immunize = &spec.Immunize{StartLevel: 0.2, Mu: immunizeMu}
 	errRates := []float64{0, 0.2, 0.4, 0.6, 0.8, 0.95}
 
-	sweep := func(label string, profile func(e float64) *fault.Profile) (plot.Series, error) {
+	sweep := func(label string, profile func(e float64) *spec.Faults) (plot.Series, error) {
 		s := plot.Series{Label: label, X: make([]float64, 0, len(errRates)), Y: make([]float64, 0, len(errRates))}
 		for _, e := range errRates {
-			cfg := base
-			cfg.Faults = profile(e)
-			res, err := opt.multiRun(ctx, cfg)
+			point := base
+			if e > 0 {
+				point.Faults = profile(e)
+			}
+			res, err := opt.run(ctx, &point, nil)
 			if err != nil {
 				return plot.Series{}, fmt.Errorf("%s at %v: %w", label, e, err)
 			}
@@ -72,20 +65,14 @@ func FaultDetector(ctx context.Context, opt Options) (*Result, error) {
 		return s, nil
 	}
 
-	miss, err := sweep("Missed detections", func(e float64) *fault.Profile {
-		if e == 0 {
-			return nil
-		}
-		return &fault.Profile{Seed: opt.seed(), MissRate: e}
+	miss, err := sweep("Missed detections", func(e float64) *spec.Faults {
+		return &spec.Faults{Seed: opt.seed(), MissRate: e}
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiment: fault-detector: %w", err)
 	}
-	falseAlarm, err := sweep("False alarms", func(e float64) *fault.Profile {
-		if e == 0 {
-			return nil
-		}
-		return &fault.Profile{Seed: opt.seed(), FalseAlarmPerTick: e}
+	falseAlarm, err := sweep("False alarms", func(e float64) *spec.Faults {
+		return &spec.Faults{Seed: opt.seed(), FalseAlarmPerTick: e}
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiment: fault-detector: %w", err)
@@ -94,9 +81,8 @@ func FaultDetector(ctx context.Context, opt Options) (*Result, error) {
 	// Reference: the same epidemic with no quarantine defense at all —
 	// the containment floor a totally blind detector degrades toward.
 	open := base
-	open.NodeCaps = nil
-	open.Quarantine = nil
-	openRes, err := opt.multiRun(ctx, open)
+	open.Defenses, open.Quarantine = nil, nil
+	openRes, err := opt.run(ctx, &open, nil)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: fault-detector undefended: %w", err)
 	}

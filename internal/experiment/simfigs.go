@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/model"
 	"repro/internal/plot"
-	"repro/internal/routing"
-	"repro/internal/sim"
-	"repro/internal/topology"
-	"repro/internal/worm"
+	"repro/internal/spec"
 )
 
 // simSeries converts a per-tick fraction series to a plot series
@@ -26,49 +24,21 @@ func simSeries(label string, ys []float64) plot.Series {
 // host throttling); hub rate limiting caps the hub's forwarding at 2
 // packets/tick (the paper's hub rate 0.01 × N).
 func Fig1b(ctx context.Context, opt Options) (*Result, error) {
-	n := 200
 	ticks := 150
 	if opt.Quick {
 		ticks = 60
 	}
-	star, err := topology.Star(n)
+	base := opt.scenario(spec.Topology{Kind: "star", Nodes: 200}, ticks, 1)
+	base.MaxQueue = unboundedQueue
+	cases := []simCase{
+		{label: "No RL"},
+		{label: "10% leaf nodes RL", mod: defense(hostRL(0.1))},
+		{label: "30% leaf nodes RL", mod: defense(hostRL(0.3))},
+		{label: "Hub node RL", mod: defense(spec.Defense{Kind: "hub", HubCap: 2})},
+	}
+	res, err := opt.runCases(ctx, "fig1b", base, cases)
 	if err != nil {
-		return nil, fmt.Errorf("experiment: fig1b: %w", err)
-	}
-	base := sim.Config{
-		Graph: star, Beta: simBeta, Strategy: worm.NewRandomFactory(),
-		InitialInfected: 1, Ticks: ticks, Seed: opt.seed(),
-	}
-	leafOverride := func(frac float64) (map[int]float64, error) {
-		hosts, err := sim.DeployHostFraction(star, nil, frac, opt.seed())
-		if err != nil {
-			return nil, err
-		}
-		o := make(map[int]float64, len(hosts))
-		for _, h := range hosts {
-			if h != topology.Hub {
-				o[h] = hostFilteredRate
-			}
-		}
-		return o, nil
-	}
-	o10, err := leafOverride(0.1)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: fig1b: %w", err)
-	}
-	o30, err := leafOverride(0.3)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: fig1b: %w", err)
-	}
-
-	cases := []struct {
-		label string
-		mod   func(*sim.Config)
-	}{
-		{"No RL", func(c *sim.Config) {}},
-		{"10% leaf nodes RL", func(c *sim.Config) { c.ScanRateOverride = o10 }},
-		{"30% leaf nodes RL", func(c *sim.Config) { c.ScanRateOverride = o30 }},
-		{"Hub node RL", func(c *sim.Config) { c.NodeCaps = map[int]int{topology.Hub: 2} }},
+		return nil, err
 	}
 	fig := plot.Figure{
 		Title:  "Fig 1(b): simulated rate limiting on a 200-node star (avg of runs)",
@@ -76,24 +46,11 @@ func Fig1b(ctx context.Context, opt Options) (*Result, error) {
 		YLabel: "fraction infected",
 	}
 	metrics := make(map[string]float64)
-	var t60leaf30 float64
-	for _, cse := range cases {
-		cfg := base
-		cse.mod(&cfg)
-		res, err := opt.multiRun(ctx, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: fig1b %q: %w", cse.label, err)
-		}
-		fig.Series = append(fig.Series, simSeries(cse.label, res.Infected))
-		t60 := res.TimeToLevel(0.6)
-		metrics["t60_"+cse.label] = t60
-		if cse.label == "30% leaf nodes RL" {
-			t60leaf30 = t60
-		}
-		if cse.label == "Hub node RL" {
-			metrics["hub_over_leaf30"] = t60 / t60leaf30
-		}
+	for i, c := range cases {
+		fig.Series = append(fig.Series, simSeries(c.label, res[i].Infected))
+		metrics["t60_"+c.label] = res[i].TimeToLevel(0.6)
 	}
+	metrics["hub_over_leaf30"] = metrics["t60_Hub node RL"] / metrics["t60_30% leaf nodes RL"]
 	return &Result{
 		ID:      "fig1b",
 		Paper:   "Simulated star: 10% leaf RL negligible, 30% slight, hub RL ~3x slower to 60%",
@@ -107,34 +64,25 @@ func Fig1b(ctx context.Context, opt Options) (*Result, error) {
 // RL. Congestion parameters (10 scans per tick against 0.4-packet/tick
 // limited links with 50-packet DropTail buffers) are calibrated so the
 // backbone deployment reproduces the paper's ~5x time-to-50% gap; see
-// EXPERIMENTS.md.
+// EXPERIMENTS.md. Edge-router RL limits every link of every edge
+// router (spec kind edge_router), not only the subnet uplinks Fig 5
+// limits.
 func Fig4(ctx context.Context, opt Options) (*Result, error) {
-	g, roles, _, err := powerLawTopology(opt)
-	if err != nil {
-		return nil, err
-	}
 	ticks := 150
 	if opt.Quick {
 		ticks = 100
 	}
-	base := sim.Config{
-		Graph: g, Roles: roles, Beta: simBeta,
-		Strategy:        worm.NewRandomFactory(),
-		InitialInfected: 5, Ticks: ticks, Seed: opt.seed(),
-		ScansPerTick: congestedScans, MaxQueue: dropTailQueue, BaseRate: limitedLinkRate,
+	base := opt.scenario(opt.powerLaw(), ticks, 5)
+	base.Worm.ScansPerTick, base.MaxQueue = congestedScans, dropTailQueue
+	cases := []simCase{
+		{label: "No RL"},
+		{label: "5% end host RL", mod: defense(hostRL(0.05))},
+		{label: "Edge router RL", mod: defense(spec.Defense{Kind: "edge_router", Rate: limitedLinkRate})},
+		{label: "Backbone RL", mod: defense(backboneRL)},
 	}
-	hosts5, err := sim.DeployHostFraction(g, roles, 0.05, opt.seed())
+	res, err := opt.runCases(ctx, "fig4", base, cases)
 	if err != nil {
-		return nil, fmt.Errorf("experiment: fig4: %w", err)
-	}
-	cases := []struct {
-		label string
-		mod   func(*sim.Config)
-	}{
-		{"No RL", func(c *sim.Config) {}},
-		{"5% end host RL", func(c *sim.Config) { c.ScanRateOverride = overrideFor(hosts5) }},
-		{"Edge router RL", func(c *sim.Config) { c.LimitedNodes = sim.DeployEdgeRouters(roles) }},
-		{"Backbone RL", func(c *sim.Config) { c.LimitedNodes = sim.DeployBackbone(roles) }},
+		return nil, err
 	}
 	fig := plot.Figure{
 		Title:  "Fig 4: simulated rate limiting on a 1000-node power-law graph",
@@ -142,26 +90,22 @@ func Fig4(ctx context.Context, opt Options) (*Result, error) {
 		YLabel: "fraction infected",
 	}
 	metrics := make(map[string]float64)
-	for _, cse := range cases {
-		cfg := base
-		cse.mod(&cfg)
-		res, err := opt.multiRun(ctx, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: fig4 %q: %w", cse.label, err)
-		}
-		fig.Series = append(fig.Series, simSeries(cse.label, res.Infected))
-		metrics["t50_"+cse.label] = res.TimeToLevel(0.5)
+	for i, c := range cases {
+		fig.Series = append(fig.Series, simSeries(c.label, res[i].Infected))
+		metrics["t50_"+c.label] = res[i].TimeToLevel(0.5)
 	}
 	metrics["backbone_over_noRL"] = metrics["t50_Backbone RL"] / metrics["t50_No RL"]
 	metrics["edge_over_noRL"] = metrics["t50_Edge router RL"] / metrics["t50_No RL"]
 	metrics["host5_over_noRL"] = metrics["t50_5% end host RL"] / metrics["t50_No RL"]
-	// Tie the simulation to Equation 6: measure the backbone's actual
-	// path coverage α on this topology.
-	alpha, err := routing.Build(g).PathCoverage(sim.DeployBackbone(roles))
+	// Tie the simulation to Equation 6: the backbone case's model
+	// carries the backbone's path coverage α measured on this topology.
+	backbone := base
+	backbone.Defenses = []spec.Defense{backboneRL}
+	m, err := backbone.Model()
 	if err != nil {
 		return nil, fmt.Errorf("experiment: fig4: %w", err)
 	}
-	metrics["alpha_measured"] = alpha
+	metrics["alpha_measured"] = m.(model.BackboneRL).Alpha
 	return &Result{
 		ID:      "fig4",
 		Paper:   "Power-law sim: 5% host RL negligible, edge slight, backbone ~5x slower to 50%",
@@ -174,41 +118,27 @@ func Fig4(ctx context.Context, opt Options) (*Result, error) {
 // vs local-preferential worms. This figure is about subnet structure,
 // so it runs on the explicit enterprise topology (backbone mesh, edge
 // routers, subnets) where "edge filter" unambiguously means the subnet
-// uplink: a local-preferential worm (95% of scans inside the subnet)
-// barely notices the filters, while a random scanner's traffic almost
-// always crosses two of them.
+// uplink (spec kind edge): a local-preferential worm (95% of scans
+// inside the subnet) barely notices the filters, while a random
+// scanner's traffic almost always crosses two of them.
 func Fig5(ctx context.Context, opt Options) (*Result, error) {
-	hier := topology.HierarchicalConfig{Backbones: 4, EdgesPer: 5, HostsPerSubnet: 48}
-	if opt.Quick {
-		hier.HostsPerSubnet = 16
-	}
-	g, roles, subnet, err := topology.Hierarchical(hier)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: fig5: %w", err)
-	}
-	lp, err := worm.NewLocalPreferentialFactory(0.95)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: fig5: %w", err)
-	}
-	uplinks := sim.DeployEdgeUplinks(g, roles, subnet)
 	ticks := 200
 	if opt.Quick {
 		ticks = 120
 	}
-	base := sim.Config{
-		Graph: g, Roles: roles, Subnet: subnet, Beta: simBeta,
-		InitialInfected: 10, Ticks: ticks, Seed: opt.seed(),
-		ScansPerTick: congestedScans, MaxQueue: dropTailQueue, BaseRate: 0.2,
+	base := opt.scenario(opt.enterprise(), ticks, 10)
+	base.Worm.ScansPerTick, base.MaxQueue = congestedScans, dropTailQueue
+	edge := defense(spec.Defense{Kind: "edge", Rate: 0.2})
+	local := func(s *spec.Spec) { s.Worm.Kind, s.Worm.LocalPref = "local", 0.95 }
+	cases := []simCase{
+		{label: "No RL random propagation"},
+		{label: "Edge router RL for random propagation", mod: edge},
+		{label: "No RL local preferential", mod: local},
+		{label: "Edge router RL for local preferential", mod: func(s *spec.Spec) { local(s); edge(s) }},
 	}
-	cases := []struct {
-		label    string
-		strategy worm.Factory
-		limited  bool
-	}{
-		{"No RL random propagation", worm.NewRandomFactory(), false},
-		{"Edge router RL for random propagation", worm.NewRandomFactory(), true},
-		{"No RL local preferential", lp, false},
-		{"Edge router RL for local preferential", lp, true},
+	res, err := opt.runCases(ctx, "fig5", base, cases)
+	if err != nil {
+		return nil, err
 	}
 	fig := plot.Figure{
 		Title:  "Fig 5: edge-router RL vs worm targeting strategy (simulation)",
@@ -216,18 +146,9 @@ func Fig5(ctx context.Context, opt Options) (*Result, error) {
 		YLabel: "fraction infected",
 	}
 	metrics := make(map[string]float64)
-	for _, cse := range cases {
-		cfg := base
-		cfg.Strategy = cse.strategy
-		if cse.limited {
-			cfg.LimitedLinks = uplinks
-		}
-		res, err := opt.multiRun(ctx, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: fig5 %q: %w", cse.label, err)
-		}
-		fig.Series = append(fig.Series, simSeries(cse.label, res.Infected))
-		metrics["t50_"+cse.label] = res.TimeToLevel(0.5)
+	for i, c := range cases {
+		fig.Series = append(fig.Series, simSeries(c.label, res[i].Infected))
+		metrics["t50_"+c.label] = res[i].TimeToLevel(0.5)
 	}
 	metrics["random_slowdown"] =
 		metrics["t50_Edge router RL for random propagation"] / metrics["t50_No RL random propagation"]
@@ -244,39 +165,22 @@ func Fig5(ctx context.Context, opt Options) (*Result, error) {
 // Fig6 regenerates Figure 6: a local-preferential worm under end-host
 // (5%/30%) vs backbone rate limiting.
 func Fig6(ctx context.Context, opt Options) (*Result, error) {
-	g, roles, subnet, err := powerLawTopology(opt)
-	if err != nil {
-		return nil, err
-	}
-	lp, err := worm.NewLocalPreferentialFactory(0.8)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: fig6: %w", err)
-	}
 	ticks := 150
 	if opt.Quick {
 		ticks = 100
 	}
-	base := sim.Config{
-		Graph: g, Roles: roles, Subnet: subnet, Beta: simBeta, Strategy: lp,
-		InitialInfected: 5, Ticks: ticks, Seed: opt.seed(),
-		ScansPerTick: congestedScans, MaxQueue: dropTailQueue, BaseRate: limitedLinkRate,
+	base := opt.scenario(opt.powerLaw(), ticks, 5)
+	base.Worm = spec.Worm{Kind: "local", Beta: simBeta, LocalPref: 0.8, ScansPerTick: congestedScans}
+	base.MaxQueue = dropTailQueue
+	cases := []simCase{
+		{label: "No RL"},
+		{label: "5% end host RL", mod: defense(hostRL(0.05))},
+		{label: "30% end host RL", mod: defense(hostRL(0.30))},
+		{label: "Backbone RL", mod: defense(backboneRL)},
 	}
-	hosts5, err := sim.DeployHostFraction(g, roles, 0.05, opt.seed())
+	res, err := opt.runCases(ctx, "fig6", base, cases)
 	if err != nil {
-		return nil, fmt.Errorf("experiment: fig6: %w", err)
-	}
-	hosts30, err := sim.DeployHostFraction(g, roles, 0.30, opt.seed())
-	if err != nil {
-		return nil, fmt.Errorf("experiment: fig6: %w", err)
-	}
-	cases := []struct {
-		label string
-		mod   func(*sim.Config)
-	}{
-		{"No RL", func(c *sim.Config) {}},
-		{"5% end host RL", func(c *sim.Config) { c.ScanRateOverride = overrideFor(hosts5) }},
-		{"30% end host RL", func(c *sim.Config) { c.ScanRateOverride = overrideFor(hosts30) }},
-		{"Backbone RL", func(c *sim.Config) { c.LimitedNodes = sim.DeployBackbone(roles) }},
+		return nil, err
 	}
 	fig := plot.Figure{
 		Title:  "Fig 6: local-preferential worm: host vs backbone RL (simulation)",
@@ -284,15 +188,9 @@ func Fig6(ctx context.Context, opt Options) (*Result, error) {
 		YLabel: "fraction infected",
 	}
 	metrics := make(map[string]float64)
-	for _, cse := range cases {
-		cfg := base
-		cse.mod(&cfg)
-		res, err := opt.multiRun(ctx, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: fig6 %q: %w", cse.label, err)
-		}
-		fig.Series = append(fig.Series, simSeries(cse.label, res.Infected))
-		metrics["t50_"+cse.label] = res.TimeToLevel(0.5)
+	for i, c := range cases {
+		fig.Series = append(fig.Series, simSeries(c.label, res[i].Infected))
+		metrics["t50_"+c.label] = res[i].TimeToLevel(0.5)
 	}
 	metrics["host30_over_noRL"] = metrics["t50_30% end host RL"] / metrics["t50_No RL"]
 	metrics["backbone_over_noRL"] = metrics["t50_Backbone RL"] / metrics["t50_No RL"]
@@ -308,17 +206,24 @@ func Fig6(ctx context.Context, opt Options) (*Result, error) {
 // (µ = 0.05/tick) triggered when the infection reaches 20/50/80%,
 // reporting the total ever-infected population.
 func Fig8a(ctx context.Context, opt Options) (*Result, error) {
-	g, roles, _, err := powerLawTopology(opt)
-	if err != nil {
-		return nil, err
-	}
 	ticks := 150
 	if opt.Quick {
 		ticks = 100
 	}
-	base := sim.Config{
-		Graph: g, Roles: roles, Beta: simBeta, Strategy: worm.NewRandomFactory(),
-		InitialInfected: 5, Ticks: ticks, Seed: opt.seed(),
+	base := opt.scenario(opt.powerLaw(), ticks, 5)
+	base.MaxQueue = unboundedQueue
+	immunizeAt := func(level float64) func(*spec.Spec) {
+		return func(s *spec.Spec) { s.Immunize = &spec.Immunize{StartLevel: level, Mu: immunizeMu} }
+	}
+	cases := []simCase{
+		{label: "No immunization"},
+		{label: "Immunization at 20%", mod: immunizeAt(0.2)},
+		{label: "Immunization at 50%", mod: immunizeAt(0.5)},
+		{label: "Immunization at 80%", mod: immunizeAt(0.8)},
+	}
+	res, err := opt.runCases(ctx, "fig8a", base, cases)
+	if err != nil {
+		return nil, err
 	}
 	fig := plot.Figure{
 		Title:  "Fig 8(a): simulated delayed immunization (total ever infected)",
@@ -326,26 +231,9 @@ func Fig8a(ctx context.Context, opt Options) (*Result, error) {
 		YLabel: "fraction ever infected",
 	}
 	metrics := make(map[string]float64)
-	cases := []struct {
-		label string
-		level float64
-	}{
-		{"No immunization", 0},
-		{"Immunization at 20%", 0.2},
-		{"Immunization at 50%", 0.5},
-		{"Immunization at 80%", 0.8},
-	}
-	for _, cse := range cases {
-		cfg := base
-		if cse.level > 0 {
-			cfg.Immunize = &sim.Immunization{StartTick: -1, StartLevel: cse.level, Mu: immunizeMu}
-		}
-		res, err := opt.multiRun(ctx, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: fig8a %q: %w", cse.label, err)
-		}
-		fig.Series = append(fig.Series, simSeries(cse.label, res.EverInfected))
-		metrics[fmt.Sprintf("ever_%s", cse.label)] = res.FinalEverInfected()
+	for i, c := range cases {
+		fig.Series = append(fig.Series, simSeries(c.label, res[i].EverInfected))
+		metrics["ever_"+c.label] = res[i].FinalEverInfected()
 	}
 	return &Result{
 		ID:      "fig8a",
@@ -360,56 +248,42 @@ func Fig8a(ctx context.Context, opt Options) (*Result, error) {
 // wall-clock ticks where the *unlimited* epidemic reached 20/50/80%
 // (≈20/25/30 here), as the paper does with its ticks 6/8/10.
 func Fig8b(ctx context.Context, opt Options) (*Result, error) {
-	g, roles, _, err := powerLawTopology(opt)
-	if err != nil {
-		return nil, err
-	}
 	ticks := 200
 	if opt.Quick {
 		ticks = 120
 	}
-	// Find the unlimited epidemic's times to 20/50/80%.
-	probe := sim.Config{
-		Graph: g, Roles: roles, Beta: simBeta, Strategy: worm.NewRandomFactory(),
-		InitialInfected: 5, Ticks: ticks, Seed: opt.seed(),
-	}
-	probeRes, err := opt.multiRun(ctx, probe)
+	// Find the unlimited epidemic's times to 20/50/80%; the probe is
+	// the figure's first batch.
+	probe := opt.scenario(opt.powerLaw(), ticks, 5)
+	probe.MaxQueue = unboundedQueue
+	probeRes, err := opt.run(ctx, &probe, nil)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: fig8b probe: %w", err)
 	}
-	caps := backboneCaps(roles, 40)
+	base := probe
+	base.Defenses = []spec.Defense{backboneCaps}
+	metrics := make(map[string]float64)
+	cases := []simCase{{label: "No immunization"}}
+	for _, level := range []float64{0.2, 0.5, 0.8} {
+		label := fmt.Sprintf("Immunization at %.0f%%-tick", level*100)
+		start := max(int(probeRes.TimeToLevel(level)), 1)
+		metrics["start_"+label] = float64(start)
+		cases = append(cases, simCase{label: label, mod: func(s *spec.Spec) {
+			s.Immunize = &spec.Immunize{StartTick: start, Mu: immunizeMu}
+		}})
+	}
+	res, err := opt.runCases(ctx, "fig8b", base, cases)
+	if err != nil {
+		return nil, err
+	}
 	fig := plot.Figure{
 		Title:  "Fig 8(b): simulated delayed immunization with backbone RL (total ever infected)",
 		XLabel: "time (ticks)",
 		YLabel: "fraction ever infected",
 	}
-	metrics := make(map[string]float64)
-	cases := []struct {
-		label string
-		level float64
-	}{
-		{"No immunization", 0},
-		{"Immunization at 20%-tick", 0.2},
-		{"Immunization at 50%-tick", 0.5},
-		{"Immunization at 80%-tick", 0.8},
-	}
-	for _, cse := range cases {
-		cfg := probe
-		cfg.NodeCaps = caps
-		if cse.level > 0 {
-			start := int(probeRes.TimeToLevel(cse.level))
-			if start < 1 {
-				start = 1
-			}
-			cfg.Immunize = &sim.Immunization{StartTick: start, Mu: immunizeMu}
-			metrics[fmt.Sprintf("start_%s", cse.label)] = float64(start)
-		}
-		res, err := opt.multiRun(ctx, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: fig8b %q: %w", cse.label, err)
-		}
-		fig.Series = append(fig.Series, simSeries(cse.label, res.EverInfected))
-		metrics[fmt.Sprintf("ever_%s", cse.label)] = res.FinalEverInfected()
+	for i, c := range cases {
+		fig.Series = append(fig.Series, simSeries(c.label, res[i].EverInfected))
+		metrics["ever_"+c.label] = res[i].FinalEverInfected()
 	}
 	return &Result{
 		ID:      "fig8b",

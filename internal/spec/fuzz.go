@@ -65,7 +65,19 @@ func Fuzz(rng *rand.Rand) *Spec {
 		defenses = append(defenses, "hub")
 	}
 	pick := defenses[rng.Intn(len(defenses))]
-	switch pick {
+	// The seed's parity picks the node-level kind of an edge or backbone
+	// placement. Both kinds take the same draws, so the random stream
+	// and every sample's name (which keeps the placement) stay stable.
+	kind := pick
+	if s.Seed%2 == 0 {
+		switch pick {
+		case "edge":
+			kind = "edge_router"
+		case "backbone":
+			kind = "backbone_cap"
+		}
+	}
+	switch kind {
 	case "none":
 		s.Defenses = []Defense{{Kind: "none"}}
 	case "host":
@@ -77,13 +89,15 @@ func Fuzz(rng *rand.Rand) *Spec {
 		s.Defenses = []Defense{{Kind: "overrides", Overrides: map[string]float64{
 			fmt.Sprint(rng.Intn(11)): 0.05 * float64(rng.Intn(5)),
 		}}}
-	case "edge":
-		s.Defenses = []Defense{{Kind: "edge", Rate: 0.5 + 0.5*float64(rng.Intn(5))}}
+	case "edge", "edge_router":
+		s.Defenses = []Defense{{Kind: kind, Rate: 0.5 + 0.5*float64(rng.Intn(5))}}
 	case "backbone":
 		s.Defenses = []Defense{{
 			Kind: "backbone", Rate: 0.4 + 0.4*float64(rng.Intn(5)),
 			Weighted: rng.Intn(2) == 0,
 		}}
+	case "backbone_cap": // a cap of 1..10 from backbone's two draws
+		s.Defenses = []Defense{{Kind: "backbone_cap", HubCap: 1 + rng.Intn(5) + 5*rng.Intn(2)}}
 	case "throttle":
 		s.Defenses = []Defense{{
 			Kind: "throttle", WorkingSet: 1 + rng.Intn(4),

@@ -159,10 +159,12 @@ func (w *Worm) strategy() (worm.Factory, error) {
 	}
 }
 
-// config lowers the spec onto a simulation config. A non-nil net
-// supplies the prebuilt topology (its key must match the spec's); nil
-// builds from scratch.
-func (s *Spec) config(net *Net) (sim.Config, error) {
+// Config lowers the spec onto a simulation config — the module's one
+// scenario lowering, shared by Compiled.Run, the sweep engine, and the
+// figure harness. A non-nil net supplies the prebuilt topology (its key
+// must match the spec's); nil builds from scratch. The config is not
+// validated here; sim.New and sim.MultiRun validate it.
+func (s *Spec) Config(net *Net) (sim.Config, error) {
 	strategy, err := s.Worm.strategy()
 	if err != nil {
 		return sim.Config{}, err
@@ -220,6 +222,9 @@ func (s *Spec) config(net *Net) (sim.Config, error) {
 	if s.Drop {
 		cfg.Policy = sim.PolicyDrop
 	}
+	if err := s.checkStack(); err != nil {
+		return sim.Config{}, err
+	}
 	for i, d := range s.Defenses {
 		if err := s.applyDefense(&cfg, i, d); err != nil {
 			return sim.Config{}, err
@@ -258,10 +263,41 @@ func (s *Spec) config(net *Net) (sim.Config, error) {
 	return cfg, nil
 }
 
+// checkStack rejects a defense stack whose entries would overwrite one
+// another's engine-wide settings: every link-limiting entry ("edge",
+// "edge_router", "backbone") sets the one sim.Config.BaseRate, and
+// every "throttle" the one HostLimiterFactory.
+func (s *Spec) checkStack() error {
+	link, throttle := -1, -1
+	for i, d := range s.Defenses {
+		switch d.Kind {
+		case "edge", "edge_router", "backbone":
+			if link < 0 {
+				link = i
+			} else if r := s.Defenses[link].Rate; r != d.Rate {
+				return fmt.Errorf("spec: defenses[%d] and defenses[%d] limit links at different rates (%g, %g); stacked link limits share one rate",
+					link, i, r, d.Rate)
+			}
+		case "throttle":
+			if throttle >= 0 {
+				return fmt.Errorf("spec: defenses[%d] and defenses[%d] are both throttles; a stack takes at most one", throttle, i)
+			}
+			throttle = i
+		}
+	}
+	return nil
+}
+
 // applyDefense lowers defenses[i] onto the simulation config; stacked
 // defenses accumulate.
 func (s *Spec) applyDefense(cfg *sim.Config, i int, d Defense) error {
 	g, roles, subnet := cfg.Graph, cfg.Roles, cfg.Subnet
+	switch d.Kind {
+	case "edge", "edge_router", "backbone", "backbone_cap", "throttle":
+		if roles == nil {
+			return fmt.Errorf("%w: defense %q needs a routed topology", ErrUnsupported, d.Kind)
+		}
+	}
 	switch d.Kind {
 	case "none":
 	case "host":
@@ -273,6 +309,9 @@ func (s *Spec) applyDefense(cfg *sim.Config, i int, d Defense) error {
 			cfg.ScanRateOverride = make(map[int]float64, len(hosts))
 		}
 		for _, h := range hosts {
+			if s.Topology.Kind == "star" && h == topology.Hub {
+				continue // the hub is the star's router, not a leaf host
+			}
 			cfg.ScanRateOverride[h] = d.Rate
 		}
 	case "overrides":
@@ -287,15 +326,12 @@ func (s *Spec) applyDefense(cfg *sim.Config, i int, d Defense) error {
 			cfg.ScanRateOverride[node] = r
 		}
 	case "edge":
-		if roles == nil {
-			return fmt.Errorf("%w: edge rate limiting needs a routed topology", ErrUnsupported)
-		}
 		cfg.LimitedLinks = append(cfg.LimitedLinks, sim.DeployEdgeUplinks(g, roles, subnet)...)
 		cfg.BaseRate = d.Rate
+	case "edge_router":
+		cfg.LimitedNodes = append(cfg.LimitedNodes, sim.DeployEdgeRouters(roles)...)
+		cfg.BaseRate = d.Rate
 	case "backbone":
-		if roles == nil {
-			return fmt.Errorf("%w: backbone rate limiting needs a routed topology", ErrUnsupported)
-		}
 		cfg.LimitedNodes = append(cfg.LimitedNodes, sim.DeployBackbone(roles)...)
 		cfg.BaseRate = d.Rate
 		if d.Weighted {
@@ -305,18 +341,20 @@ func (s *Spec) applyDefense(cfg *sim.Config, i int, d Defense) error {
 			}
 			cfg.LinkWeights = w
 		}
-	case "hub":
-		if s.Topology.Kind != "star" {
+	case "hub", "backbone_cap":
+		capped := []int{topology.Hub}
+		if d.Kind == "backbone_cap" {
+			capped = sim.DeployBackbone(roles)
+		} else if s.Topology.Kind != "star" {
 			return fmt.Errorf("%w: hub caps apply to star topologies", ErrUnsupported)
 		}
 		if cfg.NodeCaps == nil {
-			cfg.NodeCaps = make(map[int]int, 1)
+			cfg.NodeCaps = make(map[int]int, len(capped))
 		}
-		cfg.NodeCaps[topology.Hub] = d.HubCap
+		for _, n := range capped {
+			cfg.NodeCaps[n] = d.HubCap
+		}
 	case "throttle":
-		if roles == nil {
-			return fmt.Errorf("%w: host contact throttles need a routed topology", ErrUnsupported)
-		}
 		hosts := topology.NodesWithRole(roles, topology.RoleHost)
 		if d.Hosts < 0 || d.Hosts > len(hosts) {
 			return fmt.Errorf("spec: defense: throttle wants %d hosts, topology has %d", d.Hosts, len(hosts))

@@ -126,15 +126,21 @@ type Worm struct {
 
 // Defense is one entry of the deployment stack.
 type Defense struct {
-	// Kind is one of "none", "host", "edge", "backbone", "hub",
-	// "overrides", "throttle".
+	// Kind is one of "none"; "host" (a random Fraction of the hosts,
+	// or of all nodes but a star's hub); "edge" (every edge router's
+	// subnet uplinks, Fig 5); "edge_router" (every link of every edge
+	// router, Fig 4); "backbone" (every backbone router's links); "hub"
+	// (a star hub's forwarding cap); "backbone_cap" (every backbone
+	// router's forwarding cap); "overrides"; "throttle". Stacked link
+	// limits must share one Rate, and a stack takes one throttle.
 	Kind string `json:"kind"`
 	// Fraction is the host deployment fraction for "host".
 	Fraction float64 `json:"fraction,omitempty"`
-	// Rate is the link rate ("edge"/"backbone") or filtered scan rate
-	// ("host").
+	// Rate is the link rate ("edge"/"edge_router"/"backbone") or
+	// filtered scan rate ("host").
 	Rate float64 `json:"rate,omitempty"`
-	// HubCap caps the star hub's forwarding for "hub".
+	// HubCap is the per-node forwarding cap: the star hub's for "hub",
+	// each backbone router's for "backbone_cap".
 	HubCap int `json:"hub_cap,omitempty"`
 	// Weighted scales "backbone" link budgets by routing-table weight.
 	Weighted bool `json:"weighted,omitempty"`
@@ -376,7 +382,7 @@ func (s *Spec) Compile() (*Compiled, error) {
 	if err := c.Options.Validate(); err != nil {
 		return nil, err
 	}
-	cfg, err := s.config(nil)
+	cfg, err := s.Config(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -390,7 +396,7 @@ func (s *Spec) Compile() (*Compiled, error) {
 // net supplies prebuilt topology state (see Spec.BuildNet); its key
 // must match the point's NetKey.
 func (c *Compiled) Run(ctx context.Context, net *Net) (*sim.Result, runner.Stats, error) {
-	cfg, err := c.Spec.config(net)
+	cfg, err := c.Spec.Config(net)
 	if err != nil {
 		return nil, runner.Stats{}, err
 	}

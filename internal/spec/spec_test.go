@@ -220,6 +220,23 @@ func TestCompileRejects(t *testing.T) {
 			s.Topology = Topology{Kind: "powerlaw", Nodes: 50}
 			s.Defenses = []Defense{{Kind: "hub", HubCap: 2}}
 		}, "hub caps apply to star"},
+		{"edge_router needs routing", func(s *Spec) {
+			s.Defenses = []Defense{{Kind: "edge_router", Rate: 0.4}}
+		}, "needs a routed topology"},
+		{"backbone_cap needs routing", func(s *Spec) {
+			s.Defenses = []Defense{{Kind: "backbone_cap", HubCap: 40}}
+		}, "needs a routed topology"},
+		{"stacked link rates differ", func(s *Spec) {
+			s.Topology = Topology{Kind: "powerlaw", Nodes: 50}
+			s.Defenses = []Defense{{Kind: "edge", Rate: 0.2}, {Kind: "none"}, {Kind: "backbone", Rate: 4}}
+		}, "defenses[0] and defenses[2] limit links at different rates"},
+		{"two throttles", func(s *Spec) {
+			s.Topology = Topology{Kind: "powerlaw", Nodes: 50}
+			s.Defenses = []Defense{
+				{Kind: "throttle", WorkingSet: 4, Period: 1, Hosts: 10},
+				{Kind: "throttle", WorkingSet: 2, Period: 5, Hosts: 5},
+			}
+		}, "defenses[0] and defenses[1] are both throttles"},
 		{"bad beta", func(s *Spec) { s.Worm.Beta = 1.5 }, "beta"},
 		{"bad duration", func(s *Spec) { s.Run = &Run{Timeout: "soon"} }, "run.timeout"},
 		{"bad runs", func(s *Spec) { s.Run = &Run{Runs: -2} }, "run.runs"},
