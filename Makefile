@@ -91,13 +91,16 @@ crash-smoke:
 ## replay-smoke: the trace-replay workload gate — the golden replay
 ## fixture (series + collateral counters) and a mid-run
 ## checkpoint/resume, the streaming replayer's
-## determinism/Skip/constant-memory guards, the core workload
-## lowering, and the CLI end-to-end: generate a trace, replay it under
-## the invariant audit, and check the collateral counters balance.
+## determinism/Skip/constant-memory guards, the spec's workload
+## validation and lowering and whole batches over both workload kinds,
+## wormsim's -trace-replay/-trace-tick-ms flags (alone and over a
+## spec's workload), and the CLI end-to-end: generate a trace, replay
+## it under the invariant audit, and check the collateral counters
+## balance.
 replay-smoke:
 	$(GO) test -run 'TestGoldenReplay|TestReplay|TestRecordReplayer|TestSyntheticReplayer|TestWormFlow' -v ./internal/sim ./internal/trace
-	$(GO) test -run 'TestWorkload|TestMergeRunFlagsWorkload|TestRunSyntheticWorkload|TestRunTraceFileWorkload|TestCompileWorkload' -v ./internal/core ./internal/spec
-	$(GO) test -run 'TestRunTraceReplay|TestCollateralShape' -v ./cmd/wormsim ./internal/experiment
+	$(GO) test -run 'TestWorkload|TestRunSyntheticWorkload|TestRunTraceFileWorkload|TestCompileWorkload' -v ./internal/core ./internal/spec
+	$(GO) test -run 'TestRunTraceReplay|TestWorkloadFlag|TestCollateralShape' -v ./cmd/wormsim ./internal/experiment
 
 ## examples: run the library examples end to end — the public-API
 ## consumers, which `build` only compiles. tracestudy (~13 s) is left

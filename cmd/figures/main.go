@@ -24,8 +24,8 @@
 // written through the same .dat/.metrics pipeline as the paper figures.
 // Grid points that share a topology share one materialized network. Run
 // flags overlay the spec's run section; figure IDs conflict with -spec.
-// -trace-replay and -trace-tick-ms need -spec: the paper figures define
-// their own workloads.
+// A trace-replay workload comes from the spec's "workload" section (the
+// -trace-* flags are wormsim's; the paper figures define their own).
 //
 // Fault tolerance: -checkpoint writes every simulation replica's
 // engine snapshot (atomically, grouped by figure and batch) under the
@@ -87,11 +87,6 @@ func run(ctx context.Context, args []string) error {
 	if *runs <= 0 {
 		return fmt.Errorf("-runs must be positive, got %d", *runs)
 	}
-	if cli.Workload != nil && *specPath == "" {
-		// The paper figures build their own workloads; only a spec
-		// scenario can take its scan source from the command line.
-		return fmt.Errorf("-trace-replay and -trace-tick-ms need -spec (the paper figures define their own workloads)")
-	}
 	if err := cli.Validate(); err != nil {
 		return err
 	}
@@ -112,7 +107,7 @@ func run(ctx context.Context, args []string) error {
 		if ids := fs.Args(); len(ids) > 0 {
 			return fmt.Errorf("figure IDs (%s) cannot be combined with -spec", strings.Join(ids, " "))
 		}
-		return runSpec(ctx, fs, *specPath, cli, *out, *ascii)
+		return runSpec(ctx, fs, *specPath, *out, *ascii)
 	}
 
 	ids := fs.Args()
@@ -186,7 +181,7 @@ func run(ctx context.Context, args []string) error {
 // leave it alone) and each point contributes one labelled
 // infected-fraction curve, written through the same .dat/.metrics
 // pipeline as the paper figures.
-func runSpec(ctx context.Context, fs *flag.FlagSet, path string, cli core.RunOptions, out string, ascii bool) error {
+func runSpec(ctx context.Context, fs *flag.FlagSet, path, out string, ascii bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err

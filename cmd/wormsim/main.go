@@ -27,9 +27,9 @@
 // format), competing for the same rate-limiter credits. The counters
 // footer then reports collateral damage — benign contacts a defense
 // falsely throttled. -trace-tick-ms maps trace milliseconds onto
-// engine ticks (default 1000 = one simulated second per tick); a spec
-// file configures the same workload declaratively (its "workload"
-// section, DESIGN.md §17).
+// engine ticks (default 1000 = one simulated second per tick). Both
+// fill the spec's "workload" section (DESIGN.md §17); with -spec they
+// override its source and tick and keep the rest of its profile.
 //
 // Every run is a scenario spec (DESIGN.md §13). In flag mode the
 // scenario flags fill one in — -worm localpref is spec worm kind
@@ -68,6 +68,7 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 
@@ -129,6 +130,8 @@ func run(ctx context.Context, args []string) error {
 	metricsPath := fs.String("metrics", "", "write per-replica JSONL metrics (ticks, events, summaries) to this file")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the batch to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile after the batch to this file")
+	var wl workloadFlags
+	wl.bind(fs)
 	cli := core.RunOptions{KeepGoing: true}
 	core.BindRunFlags(fs, &cli)
 	if err := fs.Parse(args); err != nil {
@@ -145,6 +148,8 @@ func run(ctx context.Context, args []string) error {
 		return fmt.Errorf("-initial must be positive, got %d", s.InitialInfected)
 	case s.Worm.ScansPerTick < 0:
 		return fmt.Errorf("-scans must be >= 0, got %d", s.Worm.ScansPerTick)
+	case wl.tickMS != nil && *wl.tickMS < 0:
+		return fmt.Errorf("-trace-tick-ms must be >= 0 (0 = 1000), got %d", *wl.tickMS)
 	case *specFuzz < 0:
 		return fmt.Errorf("-specfuzz must be >= 0, got %d", *specFuzz)
 	case *specPath != "" && *specFuzz > 0:
@@ -164,7 +169,7 @@ func run(ctx context.Context, args []string) error {
 	}()
 
 	if *specFuzz > 0 {
-		return runSpecFuzz(ctx, *specFuzz, s.Seed, cli)
+		return runSpecFuzz(ctx, *specFuzz, s.Seed, cli, wl)
 	}
 	if *specPath != "" {
 		var conflict string
@@ -183,7 +188,7 @@ func run(ctx context.Context, args []string) error {
 		if s, err = spec.Parse(data); err != nil {
 			return err
 		}
-		return runSpec(ctx, fs, s, *progress, *metricsPath)
+		return runSpec(ctx, fs, wl.apply(s), *progress, *metricsPath)
 	}
 
 	switch *topo {
@@ -223,7 +228,51 @@ func run(ctx context.Context, args []string) error {
 	if *immunizeAt > 0 {
 		s.Immunize = &spec.Immunize{StartLevel: *immunizeAt, Mu: *mu}
 	}
-	return runSpec(ctx, fs, s, *progress, *metricsPath)
+	return runSpec(ctx, fs, wl.apply(s), *progress, *metricsPath)
+}
+
+// workloadFlags are -trace-replay and -trace-tick-ms, each nil until
+// set. Unlike the other scenario flags they combine with -spec: apply
+// overrides only the workload fields they name.
+type workloadFlags struct {
+	source *string
+	tickMS *int64
+}
+
+func (w *workloadFlags) bind(fs *flag.FlagSet) {
+	fs.Func("trace-replay", "drive scans from a trace-replay workload: a trace file path, or 'synthetic' for the generator's traffic profile (empty = β draws)", func(v string) error {
+		w.source = &v
+		return nil
+	})
+	fs.Func("trace-tick-ms", "trace milliseconds one engine tick spans under -trace-replay (0 = 1000)", func(v string) error {
+		ms, err := strconv.ParseInt(v, 10, 64)
+		w.tickMS = &ms
+		return err
+	})
+}
+
+// apply returns s with the set workload flags overlaid on its workload
+// section, keeping the rest of its traffic profile; s is not modified.
+func (w workloadFlags) apply(s *spec.Spec) *spec.Spec {
+	if w.source == nil && w.tickMS == nil {
+		return s
+	}
+	out, wl := *s, spec.Workload{}
+	if s.Workload != nil {
+		wl = *s.Workload
+	}
+	switch {
+	case w.source == nil:
+	case *w.source == "synthetic":
+		wl.Kind, wl.Path = "synthetic", ""
+	default:
+		wl.Kind, wl.Path = "trace", *w.source
+	}
+	if w.tickMS != nil {
+		wl.TickMS = *w.tickMS
+	}
+	out.Workload = &wl
+	return &out
 }
 
 // runSpec executes the scenario — or, with a grid section, the sweep —
@@ -309,11 +358,11 @@ func runSpec(ctx context.Context, fs *flag.FlagSet, s *spec.Spec, progress bool,
 // runSpecFuzz samples random valid specs and runs each under the
 // engine's invariant audit, printing one line per sample. Sampling is
 // deterministic in -seed, so any failure reproduces exactly.
-func runSpecFuzz(ctx context.Context, count int, seed int64, cli core.RunOptions) error {
+func runSpecFuzz(ctx context.Context, count int, seed int64, cli core.RunOptions, wl workloadFlags) error {
 	rng := rand.New(rand.NewSource(seed))
 	var failures []string
 	for i := 0; i < count; i++ {
-		s := spec.Fuzz(rng)
+		s := wl.apply(spec.Fuzz(rng))
 		c, err := s.Compile()
 		if err != nil {
 			// Fuzz promises valid specs; a compile error is a bug in the

@@ -165,6 +165,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"zero initial", []string{"-initial", "0"}, "-initial"},
 		{"negative scans", []string{"-scans", "-1"}, "-scans"},
 		{"negative timeout", []string{"-timeout", "-1s"}, "-timeout"},
+		{"negative trace tick", []string{"-trace-replay", "synthetic", "-trace-tick-ms", "-1"}, "-trace-tick-ms"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -2,12 +2,14 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/spec"
 	"repro/internal/trace"
 )
 
@@ -154,5 +156,79 @@ func TestRunTraceReplayFlags(t *testing.T) {
 	}
 	if err := run(context.Background(), args); err != nil {
 		t.Fatalf("run -trace-replay synthetic: %v", err)
+	}
+}
+
+// TestWorkloadFlagBinding: both -trace-replay forms parse — "synthetic"
+// selects the generator's profile, anything else names a trace file —
+// and -trace-tick-ms composes with either, in any order.
+func TestWorkloadFlagBinding(t *testing.T) {
+	tests := []struct {
+		args []string
+		want spec.Workload
+	}{
+		{[]string{"-trace-replay", "synthetic", "-trace-tick-ms", "500"}, spec.Workload{Kind: "synthetic", TickMS: 500}},
+		{[]string{"-trace-tick-ms", "500", "-trace-replay", "synthetic"}, spec.Workload{Kind: "synthetic", TickMS: 500}},
+		{[]string{"-trace-replay", "trace.log"}, spec.Workload{Kind: "trace", Path: "trace.log"}},
+	}
+	for _, tt := range tests {
+		var wl workloadFlags
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		wl.bind(fs)
+		if err := fs.Parse(tt.args); err != nil {
+			t.Fatal(err)
+		}
+		got := wl.apply(&spec.Spec{}).Workload
+		if got == nil || *got != tt.want {
+			t.Errorf("%v parsed to %+v, want %+v", tt.args, got, tt.want)
+		}
+	}
+	var none workloadFlags
+	if s := (&spec.Spec{}); none.apply(s) != s {
+		t.Error("with no workload flag set, apply changed the spec")
+	}
+}
+
+// TestWorkloadFlagsOverrideSpec: with -spec, the workload flags
+// override only the fields they name — a tick override keeps the
+// spec's traffic profile — without mutating the parsed spec, and the
+// run prints exactly what the spec with that tick written in prints.
+func TestWorkloadFlagsOverrideSpec(t *testing.T) {
+	base, err := spec.Parse([]byte(replaySpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick := int64(250)
+	got := workloadFlags{tickMS: &tick}.apply(base).Workload
+	want := spec.Workload{Kind: "synthetic", TickMS: 250, Normal: 12, Servers: 2, P2P: 3, Infected: 3, BlasterFraction: 0.5}
+	if *got != want {
+		t.Errorf("merged workload %+v, want %+v", *got, want)
+	}
+	if base.Workload.TickMS != 0 {
+		t.Errorf("the override mutated the parsed spec: tick_ms = %d", base.Workload.TickMS)
+	}
+
+	overridden := captureStdout(t, func() {
+		if err := run(context.Background(), []string{"-spec", writeSpec(t, replaySpec), "-trace-tick-ms", "500"}); err != nil {
+			t.Errorf("override run: %v", err)
+		}
+	})
+	written := strings.Replace(replaySpec, `"kind": "synthetic",`, `"kind": "synthetic",
+    "tick_ms": 500,`, 1)
+	direct := captureStdout(t, func() {
+		if err := run(context.Background(), []string{"-spec", writeSpec(t, written)}); err != nil {
+			t.Errorf("spec run: %v", err)
+		}
+	})
+	if overridden != direct {
+		t.Errorf("-trace-tick-ms 500 over the spec prints\n%s\nthe spec with tick_ms 500 prints\n%s", overridden, direct)
+	}
+	plain := captureStdout(t, func() {
+		if err := run(context.Background(), []string{"-spec", writeSpec(t, replaySpec)}); err != nil {
+			t.Errorf("spec run: %v", err)
+		}
+	})
+	if plain == direct {
+		t.Error("the tick mapping changed nothing; the comparison above proves nothing")
 	}
 }

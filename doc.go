@@ -9,9 +9,9 @@
 // Entry points:
 //
 //   - internal/spec      — the scenario spec (topology × worm × defense
-//     stack × quarantine × immunization), lowered onto the simulator
+//     stack × quarantine × immunization × trace-replay workload, which
+//     drives the engine from flow records), lowered onto the simulator
 //   - internal/core      — run options and core.Run, one replica batch
-//     (incl. -trace-replay, which drives the engine from flow records)
 //   - internal/model     — the paper's closed-form/ODE models (§3-6)
 //   - internal/sim       — the discrete-event simulator (§5.4), with a
 //     trace-replay workload seam (§17) beside the β-draw generator

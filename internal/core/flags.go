@@ -3,7 +3,6 @@ package core
 import (
 	"flag"
 	"fmt"
-	"strconv"
 	"time"
 )
 
@@ -26,61 +25,6 @@ func BindRunFlags(fs *flag.FlagSet, o *RunOptions) {
 	fs.StringVar(&o.Checkpoint, "checkpoint", o.Checkpoint, "directory for periodic per-replica snapshots (empty = off)")
 	fs.IntVar(&o.CheckpointEvery, "checkpoint-every", o.CheckpointEvery, "ticks between checkpoints (0 = default 10)")
 	fs.StringVar(&o.Resume, "resume", o.Resume, "resume replicas from this checkpoint directory (or single .ckpt file when runs=1)")
-	fs.Var(traceReplayFlag{o}, "trace-replay", "drive scans from a trace-replay workload: a trace file path, or 'synthetic' for the generator's traffic profile (empty = β draws)")
-	fs.Var(traceTickFlag{o}, "trace-tick-ms", "trace milliseconds one engine tick spans under -trace-replay (0 = 1000)")
-}
-
-// traceReplayFlag binds -trace-replay to the source of o's workload.
-// Like every run flag, its String round-trips through Set, which is
-// what lets MergeRunFlags replay it.
-type traceReplayFlag struct{ o *RunOptions }
-
-func (f traceReplayFlag) String() string {
-	switch {
-	case f.o == nil || f.o.Workload == nil:
-		return ""
-	case f.o.Workload.Kind == WorkloadSynthetic:
-		return WorkloadSynthetic
-	}
-	return f.o.Workload.Path
-}
-
-func (f traceReplayFlag) Set(v string) error {
-	w := ensureWorkload(f.o)
-	if v == WorkloadSynthetic {
-		w.Kind, w.Path = WorkloadSynthetic, ""
-	} else {
-		w.Kind, w.Path = WorkloadTrace, v
-	}
-	return nil
-}
-
-// traceTickFlag binds -trace-tick-ms to o's workload tick mapping.
-type traceTickFlag struct{ o *RunOptions }
-
-func (f traceTickFlag) String() string {
-	if f.o == nil || f.o.Workload == nil {
-		return "0"
-	}
-	return strconv.FormatInt(f.o.Workload.TickMS, 10)
-}
-
-func (f traceTickFlag) Set(v string) error {
-	ms, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return err
-	}
-	ensureWorkload(f.o).TickMS = ms
-	return nil
-}
-
-// ensureWorkload returns o's workload spec, allocating it on first use
-// so the two -trace-* flags compose in either order.
-func ensureWorkload(o *RunOptions) *WorkloadSpec {
-	if o.Workload == nil {
-		o.Workload = &WorkloadSpec{}
-	}
-	return o.Workload
 }
 
 // MergeRunFlags overlays the run flags the user explicitly set on fs
@@ -89,12 +33,9 @@ func ensureWorkload(o *RunOptions) *WorkloadSpec {
 // flags actually present in the invocation override it — an untouched
 // flag's default never clobbers a spec value. Each set flag is
 // replayed, by its textual value, onto a BindRunFlags binding of a copy
-// of base, so the -trace-* flags override only the workload fields they
-// name and the spec's traffic profile survives. fs must have been
-// populated by BindRunFlags and parsed; base is never mutated.
+// of base; fs must have been populated by BindRunFlags and parsed.
 func MergeRunFlags(fs *flag.FlagSet, base RunOptions) RunOptions {
 	out := base
-	out.Workload = base.Workload.clone()
 	replay := flag.NewFlagSet("", flag.ContinueOnError)
 	BindRunFlags(replay, &out)
 	fs.Visit(func(f *flag.Flag) {

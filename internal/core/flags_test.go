@@ -9,9 +9,8 @@ import (
 
 // TestMergeRunFlagsReplaysEveryFlag: every flag BindRunFlags registers
 // survives MergeRunFlags' replay by its textual value — set them all and
-// the merged options equal what the command line parsed, except that
-// the -trace-* flags leave the base workload's other fields alone — and
-// flags left unset keep the base's values, whatever their defaults.
+// the merged options equal what the command line parsed — and flags
+// left unset keep the base's values, whatever their defaults.
 func TestMergeRunFlagsReplaysEveryFlag(t *testing.T) {
 	cli := RunOptions{KeepGoing: true}
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -20,7 +19,6 @@ func TestMergeRunFlagsReplaysEveryFlag(t *testing.T) {
 		"-jobs", "3", "-timeout", "1m30s", "-check", "-keep-going=false",
 		"-retries", "2", "-retry-backoff", "250ms", "-replica-timeout", "5s",
 		"-checkpoint", "ck", "-checkpoint-every", "7", "-resume", "rs",
-		"-trace-replay", "campus.trace", "-trace-tick-ms", "250",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,11 +29,9 @@ func TestMergeRunFlagsReplaysEveryFlag(t *testing.T) {
 	if set != all {
 		t.Fatalf("the command line sets %d of %d run flags; set them all", set, all)
 	}
-	base := RunOptions{Jobs: 9, Workload: &WorkloadSpec{Kind: WorkloadSynthetic, Normal: 4}}
-	want := cli
-	want.Workload = &WorkloadSpec{Kind: WorkloadTrace, Path: "campus.trace", TickMS: 250, Normal: 4}
-	if got := MergeRunFlags(fs, base); !reflect.DeepEqual(got, want) {
-		t.Errorf("merged %+v\nwant   %+v", got, want)
+	base := RunOptions{Jobs: 9}
+	if got := MergeRunFlags(fs, base); !reflect.DeepEqual(got, cli) {
+		t.Errorf("merged %+v\nwant   %+v", got, cli)
 	}
 
 	partial := flag.NewFlagSet("test", flag.ContinueOnError)

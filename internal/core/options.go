@@ -1,12 +1,12 @@
 // Package core runs replica batches: RunOptions is the one declarative
 // description of how a batch executes (parallelism, deadlines,
-// retries, checkpoints, progress, metrics, trace-replay workload),
-// BindRunFlags exposes it on a command line, and Run executes a
-// sim.Config under it on the bounded replica pool.
+// retries, checkpoints, progress, metrics), BindRunFlags exposes it on
+// a command line, and Run executes a sim.Config under it on the bounded
+// replica pool, with per-replica checkpoints and resume.
 //
-// Scenarios themselves are described by internal/spec: a spec.Spec
-// lowers to the sim.Config Run takes, and (*spec.Compiled).Run is the
-// one-call path from a scenario to its averaged series.
+// Scenarios, trace-replay workloads included, are internal/spec's: a
+// spec.Spec lowers to the sim.Config Run takes, and
+// (*spec.Compiled).Run is the one-call path to its averaged series.
 package core
 
 import (
@@ -74,13 +74,6 @@ type RunOptions struct {
 	// single-replica batches, one checkpoint file. A checkpoint that
 	// exists but fails verification fails its replica explicitly.
 	Resume string
-	// Workload, when non-nil, replaces the worm's β-draw scan source
-	// with a trace-replay workload (see WorkloadSpec): worm scans and
-	// benign background flows stream from a synthetic traffic profile
-	// or a trace file, competing for the same rate-limiter credits, and
-	// the run reports collateral damage (benign contacts throttled) via
-	// the obs counters.
-	Workload *WorkloadSpec
 
 	// Progress, when non-nil, observes live runner.Stats after every
 	// finished replica. Not serializable; CLI- or caller-supplied.
@@ -118,9 +111,6 @@ func (o *RunOptions) Validate() error {
 	case o.CheckpointEvery < 0:
 		return fmt.Errorf("core: -checkpoint-every must be >= 0 (0 = default), got %d", o.CheckpointEvery)
 	}
-	if o.Workload != nil {
-		return o.Workload.Validate()
-	}
 	return nil
 }
 
@@ -155,7 +145,7 @@ func (o *RunOptions) RunnerOptions() []runner.Option {
 // details). It is the one batch entry point the spec compiler, the
 // sweep engine, and the figure harness share: it validates the
 // options, applies the batch timeout, installs the audit, collectors,
-// workload, and checkpoint/resume sinks on cfg, lowers the remaining
+// and checkpoint/resume sinks on cfg, lowers the remaining
 // knobs through RunOptions.RunnerOptions, and executes on
 // sim.MultiRun. Each replica seeds its RNG from cfg.Seed plus its
 // index, so the result is deterministic and independent of the job
@@ -173,11 +163,6 @@ func Run(ctx context.Context, cfg sim.Config, runs int, o RunOptions) (*sim.Resu
 	cfg.Check = cfg.Check || o.Check
 	if o.Collectors != nil {
 		cfg.CollectorFactory = o.Collectors
-	}
-	if o.Workload != nil {
-		if err := applyWorkload(&cfg, o.Workload); err != nil {
-			return nil, runner.Stats{}, err
-		}
 	}
 	info, statErr := os.Stat(o.Resume)
 	fromFile := o.Resume != "" && statErr == nil && !info.IsDir()

@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"context"
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -23,86 +22,19 @@ func replayTestScenario() *spec.Spec {
 	return s
 }
 
-func TestWorkloadFlagBinding(t *testing.T) {
-	var o core.RunOptions
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	core.BindRunFlags(fs, &o)
-	if err := fs.Parse([]string{"-trace-replay", "synthetic", "-trace-tick-ms", "500"}); err != nil {
-		t.Fatal(err)
-	}
-	if o.Workload == nil || o.Workload.Kind != core.WorkloadSynthetic || o.Workload.TickMS != 500 {
-		t.Fatalf("flags parsed to %+v", o.Workload)
-	}
-
-	var o2 core.RunOptions
-	fs2 := flag.NewFlagSet("test", flag.ContinueOnError)
-	core.BindRunFlags(fs2, &o2)
-	if err := fs2.Parse([]string{"-trace-replay", "trace.log"}); err != nil {
-		t.Fatal(err)
-	}
-	if o2.Workload == nil || o2.Workload.Kind != core.WorkloadTrace || o2.Workload.Path != "trace.log" {
-		t.Fatalf("flags parsed to %+v", o2.Workload)
-	}
-}
-
-// TestMergeRunFlagsWorkload: a spec-supplied workload keeps its
-// profile when the command line overrides only the tick mapping, and
-// the merge never mutates the base spec in place.
-func TestMergeRunFlagsWorkload(t *testing.T) {
-	base := core.RunOptions{Workload: &core.WorkloadSpec{
-		Kind: core.WorkloadSynthetic, Infected: 3, Normal: 10, TickMS: 1000,
-	}}
-	var cli core.RunOptions
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	core.BindRunFlags(fs, &cli)
-	if err := fs.Parse([]string{"-trace-tick-ms", "250"}); err != nil {
-		t.Fatal(err)
-	}
-	out := core.MergeRunFlags(fs, base)
-	if out.Workload.TickMS != 250 {
-		t.Errorf("merged TickMS = %d, want 250", out.Workload.TickMS)
-	}
-	if out.Workload.Infected != 3 || out.Workload.Normal != 10 {
-		t.Errorf("merge dropped the spec profile: %+v", out.Workload)
-	}
-	if base.Workload.TickMS != 1000 {
-		t.Errorf("merge mutated the base workload: TickMS = %d", base.Workload.TickMS)
-	}
-}
-
-func TestWorkloadSpecValidate(t *testing.T) {
-	bad := []core.WorkloadSpec{
-		{},
-		{Kind: "replay"},
-		{Kind: core.WorkloadTrace},
-		{Kind: core.WorkloadSynthetic, Path: "x"},
-		{Kind: core.WorkloadSynthetic, TickMS: -1},
-		{Kind: core.WorkloadSynthetic, BlasterFraction: 1.5},
-		{Kind: core.WorkloadSynthetic, Infected: -1},
-	}
-	for i, w := range bad {
-		if err := w.Validate(); err == nil {
-			t.Errorf("case %d: %+v validated", i, w)
-		}
-	}
-	ok := core.WorkloadSpec{Kind: core.WorkloadSynthetic, TickMS: 500, Infected: 2, Normal: 8}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("valid spec rejected: %v", err)
-	}
-}
-
 // TestRunSyntheticWorkload runs a whole batch over the synthetic
 // replay workload and checks the collateral counters flow through the
 // collector seam.
 func TestRunSyntheticWorkload(t *testing.T) {
+	s := replayTestScenario()
+	s.Workload = &spec.Workload{
+		Kind: "synthetic", Normal: 12, Servers: 2, P2P: 3, Infected: 3,
+		BlasterFraction: 0.5,
+	}
 	tally := obs.NewTally()
-	res, _, err := run(context.Background(), replayTestScenario(), 1, core.RunOptions{
+	res, _, err := run(context.Background(), s, 1, core.RunOptions{
 		Check:      true,
 		Collectors: func(int) obs.Collector { return tally },
-		Workload: &core.WorkloadSpec{
-			Kind: core.WorkloadSynthetic, Normal: 12, Servers: 2, P2P: 3, Infected: 3,
-			BlasterFraction: 0.5,
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,11 +75,12 @@ func TestRunTraceFileWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	s := replayTestScenario()
+	s.Workload = &spec.Workload{Kind: "trace", Path: path}
 	tally := obs.NewTally()
-	res, _, err := run(context.Background(), replayTestScenario(), 1, core.RunOptions{
+	res, _, err := run(context.Background(), s, 1, core.RunOptions{
 		Check:      true,
 		Collectors: func(int) obs.Collector { return tally },
-		Workload:   &core.WorkloadSpec{Kind: core.WorkloadTrace, Path: path},
 	})
 	if err != nil {
 		t.Fatal(err)

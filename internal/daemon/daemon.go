@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -134,7 +135,6 @@ type Job struct {
 	canceled    bool
 	stuck       bool
 	cancel      context.CancelFunc
-	handle      *runner.Handle
 	// settled is when the job reached a terminal state (zero while
 	// queued/running); the TTL garbage collector measures age from it.
 	settled time.Time
@@ -267,6 +267,9 @@ func (s *Server) Submit(data []byte, priority int) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := refuseTraceFiles(ps); err != nil {
+		return nil, err
+	}
 	points, err := ps.Expand()
 	if err != nil {
 		return nil, err
@@ -309,6 +312,24 @@ func (s *Server) Submit(data []byte, priority int) (*Job, error) {
 	j.broker.publish(StreamRecord{Type: "job", State: StateQueued})
 	s.pushLocked(j)
 	return j, nil
+}
+
+// refuseTraceFiles rejects a spec that could replay a trace file — a
+// "trace" workload, or a grid axis on workload or workload.kind (in any
+// letter case, as the spec decoder matches field names): its path names
+// a file on the daemon's host, which Compile and the executor would
+// open, and a FIFO there would wedge them.
+func refuseTraceFiles(s *spec.Spec) error {
+	if s.Workload != nil && s.Workload.Kind == "trace" {
+		return fmt.Errorf("daemon: workload.kind \"trace\" reads a file on the daemon's host; submit a synthetic workload")
+	}
+	for i, ax := range s.Grid {
+		segs := strings.Split(ax.Path, ".")
+		if strings.EqualFold(segs[0], "workload") && (len(segs) == 1 || len(segs) == 2 && strings.EqualFold(segs[1], "kind")) {
+			return fmt.Errorf("daemon: grid[%d] sets %s, which could select a trace-file workload; vary the synthetic profile's fields instead", i, ax.Path)
+		}
+	}
+	return nil
 }
 
 // Cancel stops a job: a queued job is dequeued immediately; a running
@@ -400,7 +421,7 @@ func (s *Server) wakeUp() {
 	}
 }
 
-// runJob executes one job under a runner.Handle (so a panicking
+// runJob executes one job as a one-task pool batch (so a panicking
 // scenario fails the job, not the daemon) and settles its final state.
 func (s *Server) runJob(j *Job) {
 	jctx, cancel := context.WithCancel(s.ctx)
@@ -416,17 +437,13 @@ func (s *Server) runJob(j *Job) {
 	s.mu.Unlock()
 	j.broker.publish(StreamRecord{Type: "job", State: StateRunning})
 
-	h := s.pool.Start(jctx, 1, func(ctx context.Context, _ int) (runner.Report, error) {
-		return s.execute(ctx, j)
+	_, err := s.pool.Run(jctx, 1, func(ctx context.Context, _ int) (runner.Report, error) {
+		return runner.Report{}, s.execute(ctx, j)
 	})
-	s.mu.Lock()
-	j.handle = h
-	s.mu.Unlock()
-	_, err := h.Wait()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j.cancel, j.handle = nil, nil
+	j.cancel = nil
 	switch {
 	case err == nil:
 		j.state = StateDone
@@ -477,7 +494,7 @@ func (s *Server) runJob(j *Job) {
 // directory under the job, and per-tick metrics flowing to the job's
 // stream broker. On success it writes result.json and discards the
 // checkpoints.
-func (s *Server) execute(ctx context.Context, j *Job) (runner.Report, error) {
+func (s *Server) execute(ctx context.Context, j *Job) error {
 	pointIdx := 0
 	mod := func(c *spec.Compiled) {
 		// Sweep points run serially, so this counter needs no lock.
@@ -521,21 +538,17 @@ func (s *Server) execute(ctx context.Context, j *Job) (runner.Report, error) {
 
 	results, _, err := spec.Sweep(ctx, j.spec, mod, s.cache)
 	if err != nil {
-		return runner.Report{}, err
-	}
-	var ticks int64
-	for _, r := range results {
-		ticks += r.Stats.Ticks
+		return err
 	}
 	if err := s.writeResult(j, results); err != nil {
-		return runner.Report{}, err
+		return err
 	}
 	// The result is durably committed; the checkpoints have served
 	// their purpose.
 	if err := os.RemoveAll(filepath.Join(j.dir, "checkpoints")); err != nil {
 		fmt.Fprintf(os.Stderr, "wormsimd: clean checkpoints %s: %v\n", j.id, err)
 	}
-	return runner.Report{Ticks: ticks}, nil
+	return nil
 }
 
 // pointDone records one grid point's completion: bumps the persisted

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 // testSpec renders a small scenario spec with the given shape. extra is
@@ -571,6 +572,82 @@ func TestDaemonRejectsHugeGrid(t *testing.T) {
 	}
 	v := submit(t, ts.URL, testSpec("after", 10, 5, 1, ""), "")
 	waitJobState(t, ts.URL, v.ID, StateDone, 10*time.Second)
+}
+
+// postStatus submits body and returns the response status and message.
+func postStatus(t *testing.T, base string, body []byte) (int, string) {
+	t.Helper()
+	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(msg)
+}
+
+// TestDaemonRefusesTraceFiles: a trace path names a file on the
+// daemon's host, so Submit refuses any spec that could replay one — a
+// "trace" workload, or a grid axis on workload or workload.kind in any
+// letter case — with a 400 naming the field, before a job directory
+// exists. The trace file here is real and valid, so only the refusal
+// keeps these specs out. Synthetic workloads are still accepted.
+func TestDaemonRefusesTraceFiles(t *testing.T) {
+	tr, err := trace.Generate(trace.GenConfig{Duration: 5 * trace.Second, Seed: 1, NormalClients: 4, Infected: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "campus.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.WriteTo(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	traceWorkload := fmt.Sprintf(`,
+  "workload": {"kind": "trace", "path": %q}`, path)
+	synthetic := `,
+  "workload": {"kind": "synthetic", "normal": 20, "infected": 2}`
+	tests := []struct {
+		name, extra, want string
+	}{
+		{"trace kind", traceWorkload, "workload.kind"},
+		{"grid on workload.kind", synthetic + `,
+  "grid": [{"path": "workload.kind", "values": ["synthetic"]}]`, "workload.kind"},
+		{"grid on the workload", fmt.Sprintf(`,
+  "grid": [{"path": "Workload", "values": [{"kind": "trace", "path": %q}]}]`, path), "Workload"},
+	}
+	s, ts := newTestServer(t, Config{})
+	for _, tt := range tests {
+		code, msg := postStatus(t, ts.URL, testSpec("refused", 40, 10, 1, tt.extra))
+		if code != http.StatusBadRequest || !strings.Contains(msg, tt.want) {
+			t.Errorf("%s: status %d (%s), want 400 naming %s", tt.name, code, msg, tt.want)
+		}
+	}
+	if entries, err := os.ReadDir(s.jobsDir); err != nil || len(entries) != 0 {
+		t.Fatalf("refused specs left job directories %v (err %v)", entries, err)
+	}
+	v := submit(t, ts.URL, testSpec("synthetic", 40, 10, 1, synthetic), "")
+	waitJobState(t, ts.URL, v.ID, StateDone, 10*time.Second)
+}
+
+// TestDaemonRejectsUnrunnableWorkload: a workload that cannot run on
+// its topology — more trace hosts than host nodes — is a 400 at
+// Submit, not a job that fails later.
+func TestDaemonRejectsUnrunnableWorkload(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	code, msg := postStatus(t, ts.URL, testSpec("oversized", 10, 10, 1, `,
+  "workload": {"kind": "synthetic", "normal": 500, "infected": 3}`))
+	if code != http.StatusBadRequest || !strings.Contains(msg, "503 trace hosts") {
+		t.Fatalf("status %d (%s), want 400 naming the host count", code, msg)
+	}
+	if entries, err := os.ReadDir(s.jobsDir); err != nil || len(entries) != 0 {
+		t.Fatalf("a refused spec left job directories %v (err %v)", entries, err)
+	}
 }
 
 // TestJobQueueOrdering pins the scheduler's ordering contract: higher

@@ -35,13 +35,12 @@ import (
 // a layout left by a previous interrupted run with identical options
 // (usually the same directory as Checkpoint); replicas without a
 // checkpoint start fresh. The single-file Resume form core supports
-// does not apply here, and neither do Workload and Collectors: each
-// figure defines its own workload, and Metrics is the harness's
-// collector. KeepGoing degrades per figure: each figure's batch
-// averages over the replicas that completed, and the per-figure
-// "replica_failed"/"replica_retries" counters (in Metrics) record what
-// was lost. When figures themselves run in parallel (RunAllStats), keep
-// Jobs small to avoid oversubscription.
+// does not apply here, and neither does Collectors: Metrics is the
+// harness's collector. KeepGoing degrades per figure: each figure's
+// batch averages over the replicas that completed, and the per-figure
+// "replica_failed"/"replica_retries" counters (in Metrics) record
+// what was lost. When figures themselves run in parallel
+// (RunAllStats), keep Jobs small to avoid oversubscription.
 type Options struct {
 	core.RunOptions
 
@@ -136,9 +135,9 @@ func (b *BatchMetrics) IDs() []string {
 // over the figure's cached topology, applies patch (nil for none) for
 // the few engine features no spec field names, points the checkpoint
 // options at the batch's <fig>/batch-NN directories, runs the batch
-// through core.Run (which applies the audit, metrics, workload,
-// checkpoint, and fault-tolerance knobs), and attributes the batch's
-// counters to the figure being built.
+// through core.Run (which applies the audit, metrics, checkpoint, and
+// fault-tolerance knobs), and attributes the batch's counters to the
+// figure being built.
 func (o Options) run(ctx context.Context, s *spec.Spec, patch func(*sim.Config)) (*sim.Result, error) {
 	net, err := o.net(s)
 	if err != nil {
@@ -152,11 +151,7 @@ func (o Options) run(ctx context.Context, s *spec.Spec, patch func(*sim.Config))
 		patch(&cfg)
 	}
 	ro := o.RunOptions
-	ro.Checkpoint, ro.Resume, ro.Collectors, ro.Workload = "", "", nil, nil
-	if s.Workload != nil {
-		w := core.WorkloadSpec(*s.Workload)
-		ro.Workload = &w
-	}
+	ro.Checkpoint, ro.Resume, ro.Collectors = "", "", nil
 	if o.ckptSeq != nil {
 		batch := fmt.Sprintf("batch-%02d", o.ckptSeq.Add(1))
 		if o.Checkpoint != "" {

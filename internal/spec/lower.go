@@ -160,8 +160,9 @@ func (w *Worm) strategy() (worm.Factory, error) {
 }
 
 // Config lowers the spec onto a simulation config — the module's one
-// scenario lowering, shared by Compiled.Run, the sweep engine, and the
-// figure harness. A non-nil net supplies the prebuilt topology (its key
+// scenario lowering, trace-replay workload (sim.Config.Replay) included,
+// shared by Compile, Compiled.Run, the sweep engine, and the figure
+// harness. A non-nil net supplies the prebuilt topology (its key
 // must match the spec's); nil builds from scratch. The config is not
 // validated here; sim.New and sim.MultiRun validate it.
 func (s *Spec) Config(net *Net) (sim.Config, error) {
@@ -259,6 +260,11 @@ func (s *Spec) Config(net *Net) (sim.Config, error) {
 		cfg.RecordInfections = o.Infections
 		cfg.TrackSubnets = o.Subnets
 		cfg.TrackLatency = o.Latency
+	}
+	if s.Workload != nil {
+		if err := s.applyWorkload(&cfg); err != nil {
+			return sim.Config{}, err
+		}
 	}
 	return cfg, nil
 }

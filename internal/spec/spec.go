@@ -1,15 +1,15 @@
 // Package spec is the declarative scenario layer: a versioned JSON/YAML
 // file format describing a complete experiment — topology, worm,
-// defense stack, quarantine, immunization, fault profile, observability
-// switches, run options, and an optional parameter grid. A Spec is the
-// module's one scenario vocabulary: the CLIs, the wormsimd daemon, and
-// library callers all describe an experiment point as a Spec. The
-// package lowers a Spec straight onto sim.Config (topology, worm,
-// defense stack, quarantine, immunization, faults, observation) and its
-// run section onto core.RunOptions; Compiled.Run executes one point
-// through core.Run, Spec.Model returns the paper's matching closed
-// form, and the sweep engine runs grid expansions as replica batches
-// that share immutable topology state.
+// defense stack, quarantine, immunization, fault profile, trace-replay
+// workload, observability switches, run options, and an optional
+// parameter grid. A Spec is the module's one scenario vocabulary: the
+// CLIs, the wormsimd daemon, and library callers all describe an
+// experiment point as a Spec. The package lowers a Spec straight onto
+// sim.Config — (*Spec).Config is the one lowering, workload included —
+// and its run section onto core.RunOptions; Compiled.Run executes one
+// point through core.Run, Spec.Model returns the paper's matching
+// closed form, and the sweep engine runs grid expansions as replica
+// batches that share immutable topology state.
 //
 // Like the engine's snapshot files (sim.Snapshot), every spec carries a
 // format/version envelope and is rejected loudly on skew: a spec
@@ -75,11 +75,8 @@ type Spec struct {
 	// HostsOnly restricts infection to host-role nodes.
 	HostsOnly bool `json:"hosts_only,omitempty"`
 
-	// Workload replaces the worm's β-draw scan source with a
-	// trace-replay workload (synthetic traffic profile or trace file);
-	// see core.WorkloadSpec. The worm section is still required — it
-	// names the target strategy checkpoint restore rebuilds — but its
-	// scan parameters are not consulted during replay.
+	// Workload, when set, replaces the worm's β-draw scan source with a
+	// trace-replay workload; see Workload.
 	Workload *Workload `json:"workload,omitempty"`
 
 	Observe *Observe `json:"observe,omitempty"`
@@ -153,22 +150,40 @@ type Defense struct {
 	Hosts      int   `json:"hosts,omitempty"`
 }
 
-// Workload is a trace-replay scan source; it converts field for field
-// to core.WorkloadSpec, which documents it.
+// Workload replaces the engine's β-draw scan source with a
+// trace-replay workload: worm scans and benign background flows
+// (normal clients, servers, P2P) stream tick by tick from a trace and
+// compete for the same rate-limiter credits, so a run measures
+// collateral damage — benign traffic a defense falsely throttles —
+// alongside containment. The trace's millisecond timeline maps onto
+// engine ticks via TickMS (tick t covers [t·TickMS, (t+1)·TickMS)).
+// Trace host i replays on the topology's i-th host-role node, and when
+// the trace has worm traffic its scanning hosts replace random seeding
+// (InitialInfected).
+//
+// Replay replaces scan generation only: the spec's worm section still
+// defines Beta for the analytic model and the target strategy required
+// by checkpoint restore, but neither is consulted for scans during
+// replay.
 type Workload struct {
-	// Kind is "synthetic" (the generator's traffic profile) or "trace"
-	// (replay a serialized trace file).
+	// Kind is "synthetic" (stream the trace generator's four-class
+	// traffic profile, internal/trace.GenConfig, without materializing a
+	// trace) or "trace" (replay a serialized trace file, the tracegen
+	// format).
 	Kind string `json:"kind"`
 	// Path is the trace file for kind "trace".
 	Path string `json:"path,omitempty"`
-	// TickMS is the trace milliseconds one engine tick spans (0 = 1000).
+	// TickMS is the trace milliseconds one engine tick spans (0 = 1000,
+	// one simulated second per tick).
 	TickMS int64 `json:"tick_ms,omitempty"`
-	// DurationMS bounds the synthetic stream (0 = the scenario horizon).
+	// DurationMS bounds the synthetic stream (0 = the scenario horizon,
+	// Ticks·TickMS).
 	DurationMS int64 `json:"duration_ms,omitempty"`
 	// Seed drives the synthetic generator (0 = the scenario seed).
 	Seed int64 `json:"seed,omitempty"`
-	// Normal/Servers/P2P/Infected are the synthetic class populations
-	// (all zero = the paper's mix scaled to the topology's host count).
+	// Normal/Servers/P2P/Infected are the synthetic class populations.
+	// All zero means the paper's traffic mix scaled down to the
+	// topology's host count.
 	Normal   int `json:"normal,omitempty"`
 	Servers  int `json:"servers,omitempty"`
 	P2P      int `json:"p2p,omitempty"`
@@ -339,8 +354,9 @@ type Compiled struct {
 
 // Compile lowers the spec's run section (ignoring any grid — see
 // Expand) onto core.RunOptions and validates the whole point by
-// lowering the scenario once, so every error a scenario can raise
-// surfaces before a batch is scheduled.
+// lowering the scenario once, workload included, so every error a
+// scenario can raise surfaces before a batch is scheduled. A "trace"
+// workload's file is read here to find its worm hosts.
 func (s *Spec) Compile() (*Compiled, error) {
 	c := &Compiled{Name: s.Name, Spec: s, Runs: 1}
 	if c.Name == "" {
@@ -374,11 +390,6 @@ func (s *Spec) Compile() (*Compiled, error) {
 			return nil, err
 		}
 	}
-	if s.Workload != nil {
-		w := core.WorkloadSpec(*s.Workload)
-		c.Options.Workload = &w
-	}
-
 	if err := c.Options.Validate(); err != nil {
 		return nil, err
 	}

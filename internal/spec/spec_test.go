@@ -2,9 +2,14 @@ package spec
 
 import (
 	"encoding/json"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 // minimal returns a small valid spec document in canonical JSON.
@@ -245,11 +250,17 @@ func TestCompileRejects(t *testing.T) {
 			s.Topology = Topology{Kind: "powerlaw", Nodes: 50}
 			s.Defenses = []Defense{{Kind: "throttle", WorkingSet: 0, Period: 1, Hosts: 3}}
 		}, "workingSet"},
-		{"bad workload kind", func(s *Spec) { s.Workload = &Workload{Kind: "replay"} }, "-trace-replay"},
+		{"bad workload kind", func(s *Spec) { s.Workload = &Workload{Kind: "replay"} }, "workload.kind"},
 		{"trace workload needs a path", func(s *Spec) { s.Workload = &Workload{Kind: "trace"} }, "trace file path"},
 		{"bad workload tick", func(s *Spec) {
 			s.Workload = &Workload{Kind: "synthetic", TickMS: -5}
-		}, "-trace-tick-ms"},
+		}, "workload.tick_ms"},
+		{"workload outgrows the topology", func(s *Spec) {
+			s.Workload = &Workload{Kind: "synthetic", Normal: 400, Infected: 3}
+		}, "workload has 403 trace hosts but the topology has 40 host nodes"},
+		{"missing trace file", func(s *Spec) {
+			s.Workload = &Workload{Kind: "trace", Path: filepath.Join(t.TempDir(), "missing.trace")}
+		}, "workload trace"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -266,8 +277,10 @@ func TestCompileRejects(t *testing.T) {
 	}
 }
 
-// TestCompileWorkload: the workload section lowers onto
-// core.RunOptions.Workload and survives the canonical round trip.
+// TestCompileWorkload: the workload section survives the canonical
+// round trip and lowers onto the simulation config's replay driver —
+// trace host i on the i-th host node, the synthetic infected class
+// seeding the epidemic in place of random placement.
 func TestCompileWorkload(t *testing.T) {
 	doc := `{
   "format": "wormsim-scenario",
@@ -306,16 +319,73 @@ func TestCompileWorkload(t *testing.T) {
 	if string(out) != doc {
 		t.Errorf("workload spec does not round-trip:\n--- in ---\n%s--- out ---\n%s", doc, out)
 	}
-	c, err := s.Compile()
+	if _, err := s.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := s.Config(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := c.Options.Workload
-	if w == nil {
-		t.Fatal("compiled options carry no workload")
+	r := cfg.Replay
+	if r == nil {
+		t.Fatal("the lowered config carries no replay workload")
 	}
-	if w.Kind != "synthetic" || w.TickMS != 500 || w.Infected != 3 || w.BlasterFraction != 0.5 {
-		t.Errorf("workload lowered to %+v", w)
+	hosts := topology.NodesWithRole(cfg.Roles, topology.RoleHost)
+	if len(r.Hosts) != 20 || int(r.Hosts[0]) != hosts[0] || int(r.Hosts[19]) != hosts[19] {
+		t.Errorf("host map %v, want the first 20 of the host nodes %v", r.Hosts, hosts)
+	}
+	if !reflect.DeepEqual(r.WormHosts, []int{17, 18, 19}) || cfg.InitialInfected != 0 {
+		t.Errorf("worm hosts %v with %d random seeds, want [17 18 19] and none",
+			r.WormHosts, cfg.InitialInfected)
+	}
+	// The stream is the generator's profile at 500 ms per tick over the
+	// 40-tick horizon, seeded by the scenario seed (default 1).
+	got, err := r.NewWorkload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := trace.NewSyntheticReplayer(trace.GenConfig{
+		Duration: 40 * 500, Seed: 1, NormalClients: 12, Servers: 2, P2PClients: 3, Infected: 3,
+		BlasterFraction: 0.5,
+	}, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tick := 0; tick < 40; tick++ {
+		g, err := got.Contacts(tick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := want.Contacts(tick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("tick %d: lowered stream %v, want %v", tick, g, w)
+		}
+	}
+}
+
+func TestWorkloadValidate(t *testing.T) {
+	bad := []Workload{
+		{},
+		{Kind: "replay"},
+		{Kind: "trace"},
+		{Kind: "synthetic", Path: "x"},
+		{Kind: "synthetic", TickMS: -1},
+		{Kind: "synthetic", DurationMS: -1},
+		{Kind: "synthetic", BlasterFraction: 1.5},
+		{Kind: "synthetic", Infected: -1},
+		{Kind: "synthetic", WormOnsetMS: -1},
+	}
+	for i, w := range bad {
+		if err := w.validate(); err == nil || !strings.Contains(err.Error(), "workload.") {
+			t.Errorf("case %d: %+v: err = %v, want one naming a workload field", i, w, err)
+		}
+	}
+	ok := Workload{Kind: "synthetic", TickMS: 500, Infected: 2, Normal: 8}
+	if err := ok.validate(); err != nil {
+		t.Errorf("valid workload rejected: %v", err)
 	}
 }
 
