@@ -90,6 +90,9 @@ func run(ctx context.Context, args []string) error {
 	if err := cli.Validate(); err != nil {
 		return err
 	}
+	if ids := fs.Args(); *specPath != "" && len(ids) > 0 {
+		return fmt.Errorf("figure IDs (%s) cannot be combined with -spec", strings.Join(ids, " "))
+	}
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		return err
@@ -104,9 +107,6 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	if *specPath != "" {
-		if ids := fs.Args(); len(ids) > 0 {
-			return fmt.Errorf("figure IDs (%s) cannot be combined with -spec", strings.Join(ids, " "))
-		}
 		return runSpec(ctx, fs, *specPath, *out, *ascii)
 	}
 
@@ -196,7 +196,7 @@ func runSpec(ctx context.Context, fs *flag.FlagSet, path, out string, ascii bool
 	results, sstats, err := spec.Sweep(ctx, s, mod, nil)
 	for _, r := range results {
 		for _, w := range r.Warnings {
-			fmt.Fprintf(os.Stderr, "figures: warning: %s: %s\n", r.Point.Name, w)
+			fmt.Fprintf(os.Stderr, "figures: warning: %s: %s\n", r.Name, w)
 		}
 	}
 	if err != nil {
@@ -209,7 +209,7 @@ func runSpec(ctx context.Context, fs *flag.FlagSet, path, out string, ascii bool
 	}
 	res := &experiment.Result{
 		ID:    sanitizeID(name),
-		Paper: fmt.Sprintf("spec %s: %d point(s), %d topology build(s)", path, sstats.Points, sstats.NetBuilds),
+		Paper: fmt.Sprintf("spec %s: %d point(s), %d topology build(s)", path, len(results), sstats.NetBuilds),
 		Figure: plot.Figure{
 			Title:  name,
 			XLabel: "tick",
@@ -223,14 +223,14 @@ func runSpec(ctx context.Context, fs *flag.FlagSet, path, out string, ascii bool
 			failed = append(failed, r.Err.Error())
 			continue
 		}
-		series := plot.Series{Label: r.Point.Name, Y: r.Result.Infected}
+		series := plot.Series{Label: r.Name, Y: r.Result.Infected}
 		series.X = make([]float64, len(series.Y))
 		for i := range series.X {
 			series.X[i] = float64(i + 1)
 		}
 		res.Figure.Series = append(res.Figure.Series, series)
-		res.Metrics[r.Point.Name+".ever"] = r.Result.FinalEverInfected()
-		res.Metrics[r.Point.Name+".t50"] = r.Result.TimeToLevel(0.5)
+		res.Metrics[r.Name+".ever"] = r.Result.FinalEverInfected()
+		res.Metrics[r.Name+".t50"] = r.Result.TimeToLevel(0.5)
 	}
 	if len(res.Figure.Series) > 0 {
 		if err := printResult(out, res, ascii); err != nil {
@@ -239,7 +239,7 @@ func runSpec(ctx context.Context, fs *flag.FlagSet, path, out string, ascii bool
 	}
 	if len(failed) > 0 {
 		return fmt.Errorf("%d of %d sweep points failed: %s",
-			len(failed), sstats.Points, strings.Join(failed, "; "))
+			len(failed), len(results), strings.Join(failed, "; "))
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -61,12 +62,17 @@ func TestRunSpecFigure(t *testing.T) {
 }
 
 func TestRunSpecConflictsWithFigureIDs(t *testing.T) {
-	specPath := filepath.Join(t.TempDir(), "sweep.yaml")
+	dir := t.TempDir()
+	specPath := filepath.Join(dir, "sweep.yaml")
 	if err := os.WriteFile(specPath, []byte(sweepSpec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := run(context.Background(), []string{"-spec", specPath, "fig4"})
+	out := filepath.Join(dir, "out")
+	err := run(context.Background(), []string{"-spec", specPath, "-out", out, "fig4"})
 	if err == nil || !strings.Contains(err.Error(), "cannot be combined with -spec") {
 		t.Fatalf("err = %v, want a figure-ID conflict error", err)
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("rejected run left -out behind (stat: %v)", err)
 	}
 }

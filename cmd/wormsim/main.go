@@ -300,13 +300,9 @@ func runSpec(ctx context.Context, fs *flag.FlagSet, s *spec.Spec, progress bool,
 			}
 		}
 		if metricsPath != "" {
-			ticks := c.Spec.Ticks
-			if ticks == 0 {
-				ticks = 150
-			}
 			rings = make([]*obs.Ring, c.Runs)
 			c.Options.Collectors = func(r int) obs.Collector {
-				rings[r] = obs.NewRing(ticks)
+				rings[r] = obs.NewRing(c.Config.Ticks)
 				return rings[r]
 			}
 		}
@@ -314,10 +310,10 @@ func runSpec(ctx context.Context, fs *flag.FlagSet, s *spec.Spec, progress bool,
 	results, sstats, err := spec.Sweep(ctx, s, mod, nil)
 	for _, r := range results {
 		for _, w := range r.Warnings {
-			fmt.Fprintf(os.Stderr, "wormsim: warning: %s: %s\n", r.Point.Name, w)
+			fmt.Fprintf(os.Stderr, "wormsim: warning: %s: %s\n", r.Name, w)
 		}
 	}
-	if rings != nil {
+	if len(rings) > 0 {
 		if werr := writeMetrics(metricsPath, rings); werr != nil {
 			if err == nil {
 				err = werr
@@ -331,10 +327,10 @@ func runSpec(ctx context.Context, fs *flag.FlagSet, s *spec.Spec, progress bool,
 	}
 	if len(results) == 1 {
 		printSeries(results[0].Result)
-		return replicaFailures(results[0].Stats, results[0].Point.Runs)
+		return replicaFailures(results[0].Stats)
 	}
 
-	fmt.Printf("# sweep: %d points, %d topology builds\n", sstats.Points, sstats.NetBuilds)
+	fmt.Printf("# sweep: %d points, %d topology builds\n", len(results), sstats.NetBuilds)
 	fmt.Println("# point\tt50\tfinal\tever")
 	var failed []string
 	for _, r := range results {
@@ -342,15 +338,15 @@ func runSpec(ctx context.Context, fs *flag.FlagSet, s *spec.Spec, progress bool,
 			failed = append(failed, r.Err.Error())
 			continue
 		}
-		fmt.Printf("%s\t%.1f\t%.4f\t%.4f\n", r.Point.Name,
+		fmt.Printf("%s\t%.1f\t%.4f\t%.4f\n", r.Name,
 			r.Result.TimeToLevel(0.5), r.Result.FinalInfected(), r.Result.FinalEverInfected())
-		if ferr := replicaFailures(r.Stats, r.Point.Runs); ferr != nil {
-			failed = append(failed, fmt.Sprintf("%s: %v", r.Point.Name, ferr))
+		if ferr := replicaFailures(r.Stats); ferr != nil {
+			failed = append(failed, fmt.Sprintf("%s: %v", r.Name, ferr))
 		}
 	}
 	if len(failed) > 0 {
 		return fmt.Errorf("%d of %d sweep points degraded: %s",
-			len(failed), sstats.Points, strings.Join(failed, "; "))
+			len(failed), len(results), strings.Join(failed, "; "))
 	}
 	return nil
 }
@@ -363,17 +359,16 @@ func runSpecFuzz(ctx context.Context, count int, seed int64, cli core.RunOptions
 	var failures []string
 	for i := 0; i < count; i++ {
 		s := wl.apply(spec.Fuzz(rng))
-		c, err := s.Compile()
+		c, err := s.Compile(nil)
 		if err != nil {
 			// Fuzz promises valid specs; a compile error is a bug in the
 			// sampler itself, not in the engine under test.
 			canon, _ := s.Canonical()
 			return fmt.Errorf("specfuzz: sample %d does not compile: %v\n%s", i, err, canon)
 		}
-		opts := cli
-		opts.Check = true
-		c.Options = opts
-		res, _, err := c.Run(ctx, nil)
+		c.Options = cli
+		c.Options.Check = true
+		res, _, err := c.Run(ctx)
 		if err != nil {
 			canon, _ := s.Canonical()
 			fmt.Fprintf(os.Stderr, "wormsim: specfuzz: sample %d failed:\n%s", i, canon)
@@ -419,7 +414,7 @@ func printSeries(res *sim.Result) {
 // replicaFailures renders a degraded batch (keep-going with failed
 // replicas) as the command's non-zero exit: the series above covers the
 // completed replicas only, and every lost replica is named.
-func replicaFailures(stats runner.Stats, runs int) error {
+func replicaFailures(stats runner.Stats) error {
 	if len(stats.Failures) == 0 {
 		return nil
 	}
@@ -427,7 +422,7 @@ func replicaFailures(stats runner.Stats, runs int) error {
 	for i, f := range stats.Failures {
 		descs[i] = fmt.Sprintf("replica %d (%d attempts): %v", f.Index, f.Attempts, f.Err)
 	}
-	return fmt.Errorf("%d of %d replicas failed: %s", stats.Failed, runs, strings.Join(descs, "; "))
+	return fmt.Errorf("%d of %d replicas failed: %s", stats.Failed, stats.Runs, strings.Join(descs, "; "))
 }
 
 // writeMetrics emits every replica's collected metrics as one JSONL

@@ -184,6 +184,34 @@ func TestRunSpecSweepSummary(t *testing.T) {
 	}
 }
 
+// TestRunSpecInvalidPoint: a grid point is compiled when the sweep
+// reaches it, so a sweep whose last point is invalid prints the points
+// before it (keep-going) and fails naming the bad one; a single invalid
+// point writes no -metrics file, since no replica ever ran.
+func TestRunSpecInvalidPoint(t *testing.T) {
+	doc := strings.Replace(sweepSpec, "[0.3, 0.9]", "[0.3, 0.9, 2.5]", 1)
+	path := writeSpec(t, strings.Replace(doc, "  runs: 1\n", "  runs: 1\n  keep_going: true\n", 1))
+	var err error
+	out := captureStdout(t, func() { err = run(context.Background(), []string{"-spec", path}) })
+	if err == nil || !strings.Contains(err.Error(), "1 of 3 sweep points degraded") || !strings.Contains(err.Error(), "cli-sweep[worm.beta=2.5]") {
+		t.Errorf("err = %v, want the third point reported as failed", err)
+	}
+	for _, point := range []string{"cli-sweep[worm.beta=0.3]\t", "cli-sweep[worm.beta=0.9]\t"} {
+		if !strings.Contains(out, point) {
+			t.Errorf("no summary line for %s:\n%s", point, out)
+		}
+	}
+
+	bad := writeSpec(t, strings.Replace(singleSpec, "beta: 0.8", "beta: 2.5", 1))
+	metrics := filepath.Join(t.TempDir(), "m.jsonl")
+	if err := run(context.Background(), []string{"-spec", bad, "-metrics", metrics}); err == nil {
+		t.Fatal("an invalid spec ran")
+	}
+	if _, err := os.Stat(metrics); err == nil {
+		t.Error("an invalid spec wrote a metrics file")
+	}
+}
+
 func TestRunSpecConflicts(t *testing.T) {
 	path := writeSpec(t, singleSpec)
 	sweep := writeSpec(t, sweepSpec)

@@ -62,11 +62,11 @@ func main() {
 	for _, p := range postures {
 		s := base
 		s.Defenses = p.defenses
-		c, err := s.Compile()
+		c, err := s.Compile(nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, _, err := c.Run(context.Background(), nil)
+		res, _, err := c.Run(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}

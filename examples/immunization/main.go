@@ -79,10 +79,10 @@ func main() {
 
 // run compiles s and executes its replica batch.
 func run(ctx context.Context, s *spec.Spec) (*sim.Result, error) {
-	c, err := s.Compile()
+	c, err := s.Compile(nil)
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := c.Run(ctx, nil)
+	res, _, err := c.Run(ctx)
 	return res, err
 }

@@ -93,12 +93,12 @@ func main() {
 
 // run compiles s and executes its replica batch under o.
 func run(ctx context.Context, s *spec.Spec, o core.RunOptions) (*sim.Result, error) {
-	c, err := s.Compile()
+	c, err := s.Compile(nil)
 	if err != nil {
 		return nil, err
 	}
 	c.Options = o
-	res, _, err := c.Run(ctx, nil)
+	res, _, err := c.Run(ctx)
 	return res, err
 }
 

@@ -43,12 +43,12 @@ func powerLaw(n int) spec.Topology { return spec.Topology{Kind: "powerlaw", Node
 
 // run compiles s and runs `runs` replicas of it under o.
 func run(ctx context.Context, s *spec.Spec, runs int, o core.RunOptions) (*sim.Result, runner.Stats, error) {
-	c, err := s.Compile()
+	c, err := s.Compile(nil)
 	if err != nil {
 		return nil, runner.Stats{}, err
 	}
 	c.Runs, c.Options = runs, o
-	return c.Run(ctx, nil)
+	return c.Run(ctx)
 }
 
 func TestScenarioRunStar(t *testing.T) {
@@ -396,7 +396,7 @@ func TestRunCancelled(t *testing.T) {
 // TestValidate: Compile validates the whole scenario without running
 // it.
 func TestValidate(t *testing.T) {
-	validate := func(s *spec.Spec) error { _, err := s.Compile(); return err }
+	validate := func(s *spec.Spec) error { _, err := s.Compile(nil); return err }
 	if err := validate(smallScenario()); err != nil {
 		t.Errorf("valid scenario: %v", err)
 	}

@@ -270,9 +270,19 @@ func (s *Server) Submit(data []byte, priority int) (*Job, error) {
 	if err := refuseTraceFiles(ps); err != nil {
 		return nil, err
 	}
-	points, err := ps.Expand()
+	points, err := ps.Points()
 	if err != nil {
 		return nil, err
+	}
+	// An invalid point is the submitter's 400, not a failed job.
+	for i := 0; i < points; i++ {
+		pt, name, err := ps.Point(i)
+		if err == nil {
+			_, err = pt.Compile(nil)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("spec: point %s: %w", name, err)
+		}
 	}
 	canonical, err := ps.Canonical()
 	if err != nil {
@@ -298,7 +308,7 @@ func (s *Server) Submit(data []byte, priority int) (*Job, error) {
 		spec:        ps,
 		broker:      newBroker(defaultHistory),
 		state:       StateQueued,
-		pointsTotal: len(points),
+		pointsTotal: points,
 	}
 	j.dir = filepath.Join(s.jobsDir, j.id)
 	if err := os.MkdirAll(j.dir, 0o755); err != nil {
@@ -497,7 +507,8 @@ func (s *Server) runJob(j *Job) {
 func (s *Server) execute(ctx context.Context, j *Job) error {
 	pointIdx := 0
 	mod := func(c *spec.Compiled) {
-		// Sweep points run serially, so this counter needs no lock.
+		// Sweep points run serially, and mod sees each one, so this
+		// counter needs no lock and follows the grid.
 		dir := filepath.Join(j.dir, "checkpoints", fmt.Sprintf("point-%03d", pointIdx))
 		pointIdx++
 		point := c.Name

@@ -204,7 +204,7 @@ func (s *Server) writeResult(j *Job, results []spec.PointResult) error {
 		doc.Name = "scenario"
 	}
 	for _, r := range results {
-		p := resultPoint{Name: r.Point.Name, Warnings: r.Warnings, T50: -1, Final: -1, Ever: -1}
+		p := resultPoint{Name: r.Name, Warnings: r.Warnings, T50: -1, Final: -1, Ever: -1}
 		if r.Err != nil {
 			p.Error = r.Err.Error()
 		}

@@ -31,11 +31,11 @@ func ExampleCompiled_Run() {
 			Timeout: "2m", // abort the batch past this deadline
 		},
 	}
-	c, err := s.Compile() // validates the whole scenario up front
+	c, err := s.Compile(nil) // lowers and validates the scenario, once
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, stats, err := c.Run(context.Background(), nil)
+	res, stats, err := c.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,12 +35,12 @@ func TestFuzzSmoke(t *testing.T) {
 			if string(reCanon) != string(canon) {
 				t.Fatalf("fuzzed spec does not round-trip:\n%s", canon)
 			}
-			c, err := parsed.Compile()
+			c, err := parsed.Compile(nil)
 			if err != nil {
 				t.Fatalf("fuzzed spec does not compile: %v\n%s", err, canon)
 			}
 			c.Options.Check = true // engine invariant audit on every tick
-			if _, _, err := c.Run(context.Background(), nil); err != nil {
+			if _, _, err := c.Run(context.Background()); err != nil {
 				t.Errorf("fuzzed spec failed under -check: %v\n%s", err, canon)
 			}
 		})
@@ -77,11 +77,11 @@ func TestSpectralThreshold(t *testing.T) {
 			Ticks:    100, Seed: 5, MaxQueue: -1,
 			Run: &Run{Check: true},
 		}
-		c, err := s.Compile()
+		c, err := s.Compile(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := c.Run(context.Background(), nil)
+		res, _, err := c.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

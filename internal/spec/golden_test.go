@@ -178,11 +178,11 @@ func TestGoldenSpecs(t *testing.T) {
 
 			// The spec compiles and reproduces the engine's golden series
 			// exactly: one run through the batch path equals Engine.Run.
-			c, err := parsed.Compile()
+			c, err := parsed.Compile(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, _, err := c.Run(context.Background(), nil)
+			res, _, err := c.Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,104 +8,107 @@ import (
 	"strings"
 )
 
-// Expand compiles the spec into its grid points: the cartesian product
-// of the grid axes, each point a fully validated Compiled scenario.
-// A spec with no grid expands to its single point. Axes vary in
-// row-major order — the last axis fastest — and every point's name
-// records its axis assignments ("sweep[worm.beta=0.4,seed=2]").
-//
-// Each point is produced by re-serializing the base spec (grid
-// removed), patching the axis paths into the generic JSON document,
-// and strict-re-parsing: a path that names no spec field, or a value
-// of the wrong type, is rejected exactly like a malformed spec file.
-func (s *Spec) Expand() ([]*Compiled, error) {
-	if len(s.Grid) == 0 {
-		c, err := s.Compile()
-		if err != nil {
-			return nil, err
-		}
-		return []*Compiled{c}, nil
-	}
-	for i, ax := range s.Grid {
-		if ax.Path == "" {
-			return nil, fmt.Errorf("spec: grid[%d]: empty path", i)
-		}
-		if strings.HasPrefix(ax.Path, "grid") {
-			return nil, fmt.Errorf("spec: grid[%d]: a grid axis cannot target the grid itself", i)
-		}
-		if len(ax.Values) == 0 {
-			return nil, fmt.Errorf("spec: grid[%d] (%s): no values", i, ax.Path)
-		}
-	}
-	total, err := gridPoints(s.Grid)
+// Point returns grid point i's spec and name, compiling nothing. The
+// points are the cartesian product of the grid axes, last axis
+// fastest, each named after its axis values
+// ("sweep[worm.beta=0.4,seed=2]"); a spec with no grid is its own
+// single point. A grid point's spec is the base spec (grid removed)
+// with the axis paths patched into its JSON document and strictly
+// re-parsed, so a path that names no field, or a value of the wrong
+// type, is rejected like a malformed spec file — an error returned
+// with the point's name.
+func (s *Spec) Point(i int) (*Spec, string, error) {
+	n, err := s.Points()
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-
-	base := *s
-	base.Grid = nil
-	baseDoc, err := json.Marshal(&base)
-	if err != nil {
-		return nil, fmt.Errorf("spec: marshal base: %w", err)
+	if i < 0 || i >= n {
+		return nil, "", fmt.Errorf("spec: point %d out of range (the spec has %d)", i, n)
 	}
 	name := s.Name
 	if name == "" {
 		name = "scenario"
 	}
+	if len(s.Grid) == 0 {
+		return s, name, nil
+	}
 
-	points := make([]*Compiled, 0, total)
+	// Decode i as a mixed-radix number, the last axis its lowest digit.
 	idx := make([]int, len(s.Grid))
-	for {
-		var doc map[string]any
-		if err := json.Unmarshal(baseDoc, &doc); err != nil {
-			return nil, fmt.Errorf("spec: expand: %w", err)
-		}
-		labels := make([]string, len(s.Grid))
-		for a, ax := range s.Grid {
-			v := ax.Values[idx[a]]
-			if err := setPath(doc, ax.Path, v); err != nil {
-				return nil, fmt.Errorf("spec: grid axis %s: %w", ax.Path, err)
-			}
-			labels[a] = fmt.Sprintf("%s=%s", ax.Path, compactJSON(v))
-		}
-		patched, err := json.Marshal(doc)
-		if err != nil {
-			return nil, fmt.Errorf("spec: expand: %w", err)
-		}
-		point, err := Parse(patched)
-		if err != nil {
-			return nil, fmt.Errorf("spec: grid point [%s]: %w", strings.Join(labels, ","), err)
-		}
-		c, err := point.Compile()
-		if err != nil {
-			return nil, fmt.Errorf("spec: grid point [%s]: %w", strings.Join(labels, ","), err)
-		}
-		c.Name = fmt.Sprintf("%s[%s]", name, strings.Join(labels, ","))
-		points = append(points, c)
+	labels := make([]string, len(s.Grid))
+	for a := len(s.Grid) - 1; a >= 0; a-- {
+		ax := s.Grid[a]
+		idx[a], i = i%len(ax.Values), i/len(ax.Values)
+		labels[a] = fmt.Sprintf("%s=%s", ax.Path, compactJSON(ax.Values[idx[a]]))
+	}
+	name = fmt.Sprintf("%s[%s]", name, strings.Join(labels, ","))
 
-		// Odometer: advance the last axis, carrying leftwards.
-		a := len(idx) - 1
-		for ; a >= 0; a-- {
-			idx[a]++
-			if idx[a] < len(s.Grid[a].Values) {
-				break
-			}
-			idx[a] = 0
-		}
-		if a < 0 {
-			return points, nil
+	base := *s
+	base.Grid = nil
+	baseDoc, err := json.Marshal(&base)
+	if err != nil {
+		return nil, name, fmt.Errorf("spec: marshal base: %w", err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(baseDoc, &doc); err != nil {
+		return nil, name, err
+	}
+	for a, ax := range s.Grid {
+		if err := setPath(doc, ax.Path, ax.Values[idx[a]]); err != nil {
+			return nil, name, fmt.Errorf("spec: grid axis %s: %w", ax.Path, err)
 		}
 	}
+	patched, err := json.Marshal(doc)
+	if err != nil {
+		return nil, name, err
+	}
+	point, err := Parse(patched)
+	return point, name, err
 }
 
-// Points returns the number of grid points the spec expands to — 1
-// with no grid — from the axis lengths alone, without compiling or
-// materializing anything. A grid over maxGridPoints is an error.
-func (s *Spec) Points() (int, error) { return gridPoints(s.Grid) }
+// Expand compiles every grid point with Compile(nil) and returns them
+// all, each with its own materialized topology; Sweep instead compiles
+// one point at a time.
+func (s *Spec) Expand() ([]*Compiled, error) {
+	n, err := s.Points()
+	if err != nil {
+		return nil, err
+	}
+	points := make([]*Compiled, n)
+	for i := range points {
+		pt, name, err := s.Point(i)
+		if err == nil {
+			points[i], err = pt.Compile(nil)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("spec: point %s: %w", name, err)
+		}
+		points[i].Name = name
+	}
+	return points, nil
+}
 
-// maxGridPoints caps the points one spec may expand to. Expand compiles
-// every point up front, so the cap bounds the time and memory one
-// expansion — and so one wormsimd submission — can take.
+// Points returns the number of grid points — 1 with no grid — from the
+// axes alone. A malformed axis, or a grid over maxGridPoints, is an
+// error.
+func (s *Spec) Points() (int, error) {
+	for i, ax := range s.Grid {
+		if ax.Path == "" {
+			return 0, fmt.Errorf("spec: grid[%d]: empty path", i)
+		}
+		if strings.HasPrefix(ax.Path, "grid") {
+			return 0, fmt.Errorf("spec: grid[%d]: a grid axis cannot target the grid itself", i)
+		}
+		if len(ax.Values) == 0 {
+			return 0, fmt.Errorf("spec: grid[%d] (%s): no values", i, ax.Path)
+		}
+	}
+	return gridPoints(s.Grid)
+}
+
+// maxGridPoints caps the points one spec may have. wormsimd's Submit
+// compiles every point, so the cap bounds the time and memory one
+// submission can take.
 const maxGridPoints = 10000
 
 // gridPoints returns the number of points the grid axes expand to: the

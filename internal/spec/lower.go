@@ -113,8 +113,8 @@ func (s *Spec) NetKey() (string, error) {
 
 // Net is prebuilt topology state: the materialized graph with roles and
 // subnet partition plus the shared routing state every replica uses.
-// Build one with Spec.BuildNet and pass it to Compiled.Run to amortize
-// graph generation and routing construction across several batches
+// Build one with Spec.BuildNet and pass it to Compile to amortize
+// graph generation and routing construction across several points
 // over the same topology — the grid points of a parameter sweep. A Net
 // is read-only after construction and safe for concurrent use.
 type Net struct {
@@ -126,9 +126,9 @@ type Net struct {
 }
 
 // BuildNet materializes the spec's topology once — graph, roles, subnet
-// partition, and routing state — for reuse across batches via
-// Compiled.Run. Any spec whose NetKey equals this spec's can run over
-// the returned Net.
+// partition, and routing state — for reuse across points via Compile.
+// Any spec whose NetKey equals this spec's can compile over the
+// returned Net.
 func (s *Spec) BuildNet() (*Net, error) {
 	key, err := s.NetKey()
 	if err != nil {
@@ -161,7 +161,7 @@ func (w *Worm) strategy() (worm.Factory, error) {
 
 // Config lowers the spec onto a simulation config — the module's one
 // scenario lowering, trace-replay workload (sim.Config.Replay) included,
-// shared by Compile, Compiled.Run, the sweep engine, and the figure
+// shared by Compile (and through it the sweep engine) and the figure
 // harness. A non-nil net supplies the prebuilt topology (its key
 // must match the spec's); nil builds from scratch. The config is not
 // validated here; sim.New and sim.MultiRun validate it.

@@ -73,7 +73,7 @@ func TestConfigDefenses(t *testing.T) {
 				Format: Format, Version: Version, Topology: tc.topo,
 				Worm: Worm{Kind: "random", Beta: 0.5}, Defenses: tc.defenses,
 			}
-			if _, err := s.Compile(); err != nil {
+			if _, err := s.Compile(nil); err != nil {
 				t.Fatalf("Compile: %v", err)
 			}
 			cfg, err := s.Config(nil)

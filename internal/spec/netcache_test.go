@@ -42,7 +42,7 @@ func TestSweepCacheWarmReuse(t *testing.T) {
 	}
 	for i := range cold {
 		if !reflect.DeepEqual(cold[i].Result.Infected, warm[i].Result.Infected) {
-			t.Fatalf("point %s: warm-cache series diverged from cold build", cold[i].Point.Name)
+			t.Fatalf("point %s: warm-cache series diverged from cold build", cold[i].Name)
 		}
 	}
 }
@@ -160,16 +160,20 @@ grid:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Points != 2 || stats.NetBuilds != 1 {
+	if len(results) != 2 || stats.NetBuilds != 1 {
 		t.Fatalf("stats = %+v, want 2 points sharing 1 net build", stats)
 	}
-	for _, r := range results {
-		key, err := r.Point.Spec.NetKey()
+	for i, r := range results {
+		pt, _, err := s.Point(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := pt.NetKey()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if key != "star/n=10" {
-			t.Fatalf("point %s: key = %q, want %q", r.Point.Name, key, "star/n=10")
+			t.Fatalf("point %s: key = %q, want %q", r.Name, key, "star/n=10")
 		}
 	}
 }

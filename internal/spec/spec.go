@@ -6,10 +6,10 @@
 // CLIs, the wormsimd daemon, and library callers all describe an
 // experiment point as a Spec. The package lowers a Spec straight onto
 // sim.Config — (*Spec).Config is the one lowering, workload included —
-// and its run section onto core.RunOptions; Compiled.Run executes one
-// point through core.Run, Spec.Model returns the paper's matching
-// closed form, and the sweep engine runs grid expansions as replica
-// batches that share immutable topology state.
+// and its run section onto core.RunOptions; Compile lowers a point
+// once, Compiled.Run executes that through core.Run, Spec.Model returns
+// the paper's matching closed form, and the sweep engine compiles each
+// grid point as it runs it, over topology state the points share.
 //
 // Like the engine's snapshot files (sim.Snapshot), every spec carries a
 // format/version envelope and is rejected loudly on skew: a spec
@@ -84,7 +84,7 @@ type Spec struct {
 
 	// Grid declares a parameter sweep: the cartesian product of the
 	// axes, each axis a dot-path into this spec plus the values it
-	// takes. Expand compiles one scenario per grid point.
+	// takes. Point(i) is the i-th grid point's spec.
 	Grid []Axis `json:"grid,omitempty"`
 }
 
@@ -340,25 +340,26 @@ func (s *Spec) Canonical() ([]byte, error) {
 	return append(buf, '\n'), nil
 }
 
-// Compiled is one runnable grid point: the point's spec, its run
-// options, and the replica count.
+// Compiled is one runnable grid point: the sim.Config its spec lowered
+// to, its run options, and the replica count.
 type Compiled struct {
 	// Name labels the point: the spec name plus, for grid points, the
 	// axis assignments ("sweep[worm.beta=0.4]").
 	Name    string
-	Spec    *Spec
+	Config  sim.Config
 	Options core.RunOptions
 	// Runs is the number of replicas to average (>= 1).
 	Runs int
 }
 
-// Compile lowers the spec's run section (ignoring any grid — see
-// Expand) onto core.RunOptions and validates the whole point by
-// lowering the scenario once, workload included, so every error a
-// scenario can raise surfaces before a batch is scheduled. A "trace"
-// workload's file is read here to find its worm hosts.
-func (s *Spec) Compile() (*Compiled, error) {
-	c := &Compiled{Name: s.Name, Spec: s, Runs: 1}
+// Compile lowers the spec (ignoring any grid — see Point) once: its
+// run section onto core.RunOptions and the scenario onto sim.Config
+// over net, as Config does, validating both so every error a scenario
+// can raise surfaces before a batch is scheduled. A "trace" workload's
+// file is read here to find its worm hosts.
+func (s *Spec) Compile(net *Net) (*Compiled, error) {
+	c := &Compiled{Name: s.Name, Runs: 1}
+	var err error
 	if c.Name == "" {
 		c.Name = "scenario"
 	}
@@ -379,7 +380,6 @@ func (s *Spec) Compile() (*Compiled, error) {
 			CheckpointEvery: r.CheckpointEvery,
 			Resume:          r.Resume,
 		}
-		var err error
 		if c.Options.Timeout, err = parseDuration("run.timeout", r.Timeout); err != nil {
 			return nil, err
 		}
@@ -390,28 +390,21 @@ func (s *Spec) Compile() (*Compiled, error) {
 			return nil, err
 		}
 	}
-	if err := c.Options.Validate(); err != nil {
+	if err = c.Options.Validate(); err != nil {
 		return nil, err
 	}
-	cfg, err := s.Config(nil)
-	if err != nil {
+	if c.Config, err = s.Config(net); err != nil {
 		return nil, err
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := c.Config.Validate(); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// Run executes the point's replica batch through core.Run. A non-nil
-// net supplies prebuilt topology state (see Spec.BuildNet); its key
-// must match the point's NetKey.
-func (c *Compiled) Run(ctx context.Context, net *Net) (*sim.Result, runner.Stats, error) {
-	cfg, err := c.Spec.Config(net)
-	if err != nil {
-		return nil, runner.Stats{}, err
-	}
-	return core.Run(ctx, cfg, c.Runs, c.Options)
+// Run executes the point's replica batch through core.Run.
+func (c *Compiled) Run(ctx context.Context) (*sim.Result, runner.Stats, error) {
+	return core.Run(ctx, c.Config, c.Runs, c.Options)
 }
 
 // parseDuration parses an optional duration string field.

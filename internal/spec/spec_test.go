@@ -266,7 +266,7 @@ func TestCompileRejects(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := base()
 			tc.mut(s)
-			_, err := s.Compile()
+			_, err := s.Compile(nil)
 			if err == nil {
 				t.Fatal("Compile accepted a bad spec")
 			}
@@ -319,7 +319,7 @@ func TestCompileWorkload(t *testing.T) {
 	if string(out) != doc {
 		t.Errorf("workload spec does not round-trip:\n--- in ---\n%s--- out ---\n%s", doc, out)
 	}
-	if _, err := s.Compile(); err != nil {
+	if _, err := s.Compile(nil); err != nil {
 		t.Fatal(err)
 	}
 	cfg, err := s.Config(nil)
@@ -410,8 +410,20 @@ func TestExpandGrid(t *testing.T) {
 		points[3].Name != "mini[worm.beta=0.6,seed=1]" {
 		t.Errorf("point order wrong: %q, %q, ..., %q", points[0].Name, points[1].Name, points[3].Name)
 	}
-	if points[3].Spec.Worm.Beta != 0.6 || points[3].Spec.Seed != 1 {
-		t.Errorf("point 3 values wrong: %+v", points[3].Spec)
+	if cfg := points[3].Config; cfg.Beta != 0.6 || cfg.Seed != 1 {
+		t.Errorf("point 3 lowered to β %v, seed %d; want 0.6, 1", cfg.Beta, cfg.Seed)
+	}
+	// Point decodes an index straight to the point Expand lists there.
+	if pt, name, err := s.Point(5); err != nil || name != points[5].Name || pt.Worm.Beta != 0.6 || pt.Seed != 3 {
+		t.Errorf("Point(5) = %+v, %q, %v; want %s", pt, name, err, points[5].Name)
+	}
+	if _, _, err := s.Point(6); err == nil {
+		t.Error("Point(6) of a 6-point grid accepted")
+	}
+	plain := *s
+	plain.Grid = nil
+	if pt, name, err := plain.Point(0); err != nil || pt != &plain || name != "mini" {
+		t.Errorf("no-grid Point(0) = %p, %q, %v; want the spec itself named mini", pt, name, err)
 	}
 
 	// An axis can target a section the base spec omitted entirely.
@@ -420,8 +432,8 @@ func TestExpandGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if points[0].Spec.Quarantine == nil || points[0].Spec.Quarantine.TriggerLevel != 0.05 {
-		t.Errorf("quarantine axis did not create the section: %+v", points[0].Spec.Quarantine)
+	if q := points[0].Config.Quarantine; q == nil || q.TriggerLevel != 0.05 {
+		t.Errorf("quarantine axis did not create the section: %+v", q)
 	}
 }
 

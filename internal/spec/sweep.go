@@ -4,15 +4,15 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/sim"
 )
 
 // PointResult is the outcome of one grid point of a sweep.
 type PointResult struct {
-	// Point is the compiled scenario that ran (name, spec, options,
-	// replica count).
-	Point *Compiled
+	// Name labels the point (see Spec.Point).
+	Name string
 	// Result is the averaged series (nil when Err is set).
 	Result *sim.Result
 	// Stats is the replica batch's final runner stats.
@@ -26,8 +26,6 @@ type PointResult struct {
 
 // SweepStats summarizes a sweep's execution.
 type SweepStats struct {
-	// Points is the number of grid points executed (or attempted).
-	Points int
 	// NetBuilds counts how many topology states this sweep actually
 	// materialized — cache misses that built, not Gets. Grid points
 	// whose axes leave the topology alone share one build, so a pure
@@ -38,8 +36,8 @@ type SweepStats struct {
 	Failed int
 }
 
-// Sweep expands the spec's grid and runs every point sequentially,
-// each point a replica batch on the runner pool (its Jobs knob owns
+// Sweep compiles and runs the spec's grid points one at a time, in
+// order, each a replica batch on the runner pool (its Jobs knob owns
 // the parallelism — points are serialized so their replica pools don't
 // oversubscribe each other, and so results arrive in grid order).
 //
@@ -53,58 +51,68 @@ type SweepStats struct {
 // that outlives every sweep, so SweepStats.NetBuilds counts only the
 // builds this sweep performed.
 //
-// mod, when non-nil, is applied to each compiled point before it runs
-// — the CLIs use it to overlay command-line flags on the spec's run
-// options. A point that fails aborts the sweep unless its (possibly
-// modified) options set KeepGoing, in which case the failure is
-// recorded in its PointResult and the sweep continues; Sweep returns
-// an error only when every point failed or the context was cancelled.
+// mod, when non-nil, is applied to each point before it runs — the
+// CLIs use it to overlay command-line flags on the spec's run options;
+// a point that did not compile reaches it as a stand-in with its name,
+// no replicas and the sweep's keep_going. A point that fails aborts
+// the sweep unless its (possibly modified) options set KeepGoing, in
+// which case the failure is recorded in its PointResult and the sweep
+// continues; Sweep returns an error only when every point failed or
+// the context was cancelled.
 func Sweep(ctx context.Context, s *Spec, mod func(*Compiled), cache *NetCache) ([]PointResult, SweepStats, error) {
 	if cache == nil {
 		cache = NewNetCache(0)
 	}
-	points, err := s.Expand()
+	n, err := s.Points()
 	if err != nil {
 		return nil, SweepStats{}, err
 	}
-	results := make([]PointResult, 0, len(points))
+	results := make([]PointResult, 0, n)
 	var stats SweepStats
-	for _, c := range points {
-		if mod != nil {
-			mod(c)
+	for i := 0; i < n; i++ {
+		pt, name, err := s.Point(i)
+		var key string
+		if err == nil {
+			key, err = pt.NetKey()
 		}
-		stats.Points++
-		pr := PointResult{Point: c, Warnings: c.Spec.Warnings()}
-		key, err := c.Spec.NetKey()
 		var net *Net
 		if err == nil {
 			var built bool
-			net, built, err = cache.Get(key, c.Spec.BuildNet)
+			net, built, err = cache.Get(key, pt.BuildNet)
 			if built {
 				stats.NetBuilds++
 			}
 		}
-		if err != nil {
-			pr.Err = err
-		} else {
-			pr.Result, pr.Stats, pr.Err = c.Run(ctx, net)
+		var c *Compiled
+		if err == nil {
+			c, err = pt.Compile(net)
 		}
-		if pr.Err != nil {
+		if err != nil {
+			c = &Compiled{Options: core.RunOptions{KeepGoing: s.Run != nil && s.Run.KeepGoing}}
+		}
+		c.Name = name
+		if mod != nil {
+			mod(c)
+		}
+		pr := PointResult{Name: name}
+		if err == nil {
+			pr.Warnings = pt.Warnings()
+			pr.Result, pr.Stats, err = c.Run(ctx)
+		}
+		if err != nil {
 			stats.Failed++
-			pr.Err = fmt.Errorf("spec: point %s: %w", c.Name, pr.Err)
-			results = append(results, pr)
-			if ctx.Err() != nil || !c.Options.KeepGoing {
-				return results, stats, pr.Err
-			}
-			continue
+			pr.Err = fmt.Errorf("spec: point %s: %w", name, err)
 		}
 		results = append(results, pr)
+		if err != nil && (ctx.Err() != nil || !c.Options.KeepGoing) {
+			return results, stats, pr.Err
+		}
 	}
 	switch {
-	case len(points) == 1 && stats.Failed == 1:
+	case n == 1 && stats.Failed == 1:
 		return results, stats, results[0].Err
-	case len(points) > 1 && stats.Failed == len(points):
-		return results, stats, fmt.Errorf("spec: all %d sweep points failed; first: %w", len(points), results[0].Err)
+	case n > 1 && stats.Failed == n:
+		return results, stats, fmt.Errorf("spec: all %d sweep points failed; first: %w", n, results[0].Err)
 	}
 	return results, stats, nil
 }

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestSweepSharesNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Points != 3 || stats.Failed != 0 {
+	if len(results) != 3 || stats.Failed != 0 {
 		t.Errorf("stats = %+v, want 3 points, 0 failed", stats)
 	}
 	if stats.NetBuilds != 1 {
@@ -53,10 +54,10 @@ func TestSweepSharesNet(t *testing.T) {
 	}
 	for _, r := range results {
 		if r.Err != nil {
-			t.Fatalf("point %s: %v", r.Point.Name, r.Err)
+			t.Fatalf("point %s: %v", r.Name, r.Err)
 		}
 		if r.Result == nil || len(r.Result.Infected) == 0 {
-			t.Errorf("point %s: empty result", r.Point.Name)
+			t.Errorf("point %s: empty result", r.Name)
 		}
 	}
 	// Higher β must not shrink the epidemic's final footprint here.
@@ -88,20 +89,27 @@ func TestSweepSharedSeriesIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range results {
-		pt := *r.Point
-		pt.Runs, pt.Options = 1, core.RunOptions{}
-		solo, _, err := pt.Run(context.Background(), nil)
+	for i, r := range results {
+		pt, _, err := s.Point(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(solo.Infected) != len(r.Result.Infected) {
-			t.Fatalf("point %s: series length mismatch", r.Point.Name)
+		solo, err := pt.Compile(nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range solo.Infected {
-			if solo.Infected[i] != r.Result.Infected[i] {
+		solo.Runs, solo.Options = 1, core.RunOptions{}
+		res, _, err := solo.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Infected) != len(r.Result.Infected) {
+			t.Fatalf("point %s: series length mismatch", r.Name)
+		}
+		for i := range res.Infected {
+			if res.Infected[i] != r.Result.Infected[i] {
 				t.Fatalf("point %s: tick %d: shared-net %v != standalone %v",
-					r.Point.Name, i, r.Result.Infected[i], solo.Infected[i])
+					r.Name, i, r.Result.Infected[i], res.Infected[i])
 			}
 		}
 	}
@@ -121,7 +129,7 @@ func TestSweepKeepGoing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("keep-going sweep returned %v", err)
 	}
-	if stats.Failed != 1 || stats.Points != 3 {
+	if stats.Failed != 1 || len(results) != 3 {
 		t.Errorf("stats = %+v, want 3 points with 1 failure", stats)
 	}
 	var failed int
@@ -147,8 +155,8 @@ func TestSweepKeepGoing(t *testing.T) {
 	if err == nil {
 		t.Fatal("sweep without keep-going did not abort")
 	}
-	if len(results) != 2 || stats.Points != 2 {
-		t.Errorf("aborting sweep ran %d points, want 2 (one success, one failure)", stats.Points)
+	if len(results) != 2 {
+		t.Errorf("aborting sweep ran %d points, want 2 (one success, one failure)", len(results))
 	}
 }
 
@@ -164,5 +172,117 @@ func TestSweepAllFailed(t *testing.T) {
 	}
 	if stats.Failed != 3 {
 		t.Errorf("Failed = %d, want 3", stats.Failed)
+	}
+}
+
+// TestOneLoweringPerPoint: a point is lowered — and its topology
+// materialized — once. A single-point Sweep over a ≈100k-host graph
+// allocates about one BuildNet plus the run, and so does Compile(nil)
+// followed by Run; a second lowering would add another materialization
+// on top.
+func TestOneLoweringPerPoint(t *testing.T) {
+	s := &Spec{
+		Format: Format, Version: Version,
+		Topology: Topology{Kind: "twolevel", ASes: 400, AttachM: 2, TransitFraction: 0.05, HostsPerStub: 264},
+		Worm:     Worm{Kind: "random", Beta: 0.8},
+		Ticks:    1,
+	}
+	allocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	ctx := context.Background()
+	var net *Net
+	build := allocs(func() {
+		var err error
+		if net, err = s.BuildNet(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	materialize := allocs(func() {
+		if _, _, _, err := s.materialize(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	run := allocs(func() {
+		c, err := s.Compile(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	sweep := allocs(func() {
+		if _, _, err := Sweep(ctx, s, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	compileRun := allocs(func() {
+		c, err := s.Compile(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("build %d materialize %d run %d sweep %d compile+run %d", build, materialize, run, sweep, compileRun)
+	limit := build + run + materialize/2
+	if sweep > limit {
+		t.Errorf("Sweep allocated %d bytes, over one BuildNet (%d) plus the run (%d) plus half a materialization (%d): the point was lowered twice",
+			sweep, build, run, materialize/2)
+	}
+	if compileRun > limit {
+		t.Errorf("Compile(nil)+Run allocated %d bytes, over one BuildNet (%d) plus the run (%d) plus half a materialization (%d): the point was lowered twice",
+			compileRun, build, run, materialize/2)
+	}
+}
+
+// TestSweepLastPointInvalid: points are compiled as the sweep reaches
+// them, so a grid whose last point does not compile runs the points
+// before it. Under keep-going the bad point is a failed point whose
+// error names it; without, it aborts the sweep after the others ran.
+func TestSweepLastPointInvalid(t *testing.T) {
+	s := sweepSpec(t)
+	s.Grid = []Axis{{Path: "worm.beta", Values: rawValues("0.2", "0.5", "2.5")}}
+	// Keep-going from a command-line overlay (mod) and from the spec's
+	// own run section.
+	viaMod := func(c *Compiled) { c.Options.KeepGoing = true }
+	viaSpec := *s
+	viaSpec.Run = &Run{KeepGoing: true}
+	for _, tc := range []struct {
+		s   *Spec
+		mod func(*Compiled)
+	}{{s, viaMod}, {&viaSpec, nil}} {
+		results, stats, err := Sweep(context.Background(), tc.s, tc.mod, nil)
+		if err != nil {
+			t.Fatalf("keep-going sweep returned %v", err)
+		}
+		if stats.Failed != 1 || len(results) != 3 {
+			t.Fatalf("stats = %+v with %d results, want 3 points, 1 failed", stats, len(results))
+		}
+		for _, r := range results[:2] {
+			if r.Err != nil || r.Result == nil {
+				t.Errorf("point %s: result %v, err %v; want a result", r.Name, r.Result, r.Err)
+			}
+		}
+		bad := results[2]
+		if bad.Err == nil || bad.Result != nil || bad.Name != "beta-sweep[worm.beta=2.5]" ||
+			!strings.Contains(bad.Err.Error(), "point beta-sweep[worm.beta=2.5]: sim: beta 2.5") {
+			t.Errorf("invalid point %s: result %v, err %v; want an error naming it and its beta", bad.Name, bad.Result, bad.Err)
+		}
+	}
+
+	results, stats, err := Sweep(context.Background(), s, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "worm.beta=2.5") {
+		t.Fatalf("sweep without keep-going: err = %v, want the invalid point's error", err)
+	}
+	if len(results) != 3 || results[0].Err != nil || results[1].Err != nil {
+		t.Errorf("aborted sweep: stats %+v, %d results; want the two valid points run first", stats, len(results))
 	}
 }
