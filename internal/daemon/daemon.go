@@ -274,15 +274,17 @@ func (s *Server) Submit(data []byte, priority int) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	// An invalid point is the submitter's 400, not a failed job.
-	for i := 0; i < points; i++ {
-		pt, name, err := ps.Point(i)
-		if err == nil {
-			_, err = pt.Compile(nil)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("spec: point %s: %w", name, err)
-		}
+	// An invalid first point is the submitter's 400. Later points are
+	// compiled as the sweep reaches them, and an invalid one fails
+	// there, by name: compiling every point here would let a spec of a
+	// few hundred bytes hold the handler for one topology build per
+	// grid point.
+	pt, name, err := ps.Point(0)
+	if err == nil {
+		_, err = pt.Compile(nil)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("spec: point %s: %w", name, err)
 	}
 	canonical, err := ps.Canonical()
 	if err != nil {

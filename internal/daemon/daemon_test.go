@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/spec"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -497,6 +498,93 @@ func TestRestartCountsPointsWithoutCompiling(t *testing.T) {
 	}
 	if j := s.jobs["j000001"]; j == nil || j.pointsTotal != 1 || j.state != StateDone {
 		t.Fatalf("reloaded job = %+v, want done with 1 point", j)
+	}
+}
+
+// TestSubmitCompilesOnlyFirstPoint: Submit validates a grid by
+// compiling its first point alone, so a 20-point topology_seed sweep
+// over a ~100k-host graph is admitted at the cost of one
+// materialization, not twenty.
+func TestSubmitCompilesOnlyFirstPoint(t *testing.T) {
+	doc := []byte(`{
+  "format": "wormsim-scenario",
+  "version": 1,
+  "topology": {"kind": "twolevel", "ases": 400, "attach_m": 2, "transit_fraction": 0.05, "hosts_per_stub": 264},
+  "worm": {"kind": "random", "beta": 0.8},
+  "ticks": 1,
+  "grid": [{"path": "topology_seed", "values": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20]}]
+}`)
+	allocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var oneTook time.Duration
+	one := allocs(func() {
+		defer func(start time.Time) { oneTook = time.Since(start) }(time.Now())
+		ps, err := spec.Parse(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt, _, err := ps.Point(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pt.Compile(nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	s, err := New(Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var j *Job
+	var took time.Duration
+	submitted := allocs(func() {
+		start := time.Now()
+		j, err = s.Submit(doc, 0)
+		took = time.Since(start)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.pointsTotal != 20 {
+		t.Errorf("job has %d points, want 20", j.pointsTotal)
+	}
+	if submitted >= 2*one {
+		t.Errorf("Submit allocated %d bytes, one point's compilation %d: it compiled more than the first point", submitted, one)
+	}
+	// The wall-clock bound is waived on a machine so slow (or so
+	// instrumented) that one compilation alone takes a third of it.
+	if took >= 100*time.Millisecond && took >= 3*oneTook {
+		t.Errorf("Submit took %v, want < 100ms (one compilation took %v)", took, oneTook)
+	}
+}
+
+// TestSubmitAcceptsLaterInvalidPoint: only the first grid point is
+// checked at Submit, so a grid whose second value has the wrong type is
+// accepted, and the job fails at that point, naming it.
+func TestSubmitAcceptsLaterInvalidPoint(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	v := submit(t, ts.URL, testSpec("typo", 10, 5, 1, `,
+  "grid": [{"path": "worm.beta", "values": [0.5, "fast"]}]`), "")
+	if v.PointsTotal != 2 {
+		t.Fatalf("points_total %d, want 2", v.PointsTotal)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for v.State != StateFailed {
+		if v.State == StateDone || time.Now().After(deadline) {
+			t.Fatalf("job state %s, want failed", v.State)
+		}
+		time.Sleep(10 * time.Millisecond)
+		v = getJob(t, ts.URL, v.ID)
+	}
+	if want := "typo[worm.beta=fast]"; !strings.Contains(v.Error, want) {
+		t.Errorf("job error %q does not name point %s", v.Error, want)
 	}
 }
 

@@ -64,9 +64,11 @@ func TestRunContextCancelMidFigure(t *testing.T) {
 }
 
 // TestRunAllMatchesRun guards RunAllStats against diverging from one-at-a-
-// time regeneration: the batched result must be identical.
+// time regeneration: the batched result must be identical. fig4 and
+// fig8b are simulated, so under `make race` two figures' engines run
+// concurrently on the replica pool, as in a figures batch.
 func TestRunAllMatchesRun(t *testing.T) {
-	ids := []string{"fig1a", "fig7a"}
+	ids := []string{"fig1a", "fig7a", "fig4", "fig8b"}
 	batched, _, err := RunAllStats(context.Background(), ids, quickOpts(), runner.WithJobs(2))
 	if err != nil {
 		t.Fatal(err)

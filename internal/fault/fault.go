@@ -29,42 +29,15 @@ package fault
 
 import (
 	"fmt"
+
+	"repro/internal/splitmix"
 )
 
-// Rand is a tiny counter-mode SplitMix64 generator: state is one
-// uint64, every draw advances it by a fixed increment and mixes. It is
-// deliberately not math/rand — its entire state is trivially
-// serializable into an engine checkpoint.
-type Rand struct {
-	state uint64
-}
+// Rand is the injector's counter-mode SplitMix64 stream.
+type Rand = splitmix.Rand
 
-// NewRand seeds a generator.
-func NewRand(seed int64) *Rand { return &Rand{state: mix(uint64(seed))} }
-
-// Uint64 returns the next draw.
-func (r *Rand) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	return mix(r.state)
-}
-
-// Float64 returns the next draw in [0, 1).
-func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// State exposes the generator state for checkpointing.
-func (r *Rand) State() uint64 { return r.state }
-
-// SetState restores a checkpointed generator state.
-func (r *Rand) SetState(s uint64) { r.state = s }
-
-// mix is the SplitMix64 output function.
-func mix(x uint64) uint64 {
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+// NewRand seeds a stream.
+func NewRand(seed int64) *Rand { return splitmix.New(uint64(seed)) }
 
 // Window is a half-open tick interval [Start, End).
 type Window struct {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/runner"
+	"repro/internal/splitmix"
 )
 
 // ErrInjected marks an error produced by the fault harness rather than
@@ -77,7 +78,7 @@ func (p *Plan) Wrap(task runner.Task) runner.Task {
 		}
 		// One draw stream per (index, attempt): decisions are independent
 		// of scheduling order and of how other replicas fared.
-		r := &Rand{state: mix(uint64(p.Seed) ^ uint64(index)<<20 ^ uint64(attempt))}
+		r := splitmix.New(uint64(p.Seed) ^ uint64(index)<<20 ^ uint64(attempt))
 		if p.StallProb > 0 && r.Float64() < p.StallProb {
 			t := time.NewTimer(p.StallFor)
 			select {

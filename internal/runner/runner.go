@@ -21,6 +21,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/splitmix"
 )
 
 // Stats is a snapshot of batch progress. Counters are cumulative over
@@ -397,14 +399,9 @@ func sleepBackoff(ctx context.Context, base time.Duration, index, attempt int) b
 	}
 }
 
-// splitmix64 is the SplitMix64 mixing function — a tiny, seedable,
-// statistically solid hash used only for retry jitter.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+// splitmix64 hashes x to one SplitMix64 draw: the first draw of the
+// stream whose counter is x.
+func splitmix64(x uint64) uint64 { return splitmix.Next(&x) }
 
 // runAttempt invokes one task attempt under the pool's per-task
 // deadline. Without a deadline the task runs inline on the worker; with

@@ -9,18 +9,27 @@ import (
 
 // auditSnapshot pairs every O(1) counter the hot path maintains with
 // the same quantity recomputed from ground truth — full scans over the
-// link queues, the active-set bitmaps, and the node states — so
-// obs.Auditor can validate them by pure value comparison. O(links +
-// nodes) per call; only run under Config.Check.
+// per-link counts, the packet arena, the active-set bitmaps, and the
+// node states — so obs.Auditor can validate them by pure value
+// comparison. The backlog (the arena's length) is checked against the
+// summed per-link counts, and the queue bitset against the links the
+// arena's entries actually sit on. O(links + nodes) per call; only run
+// under Config.Check.
 func (e *Engine) auditSnapshot() obs.Snapshot {
-	queued, nonEmpty, flagged := 0, 0, 0
-	for s, q := range e.queueTab {
-		if len(q) == 0 {
+	queued := 0
+	for _, n := range e.queueLen {
+		queued += int(n)
+	}
+	onLink := make([]bool, len(e.queueLen))
+	for _, q := range e.arena {
+		onLink[q.link] = true
+	}
+	nonEmpty, flagged := 0, 0
+	for li, on := range onLink {
+		if !on {
 			continue
 		}
-		queued += len(q)
 		nonEmpty++
-		li := e.queueLink[s]
 		if e.queueBits[li>>6]&(1<<(uint(li)&63)) != 0 {
 			flagged++
 		}
@@ -45,7 +54,7 @@ func (e *Engine) auditSnapshot() obs.Snapshot {
 	}
 	return obs.Snapshot{
 		Tick:          e.tick,
-		Backlog:       e.backlog,
+		Backlog:       len(e.arena),
 		QueuedPackets: queued,
 
 		QueueBitsSet:          bitsSet,

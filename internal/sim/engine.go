@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -56,9 +57,9 @@ type packet struct {
 	birth int32
 }
 
-// arrival is a packet that crossed a link this tick and lands at node.
-type arrival struct {
-	node int32
+// queued is one arena entry: a packet waiting on directed link link.
+type queued struct {
+	link int32
 	pkt  packet
 }
 
@@ -107,20 +108,21 @@ type Engine struct {
 	// scanned ascending by generate.
 	infectedBits []uint64
 
-	// queueSlot[li] indexes link li's packet queue in queueTab (-1
-	// until the first packet ever enqueues there); queueLink is the
-	// inverse map. Queues materialize lazily — in a sparse epidemic the
-	// engine pays three slice headers per link that actually carried
-	// traffic, not per link that exists.
-	queueSlot []int32
-	queueTab  [][]packet
-	queueLink []int32
-	// queueBits is the non-empty-queue active set (bit li set iff link
-	// li's queue is non-empty), scanned ascending by transmit.
+	// arena holds every queued packet as a (link, packet) entry, in
+	// arrival order; its length is the backlog. queueLen[li] counts
+	// link li's entries — the DropTail check reads it — and transmit
+	// turns the counts into offsets for a stable counting sort of the
+	// arena into sorted, where each link's segment is its FIFO queue
+	// (DESIGN.md §9). sendOrder lists the sorted entries transmit sent,
+	// in send order, for deliver. All three buffers are reused across
+	// ticks and sized by the packets in flight, not by the link count.
+	arena     []queued
+	sorted    []queued
+	sendOrder []int32
+	queueLen  []int32
+	// queueBits is the non-empty-queue active set (bit li set iff
+	// queueLen[li] > 0), scanned ascending by transmit.
 	queueBits []uint64
-	// backlog is the running total of queued packets across all links,
-	// so record() is O(1).
-	backlog int
 
 	// linkLimitedBits marks rate-limited directed links (bit li).
 	// Limited links are rank-indexed: rank r = limitedRankBase of li's
@@ -249,11 +251,9 @@ type Engine struct {
 	latSum   int64
 	latCount int64
 
-	emitted  []packet  // generate's staging buffer, reused across ticks
-	arrivals []arrival // transmit's staging buffer, reused across ticks
-	// sentScratch is transmitCapped's per-adjacency-slot send counter,
-	// reused across ticks.
-	sentScratch []int32
+	// capScratch is transmitCapped's per-adjacency-slot view of the
+	// sorted arena, reused across ticks.
+	capScratch []capSlot
 }
 
 // netState is the immutable, graph-derived routing state every replica
@@ -298,14 +298,6 @@ func (e *Engine) limitedRank(li int) int {
 	w := li >> 6
 	return int(e.limitedRankBase[w]) +
 		bits.OnesCount64(e.linkLimitedBits[w]&(1<<(uint(li)&63)-1))
-}
-
-// queueAt returns link li's queue, nil if never materialized.
-func (e *Engine) queueAt(li int) []packet {
-	if s := e.queueSlot[li]; s >= 0 {
-		return e.queueTab[s]
-	}
-	return nil
 }
 
 // New builds an engine from cfg. The topology must be connected.
@@ -458,16 +450,13 @@ func (e *Engine) buildBeta() {
 	}
 }
 
-// buildLinkState sizes the per-link queue directory and assigns
-// per-tick packet rates to every directed link incident to a
-// rate-limited node. Rate/credit/budget live in rank-indexed slices
-// sized by the limited-link count, not the link count.
+// buildLinkState sizes the per-link queue counts and assigns per-tick
+// packet rates to every directed link incident to a rate-limited node.
+// Rate/credit/budget live in rank-indexed slices sized by the
+// limited-link count, not the link count.
 func (e *Engine) buildLinkState() {
 	nLinks := e.links.Count()
-	e.queueSlot = make([]int32, nLinks)
-	for i := range e.queueSlot {
-		e.queueSlot[i] = -1
-	}
+	e.queueLen = make([]int32, nLinks)
 	e.queueBits = make([]uint64, (nLinks+63)/64)
 	e.linkLimitedBits = make([]uint64, (nLinks+63)/64)
 
@@ -545,7 +534,7 @@ func (e *Engine) rechargeLinks() {
 	if len(e.limitedIdx) == 0 {
 		return
 	}
-	if e.backlog == 0 {
+	if len(e.arena) == 0 {
 		e.rechargeDebt++
 		return
 	}
@@ -575,14 +564,21 @@ func (e *Engine) spendLink(r int, n int) {
 	e.linkCredit[r] -= float64(n)
 }
 
-// clearQueue empties link li's queue (keeping the buffer for reuse)
-// and maintains the active set and backlog counter. The queue must be
-// materialized (callers reach it through a set queue bit).
-func (e *Engine) clearQueue(li int) {
-	s := e.queueSlot[li]
-	e.backlog -= len(e.queueTab[s])
-	e.queueTab[s] = e.queueTab[s][:0]
-	e.queueBits[li>>6] &^= 1 << (uint(li) & 63)
+// settle closes link li's segment of the sorted arena after transmit
+// sent everything before index sent: the unsent rest, up to end, is
+// dropped under PolicyDrop and otherwise carried back into the arena,
+// where it stays ahead of anything routed later.
+func (e *Engine) settle(li int, sent, end int32) {
+	left := e.sorted[sent:end]
+	if e.cfg.Policy == PolicyDrop {
+		e.dropCount += uint64(len(left))
+		left = nil
+	}
+	e.arena = append(e.arena, left...)
+	e.queueLen[li] = int32(len(left))
+	if len(left) == 0 {
+		e.queueBits[li>>6] &^= 1 << (uint(li) & 63)
+	}
 }
 
 // seedInfections infects InitialInfected distinct susceptible nodes —
@@ -794,12 +790,12 @@ func (e *Engine) updateQuarantine() {
 // generate lets every infected node attempt one infection, sweeping
 // the infected bitset in ascending node order and drawing every node's
 // randomness from that node's own stream. Emitted packets are staged
-// and routed after the sweep, in emission order. Routing touches only
-// link queues, which no picker or limiter reads, so routing each packet
-// as it is emitted would give the same output — but keeping the sweep's
-// working set (pickers, RNG pages, limiters) apart from routing's
-// (router records, link queues) measured ~7% faster on the 1M-host
-// internet workload.
+// at the arena's tail and routed after the sweep, in emission order.
+// Routing touches only link queues, which no picker or limiter reads,
+// so routing each packet as it is emitted would give the same output —
+// but keeping the sweep's working set (pickers, RNG pages, limiters)
+// apart from routing's (router records, link queues) measured ~7%
+// faster on the 1M-host internet workload.
 func (e *Engine) generate() {
 	if e.workload != nil {
 		// Trace-replay run: the workload is the scan source, dispatched
@@ -823,7 +819,7 @@ func (e *Engine) generate() {
 		kind = kindProbe
 	}
 	tick := int32(e.tick)
-	emitted := e.emitted[:0]
+	start := len(e.arena)
 	for wi, word := range e.infectedBits {
 		for word != 0 {
 			u := wi<<6 + bits.TrailingZeros64(word)
@@ -858,75 +854,86 @@ func (e *Engine) generate() {
 					e.throttledThisTick++
 					continue // throttled: contact blocked this tick
 				}
-				emitted = append(emitted, packet{
+				e.arena = append(e.arena, queued{pkt: packet{
 					src: int32(u), dst: int32(target), kind: kind, birth: tick,
-				})
+				}})
 			}
 		}
 	}
-	e.genCount += uint64(len(emitted))
-	for _, pkt := range emitted {
-		e.routePacket(pkt.src, pkt)
+	// Route the staged tail in place: each packet appends at most one
+	// entry, so the write position never passes the read position.
+	staged := e.arena[start:]
+	e.arena = e.arena[:start]
+	e.genCount += uint64(len(staged))
+	for _, q := range staged {
+		e.routePacket(q.pkt.src, q.pkt)
 	}
-	e.emitted = emitted
 }
 
 // routePacket places a packet at node u heading for its destination:
-// delivery if already there, otherwise the queue of u's next-hop link.
+// delivery if already there, otherwise the arena, queued on u's
+// next-hop link.
 func (e *Engine) routePacket(u int32, pkt packet) {
 	if u == pkt.dst {
 		e.deliverAt(pkt)
 		return
 	}
 	li := e.structural.HopLink(int(u), int(pkt.dst))
-	s := e.queueSlot[li]
-	var q []packet
-	if s >= 0 {
-		q = e.queueTab[s]
-	}
-	if e.cfg.MaxQueue > 0 && len(q) >= e.cfg.MaxQueue {
+	n := e.queueLen[li]
+	if e.cfg.MaxQueue > 0 && int(n) >= e.cfg.MaxQueue {
 		e.dropCount++
 		return // DropTail: buffer full, packet lost
 	}
-	if s < 0 {
-		// First packet ever on this link. The buffer starts small and
-		// append grows it toward MaxQueue on demand — sizing it at
-		// MaxQueue up front avoids regrowth on saturated hubs but costs
-		// MaxQueue packets of capacity on every link a single packet
-		// ever crossed, which at ten-million-host scale dwarfs the
-		// queues' live content (DESIGN.md §14).
-		c := e.cfg.MaxQueue
-		if c == 0 || c > 8 {
-			c = 8
-		}
-		s = int32(len(e.queueTab))
-		e.queueSlot[li] = s
-		e.queueTab = append(e.queueTab, make([]packet, 0, c))
-		e.queueLink = append(e.queueLink, li)
-		q = e.queueTab[s]
-	}
-	e.queueTab[s] = append(q, pkt)
+	e.queueLen[li] = n + 1
 	e.queueBits[li>>6] |= 1 << (uint(li) & 63)
-	e.backlog++
+	e.arena = append(e.arena, queued{link: int32(li), pkt: pkt})
+}
+
+// sortArena moves the arena into sorted by a stable counting sort on
+// the link index, so each non-empty link's entries form one segment
+// in arrival order: its FIFO queue, with a limited link's leftovers
+// ahead of newly routed packets. Afterwards queueLen[li] holds the end
+// offset of li's segment; the segment starts where the previous
+// non-empty link's ends. The arena is left empty for transmit to
+// refill with leftovers.
+func (e *Engine) sortArena() {
+	off := int32(0)
+	for w, word := range e.queueBits {
+		for word != 0 {
+			li := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			n := e.queueLen[li]
+			e.queueLen[li] = off
+			off += n
+		}
+	}
+	e.sorted = slices.Grow(e.sorted[:0], int(off))[:off]
+	for _, q := range e.arena {
+		e.sorted[e.queueLen[q.link]] = q
+		e.queueLen[q.link]++
+	}
+	e.arena = e.arena[:0]
 }
 
 // transmit moves packets across every directed link, respecting link
-// caps and node forwarding caps, staging arrivals for deliver. Only
-// non-empty queues are visited, via the queue bitset; ascending link
-// index order equals the (source asc, destination asc) order the
-// series determinism contract fixes. Links of a node-capped router are
-// served together by its round-robin scheduler the first time one of
-// its queues is encountered.
+// caps and node forwarding caps, and lists the sent packets for
+// deliver. Only non-empty queues are visited, via the queue bitset;
+// ascending link index order equals the (source asc, destination asc)
+// order the series determinism contract fixes. Links of a node-capped
+// router are served together by its round-robin scheduler the first
+// time one of its queues is encountered.
 func (e *Engine) transmit() {
-	e.arrivals = e.arrivals[:0]
-	if e.backlog == 0 {
+	e.sendOrder = e.sendOrder[:0]
+	if len(e.arena) == 0 {
 		// Sparse-phase shortcut: nothing queued anywhere, so there is
 		// nothing to move and no budget to spend — O(1) instead of a
 		// sweep over the queue bitset.
 		return
 	}
+	e.sortArena()
 	tick := int32(e.tick)
 	capped := e.limitsActive && e.nodeCap != nil
+	start := int32(0) // the current link's segment start in sorted
 	for w, word := range e.queueBits {
 		for word != 0 {
 			li := w<<6 + bits.TrailingZeros64(word)
@@ -935,127 +942,99 @@ func (e *Engine) transmit() {
 				if u := e.links.From(li); e.nodeCap[u] >= 0 {
 					if e.cappedServed[u] != tick {
 						e.cappedServed[u] = tick
-						e.transmitCapped(u, int(e.nodeCap[u]))
+						start = e.transmitCapped(u, int(e.nodeCap[u]), start)
 					}
-					// Later queues of u keep their bits when packets
-					// remain; the served mark prevents reprocessing.
+					// Later queues of u were settled with the first; the
+					// served mark skips the ones that kept their bits.
 					continue
 				}
 			}
-			q := e.queueTab[e.queueSlot[li]]
-			allowed := len(q)
-			lr := -1
+			end := e.queueLen[li]
+			sent := end
 			if e.linkLimited(li) {
-				lr = e.limitedRank(li)
-				if e.limitsActive && int(e.linkBudget[lr]) < allowed {
-					allowed = int(e.linkBudget[lr])
-					if allowed < 0 {
-						allowed = 0
-					}
+				lr := e.limitedRank(li)
+				if e.limitsActive {
+					sent = min(sent, start+max(e.linkBudget[lr], 0))
 				}
+				e.spendLink(lr, int(sent-start))
 			}
-			to := int32(e.links.To(li))
-			for _, pkt := range q[:allowed] {
-				e.arrivals = append(e.arrivals, arrival{node: to, pkt: pkt})
+			for i := start; i < sent; i++ {
+				e.sendOrder = append(e.sendOrder, i)
 			}
-			if lr >= 0 {
-				e.spendLink(lr, allowed)
-			}
-			switch {
-			case allowed == len(q):
-				e.clearQueue(li) // drained
-			case e.cfg.Policy == PolicyDrop:
-				e.dropCount += uint64(len(q) - allowed)
-				e.clearQueue(li) // excess discarded
-			default:
-				e.queueTab[e.queueSlot[li]] = append(q[:0], q[allowed:]...)
-				e.backlog -= allowed
-			}
+			e.settle(li, sent, end)
+			start = end
 		}
 	}
 }
+
+// capSlot is one output link of a capped router during its transmit:
+// the link's segment [start, end) of the sorted arena, the next unsent
+// packet, and stop, where the link's own budget ends sending.
+type capSlot struct{ start, next, stop, end int32 }
 
 // transmitCapped serves a node-capped router: its per-tick forwarding
 // budget is spread round-robin across its non-empty output queues (one
 // packet per queue per pass, resuming each tick where the last left
 // off), mirroring a fair shared output scheduler. Without this, a
 // strict low-ID-first drain lets one stale queue starve every other
-// destination.
-func (e *Engine) transmitCapped(u, budget int) {
-	adj := e.links.Outgoing(u)
+// destination. start is the sorted-arena offset of u's first non-empty
+// queue; transmitCapped settles all of u's queues and returns the end
+// of its last segment.
+func (e *Engine) transmitCapped(u, budget int, start int32) int32 {
 	base := e.links.OutStart(u)
-	deg := len(adj)
-	if deg == 0 || budget <= 0 {
-		if e.cfg.Policy == PolicyDrop {
-			for k := 0; k < deg; k++ {
-				if li := base + k; len(e.queueAt(li)) > 0 {
-					e.dropCount += uint64(len(e.queueAt(li)))
-					e.clearQueue(li)
-				}
-			}
+	deg := len(e.links.Outgoing(u))
+	if cap(e.capScratch) < deg {
+		e.capScratch = make([]capSlot, deg)
+	}
+	slots := e.capScratch[:deg]
+	for k := range slots {
+		li := base + k
+		end := start
+		if e.queueBits[li>>6]&(1<<(uint(li)&63)) != 0 {
+			end = e.queueLen[li]
 		}
-		return
+		stop := end
+		if e.linkLimited(li) {
+			stop = min(stop, start+max(e.linkBudget[e.limitedRank(li)], 0))
+		}
+		slots[k] = capSlot{start: start, next: start, stop: stop, end: end}
+		start = end
 	}
-	// Per-queue packets already sent this tick (also enforces link caps),
-	// indexed by adjacency slot.
-	if cap(e.sentScratch) < deg {
-		e.sentScratch = make([]int32, deg)
-	}
-	sent := e.sentScratch[:deg]
-	clear(sent)
-	start := int(e.rrPos[u])
-	served := true
-	for budget > 0 && served {
+	pos := int(e.rrPos[u])
+	for served := true; budget > 0 && served; {
 		served = false
 		for k := 0; k < deg && budget > 0; k++ {
-			idx := (start + k) % deg
-			li := base + idx
-			q := e.queueAt(li)
-			s := int(sent[idx])
-			if s >= len(q) {
+			idx := (pos + k) % deg
+			s := &slots[idx]
+			if s.next >= s.stop {
 				continue
 			}
-			if e.linkLimited(li) && s >= int(e.linkBudget[e.limitedRank(li)]) {
-				continue
-			}
-			e.arrivals = append(e.arrivals, arrival{node: adj[idx], pkt: q[s]})
-			sent[idx] = int32(s + 1)
+			e.sendOrder = append(e.sendOrder, s.next)
+			s.next++
 			budget--
 			served = true
 			e.rrPos[u] = int32((idx + 1) % deg)
 		}
 	}
-	for k := 0; k < deg; k++ {
+	for k, s := range slots {
 		li := base + k
-		q := e.queueAt(li)
-		s := int(sent[k])
 		if e.linkLimited(li) {
-			e.spendLink(e.limitedRank(li), s)
+			e.spendLink(e.limitedRank(li), int(s.next-s.start))
 		}
-		switch {
-		case len(q) == 0:
-		case s >= len(q):
-			e.clearQueue(li) // drained
-		case e.cfg.Policy == PolicyDrop:
-			e.dropCount += uint64(len(q) - s)
-			e.clearQueue(li) // excess discarded
-		default:
-			e.queueTab[e.queueSlot[li]] = append(q[:0], q[s:]...)
-			e.backlog -= s
+		if s.end > s.start {
+			e.settle(li, s.next, s.end)
 		}
 	}
+	return start
 }
 
-// deliver processes staged arrivals: handling at the destination, or
-// enqueue on the next link (crossing at most one link per tick).
+// deliver moves every packet transmit sent across its link, in send
+// order: handling at the destination, or routing onto the next link
+// (crossing at most one link per tick).
 func (e *Engine) deliver() {
-	staged := e.arrivals
-	for _, a := range staged {
-		if a.node == a.pkt.dst {
-			e.deliverAt(a.pkt)
-			continue
-		}
-		e.routePacket(a.node, a.pkt)
+	for _, i := range e.sendOrder {
+		q := e.sorted[i]
+		e.routePacket(int32(e.links.To(int(q.link))), q.pkt)
 	}
 }
 
@@ -1188,7 +1167,7 @@ func (e *Engine) record(res *Result) {
 	res.Infected = append(res.Infected, float64(e.infected)/pop)
 	res.EverInfected = append(res.EverInfected, float64(e.ever)/pop)
 	res.Immunized = append(res.Immunized, float64(e.removed)/pop)
-	res.Backlog = append(res.Backlog, e.backlog)
+	res.Backlog = append(res.Backlog, len(e.arena))
 	if e.cfg.TrackSubnets {
 		within := 0.0
 		if e.infected > 0 { // no infections ⇒ no infected subnets
@@ -1233,7 +1212,7 @@ func (e *Engine) observe() {
 		PacketsGenerated:  int(e.genCount - e.prevGen),
 		PacketsDelivered:  int(e.delivCount - e.prevDeliv),
 		PacketsDropped:    int(e.dropCount - e.prevDrop),
-		Backlog:           e.backlog,
+		Backlog:           len(e.arena),
 		Infected:          e.infected,
 		EverInfected:      e.ever,
 		Immunized:         e.removed,

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/topology"
@@ -9,8 +10,8 @@ import (
 
 // checkActiveSets verifies the dense-layout invariants after a run: the
 // infected bitset mirrors the state slice, the queue bitset marks
-// exactly the non-empty queues, and the running backlog counter equals
-// the true queued-packet total.
+// exactly the links with a non-zero count, and each link's count equals
+// the arena entries queued on it.
 func checkActiveSets(t *testing.T, e *Engine) {
 	t.Helper()
 	for u := 0; u < e.n; u++ {
@@ -19,17 +20,18 @@ func checkActiveSets(t *testing.T, e *Engine) {
 			t.Errorf("node %d: infected bit %v, state infected %v", u, bit, want)
 		}
 	}
-	total := 0
-	for li := 0; li < e.links.Count(); li++ {
-		q := e.queueAt(li)
-		total += len(q)
-		bit := e.queueBits[li>>6]&(1<<(uint(li)&63)) != 0
-		if want := len(q) > 0; bit != want {
-			t.Errorf("link %d: queue bit %v, len %d", li, bit, len(q))
-		}
+	onLink := make([]int32, e.links.Count())
+	for _, q := range e.arena {
+		onLink[q.link]++
 	}
-	if total != e.backlog {
-		t.Errorf("backlog counter %d, queues hold %d", e.backlog, total)
+	for li, n := range e.queueLen {
+		bit := e.queueBits[li>>6]&(1<<(uint(li)&63)) != 0
+		if want := n > 0; bit != want {
+			t.Errorf("link %d: queue bit %v, count %d", li, bit, n)
+		}
+		if n != onLink[li] {
+			t.Errorf("link %d: count %d, arena holds %d", li, n, onLink[li])
+		}
 	}
 }
 
@@ -138,9 +140,9 @@ func TestMaxQueueDropTail(t *testing.T) {
 		eng.deliver()
 		eng.immunize(tick)
 		eng.record(res)
-		for s, q := range eng.queueTab {
-			if len(q) > cfg.MaxQueue {
-				t.Fatalf("tick %d: link %d queue %d > MaxQueue %d", tick, eng.queueLink[s], len(q), cfg.MaxQueue)
+		for li, n := range eng.queueLen {
+			if int(n) > cfg.MaxQueue {
+				t.Fatalf("tick %d: link %d queue %d > MaxQueue %d", tick, li, n, cfg.MaxQueue)
 			}
 		}
 		if b := res.Backlog[tick]; b > maxLinks*cfg.MaxQueue {
@@ -202,6 +204,49 @@ func TestNodeCapSmallBudgetProgresses(t *testing.T) {
 	res := eng.Run()
 	if got := res.FinalEverInfected(); got != 1 {
 		t.Errorf("ever infected %v, want 1 (cap 1 only delays saturation)", got)
+	}
+	checkActiveSets(t, eng)
+}
+
+// A capped router's packets leave in round-robin send order, and
+// deliver must hand them on in that order, not in link order. Here the
+// hub's scheduler resumes at the later of two loaded links, so with a
+// budget of two the later leaf is infected first. (Link order shows
+// only in state: every packet deliver routes starts at its arrival
+// node, so two of one router's links never feed the same queue.)
+func TestNodeCapDeliversInSendOrder(t *testing.T) {
+	cfg := starConfig(t, 8)
+	cfg.NodeCaps = map[int]int{0: 2}
+	cfg.RecordInfections = true
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leaves []int
+	for u := 1; u < eng.n && len(leaves) < 2; u++ {
+		if eng.stateOf(u) == stateSusceptible {
+			leaves = append(leaves, u)
+		}
+	}
+	first, second := leaves[0], leaves[1]
+	for _, v := range []int{first, first, second, second} {
+		eng.routePacket(0, packet{src: 0, dst: int32(v)})
+	}
+	// Hub 0's adjacency slot k is the link to leaf k+1.
+	eng.rrPos[0] = int32(second - 1)
+	eng.tick = 0
+	eng.limitsActive = true
+	eng.transmit()
+	eng.deliver()
+	var got []int32
+	for _, in := range eng.infections[len(eng.infections)-2:] {
+		got = append(got, in.Victim)
+	}
+	if want := []int32{int32(second), int32(first)}; !slices.Equal(got, want) {
+		t.Errorf("infection order %v, want %v (round-robin send order)", got, want)
+	}
+	if len(eng.arena) != 2 {
+		t.Errorf("%d packets left queued, want 2 (one per link beyond the budget)", len(eng.arena))
 	}
 	checkActiveSets(t, eng)
 }

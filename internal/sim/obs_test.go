@@ -266,7 +266,20 @@ func TestAuditCatchesCorruption(t *testing.T) {
 		name    string
 		corrupt func(*Engine)
 	}{
-		{"backlog counter drift", func(e *Engine) { e.backlog += 3 }},
+		{"backlog counter drift", func(e *Engine) {
+			// Three packets queued on link 0 that were never generated:
+			// the backlog no longer reconciles with the flow counters.
+			for range 3 {
+				e.arena = append(e.arena, queued{link: 0, pkt: packet{dst: int32(e.links.To(0))}})
+			}
+			e.queueLen[0] += 3
+			e.queueBits[0] |= 1
+		}},
+		{"link count drift", func(e *Engine) {
+			// Link 0 counts a packet the arena does not hold.
+			e.queueLen[0]++
+			e.queueBits[0] |= 1
+		}},
 		{"infected counter drift", func(e *Engine) { e.infected++ }},
 		{"phantom drop", func(e *Engine) { e.dropCount++ }},
 		{"lost generation", func(e *Engine) { e.genCount += 5 }},
@@ -313,7 +326,7 @@ func TestRunPanicsOnAuditFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.backlog += 7
+	eng.dropCount += 7
 	defer func() {
 		if recover() == nil {
 			t.Error("Run did not panic on a corrupted engine under Check")

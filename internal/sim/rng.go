@@ -1,10 +1,14 @@
 package sim
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"repro/internal/splitmix"
+)
 
 // The engine's randomness is a table of independent counter-mode
-// SplitMix64 streams — the same generator internal/fault uses — one per
-// node plus one run-level stream. Node u's β rolls and target picks
+// SplitMix64 streams (internal/splitmix) — one per node plus one
+// run-level stream. Node u's β rolls and target picks
 // draw only from stream u, and the run stream covers everything that is
 // not attributable to a single node (today: the seed-infection
 // shuffle). The tick loop is serial, so one shared stream would be
@@ -24,12 +28,8 @@ import "math/rand"
 // Each stream's whole state is one uint64 counter, so a checkpoint
 // stores the sparse set of counters that have advanced past their
 // initial value (Snapshot.RNGIdx/RNGVal) — counter-mode state only
-// increments by the odd constant rngGamma, so "counter != initial" is
+// increments by the odd constant splitmix.Gamma, so "counter != initial" is
 // exactly "this stream has drawn".
-
-// rngGamma is the SplitMix64 increment (golden-ratio constant), shared
-// with internal/fault's generator.
-const rngGamma = 0x9e3779b97f4a7c15
 
 // streamPageShift sizes a page at 64 streams — one word of the
 // infected bitset.
@@ -37,15 +37,6 @@ const (
 	streamPageShift = 6
 	streamPageLen   = 1 << streamPageShift
 )
-
-// rngMix is the SplitMix64 output function (identical to fault.mix;
-// duplicated to keep the engine free of a fault-package dependency for
-// its own randomness).
-func rngMix(x uint64) uint64 {
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
 
 // streamTable is the lazily-materialized stream table for a run:
 // stream u is node u's counter for u in [0, n), stream n the run-level
@@ -58,7 +49,7 @@ type streamTable struct {
 
 func newStreamTable(seed int64, n int) *streamTable {
 	return &streamTable{
-		base:  rngMix(uint64(seed)),
+		base:  splitmix.Mix(uint64(seed)),
 		n:     n,
 		pages: make([]*[streamPageLen]uint64, (n+1+streamPageLen-1)/streamPageLen),
 	}
@@ -68,7 +59,7 @@ func newStreamTable(seed int64, n int) *streamTable {
 // seed and from its neighbors by mixing the seed hash with a
 // per-stream offset. The formula is pinned by the golden fixtures.
 func (t *streamTable) initial(i int) uint64 {
-	return rngMix(t.base ^ (uint64(i)+1)*rngGamma)
+	return splitmix.Mix(t.base ^ (uint64(i)+1)*splitmix.Gamma)
 }
 
 // ensure materializes the page holding stream i. Every stream must be
@@ -120,9 +111,7 @@ type streamSource struct {
 func (s *streamSource) Int63() int64 {
 	p := s.t.pages[s.idx>>streamPageShift]
 	k := s.idx & (streamPageLen - 1)
-	st := p[k] + rngGamma
-	p[k] = st
-	return int64(rngMix(st) >> 1)
+	return int64(splitmix.Next(&p[k]) >> 1)
 }
 
 // Seed implements rand.Source. Stream positions are set by the table,

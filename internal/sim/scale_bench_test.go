@@ -181,8 +181,8 @@ func BenchmarkEngineTickQuiescent(b *testing.B) {
 		b.Fatal(err)
 	}
 	eng.Run()
-	if eng.infected != 0 || eng.backlog != 0 {
-		b.Fatalf("warm-up did not reach quiescence: %d infected, backlog %d", eng.infected, eng.backlog)
+	if eng.infected != 0 || len(eng.arena) != 0 {
+		b.Fatalf("warm-up did not reach quiescence: %d infected, backlog %d", eng.infected, len(eng.arena))
 	}
 	// RunContext resumes from nextTick, so extending the horizon by b.N
 	// runs exactly b.N quiescent ticks through the real tick loop.

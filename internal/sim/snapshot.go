@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -8,6 +9,7 @@ import (
 	"fmt"
 	"math/bits"
 	"os"
+	"slices"
 
 	"repro/internal/ratelimit"
 	"repro/internal/safeio"
@@ -71,7 +73,7 @@ type Snapshot struct {
 	// RNGVal[k] is the current counter of stream RNGIdx[k], listed in
 	// strictly ascending index order, and only for streams whose counter
 	// differs from its seed-derived initial value. A counter-mode stream
-	// advances by the odd constant rngGamma per draw, so it can never
+	// advances by the odd constant splitmix.Gamma per draw, so it can never
 	// return to its initial value: "differs" is exactly "has drawn".
 	// Stream n (nodes) is the run-level stream. FaultState is the fault
 	// injector's RNG state.
@@ -298,20 +300,18 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	if e.rrPos != nil {
 		s.RRPos = append([]int32(nil), e.rrPos...)
 	}
-	// Non-empty queues, in ascending link order via the active set (the
-	// materialization order of queueTab is first-use order, which is
-	// not canonical).
-	for w, word := range e.queueBits {
-		for word != 0 {
-			li := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			q := e.queueTab[e.queueSlot[li]]
-			pkts := make([]int32, 0, len(q)*4)
-			for _, p := range q {
-				pkts = append(pkts, p.src, p.dst, int32(p.kind), p.birth)
-			}
-			s.Queues = append(s.Queues, queueSnap{Link: int32(li), Pkts: pkts})
+	// Non-empty queues in ascending link order, each in FIFO order: a
+	// stable sort of a copy of the arena by link.
+	arena := slices.Clone(e.arena)
+	slices.SortStableFunc(arena, func(a, b queued) int { return cmp.Compare(a.link, b.link) })
+	for i := 0; i < len(arena); {
+		li := arena[i].link
+		pkts := make([]int32, 0, 4*e.queueLen[li])
+		for ; i < len(arena) && arena[i].link == li; i++ {
+			p := arena[i].pkt
+			pkts = append(pkts, p.src, p.dst, int32(p.kind), p.birth)
 		}
+		s.Queues = append(s.Queues, queueSnap{Link: li, Pkts: pkts})
 	}
 	// Host limiters, ascending by node (limiterTab is in configuration
 	// order, so scan the slot directory instead).
@@ -523,17 +523,13 @@ func (e *Engine) restore(s *Snapshot) error {
 		}
 	}
 
-	// Link queues: drop every materialized queue and rebuild from the
-	// snapshot (slot order is restore order here, first-use order on a
-	// live run; neither is observable).
+	// Link queues: refill the arena from the snapshot, one link's
+	// queue after another (arena order across links is not
+	// observable; transmit sorts by link).
 	nLinks := e.links.Count()
-	for i := range e.queueSlot {
-		e.queueSlot[i] = -1
-	}
-	e.queueTab = e.queueTab[:0]
-	e.queueLink = e.queueLink[:0]
+	e.arena = e.arena[:0]
+	clear(e.queueLen)
 	clear(e.queueBits)
-	e.backlog = 0
 	for _, qs := range s.Queues {
 		li := int(qs.Link)
 		if li < 0 || li >= nLinks {
@@ -542,10 +538,9 @@ func (e *Engine) restore(s *Snapshot) error {
 		if len(qs.Pkts)%4 != 0 || len(qs.Pkts) == 0 {
 			return fmt.Errorf("%w: link %d queue has %d values (not non-empty quads)", ErrSnapshot, li, len(qs.Pkts))
 		}
-		if e.queueSlot[li] >= 0 {
+		if e.queueLen[li] > 0 {
 			return fmt.Errorf("%w: duplicate queue entry for link %d", ErrSnapshot, li)
 		}
-		q := make([]packet, 0, len(qs.Pkts)/4)
 		for i := 0; i < len(qs.Pkts); i += 4 {
 			p := packet{src: qs.Pkts[i], dst: qs.Pkts[i+1], kind: packetKind(qs.Pkts[i+2]), birth: qs.Pkts[i+3]}
 			if p.src < 0 || int(p.src) >= e.n || p.dst < 0 || int(p.dst) >= e.n {
@@ -554,13 +549,10 @@ func (e *Engine) restore(s *Snapshot) error {
 			if p.kind > kindBenign {
 				return fmt.Errorf("%w: link %d carries packet of unknown kind %d", ErrSnapshot, li, p.kind)
 			}
-			q = append(q, p)
+			e.arena = append(e.arena, queued{link: int32(li), pkt: p})
 		}
-		e.queueSlot[li] = int32(len(e.queueTab))
-		e.queueTab = append(e.queueTab, q)
-		e.queueLink = append(e.queueLink, int32(li))
+		e.queueLen[li] = int32(len(qs.Pkts) / 4)
 		e.queueBits[li>>6] |= 1 << (uint(li) & 63)
-		e.backlog += len(q)
 	}
 
 	// Host limiter state: every configured limiter must have been
