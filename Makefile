@@ -30,9 +30,10 @@ race:
 
 ## audit: replay the golden-series fixtures under the per-tick
 ## invariant audit (sim.Config.Check) — proves the engine's internal
-## bookkeeping holds on every pinned scenario.
+## bookkeeping holds on every pinned scenario — and check the audit
+## catches seeded corruption of a live engine and of a checkpoint.
 audit:
-	$(GO) test -run 'TestGoldenSeriesAudited|TestAuditorCatchesSeededCorruption|TestAuditCatchesCorruption' -v ./internal/sim ./internal/obs
+	$(GO) test -run 'TestGoldenSeriesAudited|TestAuditCatchesCorruption|TestAuditNamesEveryViolation|TestRestoreRejectsInconsistentCheckpoint' -v ./internal/sim
 
 ## chaos: the fault-tolerance smoke — replica panics degrade batches
 ## gracefully, retries resume from checkpoints, corrupted or
@@ -103,13 +104,19 @@ replay-smoke:
 	$(GO) test -run 'TestRunTraceReplay|TestWorkloadFlag|TestCollateralShape' -v ./cmd/wormsim ./internal/experiment
 
 ## examples: run the library examples end to end — the public-API
-## consumers, which `build` only compiles. tracestudy (~13 s) is left
-## out; run it with `go run ./examples/tracestudy`.
+## consumers, which `build` only compiles — and diff each one's stdout
+## against examples/<name>/testdata/stdout.golden (every example is
+## deterministic). tracestudy (~13 s) is left out; run it with
+## `go run ./examples/tracestudy`. After an intended output change,
+## rewrite a golden with `go run ./examples/<name> > examples/<name>/testdata/stdout.golden`.
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/enterprise
-	$(GO) run ./examples/immunization
-	$(GO) run ./examples/detection
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	for e in quickstart enterprise immunization detection; do \
+		echo "== $$e"; \
+		$(GO) run ./examples/$$e > "$$dir/$$e.out" && \
+		diff -u examples/$$e/testdata/stdout.golden "$$dir/$$e.out" || \
+		{ echo "examples: $$e failed or its stdout differs from examples/$$e/testdata/stdout.golden"; exit 1; }; \
+	done
 
 ## figures-golden: the quick-figures digest gate — regenerates every
 ## table and figure at -quick size into a temp directory and requires

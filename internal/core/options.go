@@ -4,6 +4,10 @@
 // a command line, and Run executes a sim.Config under it on the bounded
 // replica pool, with per-replica checkpoints and resume.
 //
+// Check runs the engine's per-tick invariant audit (sim.ErrInvariant);
+// every resumed checkpoint is audited as sim.Restore rebuilds it, and
+// one that contradicts itself fails its replica with sim.ErrSnapshot.
+//
 // Scenarios, trace-replay workloads included, are internal/spec's: a
 // spec.Spec lowers to the sim.Config Run takes, and
 // (*spec.Compiled).Run is the one-call path to its averaged series.
@@ -43,7 +47,7 @@ type RunOptions struct {
 	Timeout time.Duration
 	// Check runs every replica under the engine's per-tick invariant
 	// audit; a violated invariant aborts the batch with an error
-	// matching obs.ErrInvariant.
+	// matching sim.ErrInvariant.
 	Check bool
 	// KeepGoing degrades gracefully instead of aborting the batch when
 	// a replica fails after its retries: the averaged result covers

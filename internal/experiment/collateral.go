@@ -21,10 +21,11 @@ import (
 // credits, and contrasts two limiter designs:
 //
 //   - "Host contact throttle": the working-set throttle of the host
-//     defense deployments (Williamson-style, working set 4). As
-//     deployed by the engine the delay queue is never drained, so
-//     once the working set fills, every contact outside it is
-//     blocked — maximal containment, and maximal collateral.
+//     defense deployments (Williamson-style, working set 4). The
+//     engine never releases a denied contact later, so a "throttle"
+//     lowers to the working set alone (ratelimit.WorkingSet, no delay
+//     queue): once it fills, every contact outside it is blocked —
+//     maximal containment, and maximal collateral.
 //   - "Edge probe window": a sliding distinct-destination window —
 //     the probe counter an edge monitor keeps per host. Two
 //     parameterizations: the paper's derived per-host limit (4 new

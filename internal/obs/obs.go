@@ -1,6 +1,6 @@
-// Package obs is the engine observability layer: structured per-tick
-// metrics, quarantine/immunization events, and the invariant audit the
-// simulator runs under `-check`.
+// Package obs is the engine observability vocabulary: structured
+// per-tick metrics, quarantine/immunization events, the collectors
+// that keep them, and their JSONL encoding.
 //
 // The simulation engine fills a TickMetrics record every tick and hands
 // it to a Collector when one is configured; with no collector the
@@ -11,12 +11,6 @@
 //     Summary — the per-replica store behind `wormsim -metrics`.
 //   - Tally: keeps only the running Summary — the cheap aggregate
 //     used when whole batches (cmd/figures) report totals.
-//
-// The invariant audit (Auditor.Check over an engine-built Snapshot)
-// cross-checks the engine's O(1) counters and active-set bitmaps
-// against ground truth recomputed from first principles every tick.
-// It exists to make accounting bugs loud: the trigger-rate fix this
-// layer shipped with was confirmed by exactly these checks.
 package obs
 
 // TickMetrics is one simulation tick's structured counters. All packet

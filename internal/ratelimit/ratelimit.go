@@ -1,8 +1,8 @@
 // Package ratelimit implements the contact-rate limiting mechanisms the
 // paper analyzes and measures: Williamson's virus throttle (a working
-// set of recent destinations plus a delay queue), plain unique-IP
-// window limits, and the hybrid short+long window scheme the paper
-// proposes as future work.
+// set of recent destinations plus a delay queue) and its working set
+// alone, plain unique-IP window limits, and the hybrid short+long
+// window scheme the paper proposes as future work.
 //
 // All limiters are driven by an explicit tick clock (no wall time) so
 // simulations and trace replays are deterministic.
@@ -172,21 +172,69 @@ func (l *SlidingUniqueIPWindow) Distinct(now int64) int {
 
 var _ ContactLimiter = (*SlidingUniqueIPWindow)(nil)
 
-// WilliamsonThrottle is the virus throttle of HPL-2002-172: a working
-// set of the n most recent distinct destinations. A contact to a
-// destination in the working set proceeds immediately; anything else
-// joins a delay queue drained at a fixed rate (one request per Period
-// ticks), with each dequeue evicting the least-recently-used working-set
-// entry. Legitimate traffic (high locality) rarely queues; scanning
-// worms (no locality) are clamped to the drain rate.
-type WilliamsonThrottle struct {
-	workingSet int
-	period     int64
-
-	// recent is the working set, most recent first, at most workingSet
+// WorkingSet is the admission half of Williamson's throttle: a
+// working set of the n most recent distinct destinations. A contact to
+// a destination in the set passes and refreshes its recency; while the
+// set has room a new destination joins it and passes; anything else is
+// denied, and nothing remembers it. This is the host throttle a
+// simulation engine runs: the engine never releases a denied contact
+// later, so the delay queue of WilliamsonThrottle would only grow.
+type WorkingSet struct {
+	size int
+	// recent is the working set, most recent first, at most size
 	// distinct addresses. The set is a handful of entries (Williamson's
 	// default is 5), so a linear scan beats any index.
-	recent    []IP
+	recent []IP
+}
+
+// NewWorkingSet builds a working set of the given size (>= 1).
+func NewWorkingSet(size int) (*WorkingSet, error) {
+	if size < 1 {
+		return nil, fmt.Errorf("%w: workingSet=%d", ErrBadConfig, size)
+	}
+	return &WorkingSet{size: size, recent: make([]IP, 0, size)}, nil
+}
+
+// touch makes dst the most recent working-set entry. i is dst's current
+// position, or -1 when dst is new: a new entry grows the set while it
+// has room and otherwise evicts the least recently used one.
+func (w *WorkingSet) touch(i int, dst IP) {
+	if i < 0 {
+		if len(w.recent) < w.size {
+			w.recent = append(w.recent, 0)
+		}
+		i = len(w.recent) - 1
+	}
+	copy(w.recent[1:i+1], w.recent[:i])
+	w.recent[0] = dst
+}
+
+// Allow implements ContactLimiter: contacts in the working set pass and
+// refresh recency, and new destinations pass while the set has room.
+func (w *WorkingSet) Allow(now int64, dst IP) bool {
+	if i := slices.Index(w.recent, dst); i >= 0 {
+		w.touch(i, dst)
+		return true
+	}
+	if len(w.recent) < w.size {
+		w.touch(-1, dst)
+		return true
+	}
+	return false
+}
+
+var _ ContactLimiter = (*WorkingSet)(nil)
+
+// WilliamsonThrottle is the virus throttle of HPL-2002-172: a
+// WorkingSet plus a delay queue. A contact the working set denies joins
+// the queue, drained at a fixed rate by Tick (one request per period
+// ticks), with each dequeue evicting the least-recently-used
+// working-set entry. Legitimate traffic (high locality) rarely queues;
+// scanning worms (no locality) are clamped to the drain rate, and the
+// queue's growth is Williamson's worm alarm.
+type WilliamsonThrottle struct {
+	WorkingSet
+	period    int64
 	queue     []IP
 	lastDrain int64
 }
@@ -199,38 +247,17 @@ func NewWilliamsonThrottle(workingSet int, period int64) (*WilliamsonThrottle, e
 		return nil, fmt.Errorf("%w: workingSet=%d period=%d", ErrBadConfig, workingSet, period)
 	}
 	return &WilliamsonThrottle{
-		workingSet: workingSet,
+		WorkingSet: WorkingSet{size: workingSet, recent: make([]IP, 0, workingSet)},
 		period:     period,
-		recent:     make([]IP, 0, workingSet),
 		lastDrain:  -1,
 	}, nil
 }
 
-// touch makes dst the most recent working-set entry. i is dst's current
-// position, or -1 when dst is new: a new entry grows the set while it
-// has room and otherwise evicts the least recently used one.
-func (t *WilliamsonThrottle) touch(i int, dst IP) {
-	if i < 0 {
-		if len(t.recent) < t.workingSet {
-			t.recent = append(t.recent, 0)
-		}
-		i = len(t.recent) - 1
-	}
-	copy(t.recent[1:i+1], t.recent[:i])
-	t.recent[0] = dst
-}
-
-// Allow implements ContactLimiter: contacts in the working set pass and
-// refresh recency; new destinations are queued and blocked this tick.
-// Call Tick once per tick to drain the queue.
+// Allow implements ContactLimiter: contacts the working set admits
+// pass; anything else is queued and blocked this tick. Call Tick once
+// per tick to drain the queue.
 func (t *WilliamsonThrottle) Allow(now int64, dst IP) bool {
-	if i := slices.Index(t.recent, dst); i >= 0 {
-		t.touch(i, dst)
-		return true
-	}
-	if len(t.recent) < t.workingSet {
-		// Working set not yet full: admit directly.
-		t.touch(-1, dst)
+	if t.WorkingSet.Allow(now, dst) {
 		return true
 	}
 	t.queue = append(t.queue, dst)

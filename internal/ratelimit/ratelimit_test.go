@@ -163,6 +163,43 @@ func TestWilliamsonThrottleConfigErrors(t *testing.T) {
 	}
 }
 
+// TestWorkingSetMatchesUndrainedThrottle: a WorkingSet decides every
+// contact as a WilliamsonThrottle whose queue is never drained, and
+// restores from that throttle's state.
+func TestWorkingSetMatchesUndrainedThrottle(t *testing.T) {
+	if _, err := NewWorkingSet(0); err == nil {
+		t.Error("size=0 should fail")
+	}
+	ws, err := NewWorkingSet(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := NewWilliamsonThrottle(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for now := int64(0); now < 2000; now++ {
+		dst := IP(rng.Intn(9))
+		if a, b := ws.Allow(now, dst), th.Allow(now, dst); a != b {
+			t.Fatalf("Allow(%d, %d): working set %v, throttle %v", now, dst, a, b)
+		}
+	}
+	state, err := th.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, _ := NewWorkingSet(4)
+	if err := restored.UnmarshalState(state); err != nil {
+		t.Fatalf("throttle state %s rejected: %v", state, err)
+	}
+	a, _ := ws.MarshalState()
+	b, _ := restored.MarshalState()
+	if string(a) != string(b) {
+		t.Errorf("restored working set %s, want %s", b, a)
+	}
+}
+
 func TestHybridWindow(t *testing.T) {
 	// Short: 5 per 1 tick. Long: 12 per 5 ticks (the paper's observed
 	// 99.9% values for 1 s and 5 s windows).

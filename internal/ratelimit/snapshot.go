@@ -88,8 +88,38 @@ func (l *SlidingUniqueIPWindow) UnmarshalState(data []byte) error {
 	return nil
 }
 
-type williamsonState struct {
+type workingSetState struct {
 	// LRU is the working set, most recent first.
+	LRU []IP `json:"lru"`
+}
+
+// MarshalState implements StateMarshaler.
+func (w *WorkingSet) MarshalState() ([]byte, error) {
+	return json.Marshal(workingSetState{LRU: append([]IP{}, w.recent...)})
+}
+
+// UnmarshalState implements StateMarshaler. Keys other than "lru" are
+// ignored, so a WilliamsonThrottle's state restores into a WorkingSet
+// of the same size. A working set longer than the size, or one naming
+// an address twice, is rejected: no sequence of calls produces either.
+func (w *WorkingSet) UnmarshalState(data []byte) error {
+	var st workingSetState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return err
+	}
+	if len(st.LRU) > w.size {
+		return fmt.Errorf("working set of %d entries exceeds size %d", len(st.LRU), w.size)
+	}
+	for i, ip := range st.LRU {
+		if slices.Contains(st.LRU[:i], ip) {
+			return fmt.Errorf("working set lists %d twice", ip)
+		}
+	}
+	w.recent = append(w.recent[:0], st.LRU...)
+	return nil
+}
+
+type williamsonState struct {
 	LRU       []IP  `json:"lru"`
 	Queue     []IP  `json:"queue"`
 	LastDrain int64 `json:"last_drain"`
@@ -104,23 +134,16 @@ func (t *WilliamsonThrottle) MarshalState() ([]byte, error) {
 	})
 }
 
-// UnmarshalState implements StateMarshaler. A working set longer than
-// the throttle's size, or one naming an address twice, is rejected: no
-// sequence of Allow and Tick calls produces either.
+// UnmarshalState implements StateMarshaler; the working set is
+// restored and validated by WorkingSet.UnmarshalState.
 func (t *WilliamsonThrottle) UnmarshalState(data []byte) error {
+	if err := t.WorkingSet.UnmarshalState(data); err != nil {
+		return fmt.Errorf("williamson throttle: %w", err)
+	}
 	var st williamsonState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return err
 	}
-	if len(st.LRU) > t.workingSet {
-		return fmt.Errorf("williamson throttle: working set of %d entries exceeds size %d", len(st.LRU), t.workingSet)
-	}
-	for i, ip := range st.LRU {
-		if slices.Contains(st.LRU[:i], ip) {
-			return fmt.Errorf("williamson throttle: working set lists %d twice", ip)
-		}
-	}
-	t.recent = append(t.recent[:0], st.LRU...)
 	t.queue = append(t.queue[:0], st.Queue...)
 	t.lastDrain = st.LastDrain
 	return nil
@@ -162,6 +185,7 @@ func (h *HybridWindow) UnmarshalState(data []byte) error {
 var (
 	_ StateMarshaler = (*UniqueIPWindow)(nil)
 	_ StateMarshaler = (*SlidingUniqueIPWindow)(nil)
+	_ StateMarshaler = (*WorkingSet)(nil)
 	_ StateMarshaler = (*WilliamsonThrottle)(nil)
 	_ StateMarshaler = (*HybridWindow)(nil)
 )

@@ -1,88 +1,108 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
-	"math/bits"
-
-	"repro/internal/obs"
+	"strings"
 )
 
-// auditSnapshot pairs every O(1) counter the hot path maintains with
-// the same quantity recomputed from ground truth — full scans over the
-// per-link counts, the packet arena, the active-set bitmaps, and the
-// node states — so obs.Auditor can validate them by pure value
-// comparison. The backlog (the arena's length) is checked against the
-// summed per-link counts, and the queue bitset against the links the
-// arena's entries actually sit on. O(links + nodes) per call; only run
-// under Config.Check.
-func (e *Engine) auditSnapshot() obs.Snapshot {
-	queued := 0
-	for _, n := range e.queueLen {
-		queued += int(n)
-	}
-	onLink := make([]bool, len(e.queueLen))
-	for _, q := range e.arena {
-		onLink[q.link] = true
-	}
-	nonEmpty, flagged := 0, 0
-	for li, on := range onLink {
-		if !on {
-			continue
-		}
-		nonEmpty++
-		if e.queueBits[li>>6]&(1<<(uint(li)&63)) != 0 {
-			flagged++
-		}
-	}
-	bitsSet := 0
-	for _, w := range e.queueBits {
-		bitsSet += bits.OnesCount64(w)
-	}
-	infPop := 0
-	for _, w := range e.infectedBits {
-		infPop += bits.OnesCount64(w)
-	}
-	infStates, infFlagged := 0, 0
-	for u := 0; u < e.n; u++ {
-		if e.stateOf(u) != stateInfected {
-			continue
-		}
-		infStates++
-		if e.infectedBits[u>>6]&(1<<(uint(u)&63)) != 0 {
-			infFlagged++
-		}
-	}
-	return obs.Snapshot{
-		Tick:          e.tick,
-		Backlog:       len(e.arena),
-		QueuedPackets: queued,
+// ErrInvariant is the sentinel every invariant-audit failure matches
+// via errors.Is.
+var ErrInvariant = errors.New("sim: engine invariant violated")
 
-		QueueBitsSet:          bitsSet,
-		NonEmptyQueues:        nonEmpty,
-		NonEmptyQueuesFlagged: flagged,
-
-		Infected:         e.infected,
-		InfectedPopcount: infPop,
-		InfectedStates:   infStates,
-		InfectedFlagged:  infFlagged,
-
-		EverInfected: e.ever,
-		Removed:      e.removed,
-		Population:   e.popSize,
-
-		Generated: e.genCount,
-		Delivered: e.delivCount,
-		Dropped:   e.dropCount,
-	}
-}
-
-// audit cross-checks the engine's end-of-tick state against ground
-// truth. The returned error wraps the obs.InvariantError, so it still
-// matches errors.Is(err, obs.ErrInvariant).
+// audit is the one statement of the engine's invariants. It recomputes
+// every quantity the hot path maintains incrementally — per-link
+// counts, both active-set bitmaps, the infected and removed counters —
+// from ground truth (the packet arena and the packed node states), and
+// checks packet conservation, the population bounds, and that
+// ever-infected never decreases from one audit to the next. The
+// returned error matches ErrInvariant and names every violated
+// invariant. O(links + nodes + queued packets) per call: RunContext
+// runs it after every tick under Config.Check, and Restore once on the
+// state it rebuilt.
 func (e *Engine) audit() error {
-	snap := e.auditSnapshot()
-	if err := e.auditor.Check(&snap); err != nil {
-		return fmt.Errorf("sim: invariant audit failed (engine state is corrupt): %w", err)
+	var v []string
+	fail := func(format string, args ...any) { v = append(v, fmt.Sprintf(format, args...)) }
+
+	// Links: every queued packet sits on the link its route takes from
+	// that link's tail, each link's count is the arena entries on it,
+	// and its bit is set exactly when the count is non-zero.
+	onLink := make([]int32, len(e.queueLen))
+	misrouted := 0
+	for _, q := range e.arena {
+		onLink[q.link]++
+		if e.structural.HopLink(e.links.From(int(q.link)), int(q.pkt.dst)) != q.link {
+			misrouted++
+		}
+	}
+	if misrouted > 0 {
+		fail("%d queued packets sit on a link off their route", misrouted)
+	}
+	badCount, first, badBit := 0, -1, 0
+	for li, n := range e.queueLen {
+		if n != onLink[li] {
+			if first < 0 {
+				first = li
+			}
+			badCount++
+		}
+		if bit := e.queueBits[li>>6]&(1<<(uint(li)&63)) != 0; bit != (n > 0) {
+			badBit++
+		}
+	}
+	if badCount > 0 {
+		fail("%d link counts disagree with the arena (link %d counts %d, holds %d)",
+			badCount, first, e.queueLen[first], onLink[first])
+	}
+	if badBit > 0 {
+		fail("%d queue active-set bits disagree with the link counts", badBit)
+	}
+
+	// Nodes: the infected bit mirrors the state, and the counters equal
+	// the number of nodes in the state they count.
+	infected, removed, badNode := 0, 0, 0
+	for u := 0; u < e.n; u++ {
+		st := e.stateOf(u)
+		switch st {
+		case stateInfected:
+			infected++
+		case stateRemoved:
+			removed++
+		}
+		if bit := e.infectedBits[u>>6]&(1<<(uint(u)&63)) != 0; bit != (st == stateInfected) {
+			badNode++
+		}
+	}
+	if badNode > 0 {
+		fail("%d infected active-set bits disagree with the node states", badNode)
+	}
+	if e.infected != infected {
+		fail("infected counter %d != %d nodes in the infected state", e.infected, infected)
+	}
+	if e.removed != removed {
+		fail("removed counter %d != %d nodes in the removed state", e.removed, removed)
+	}
+
+	if want := e.delivCount + e.dropCount + uint64(len(e.arena)); e.genCount != want {
+		fail("packet conservation: generated %d != delivered %d + dropped %d + queued %d",
+			e.genCount, e.delivCount, e.dropCount, len(e.arena))
+	}
+	if e.ever < e.infected {
+		fail("ever-infected %d < currently infected %d", e.ever, e.infected)
+	}
+	if e.ever > e.popSize {
+		fail("ever-infected %d exceeds population %d", e.ever, e.popSize)
+	}
+	if e.infected+e.removed > e.popSize {
+		fail("infected %d + removed %d exceeds population %d", e.infected, e.removed, e.popSize)
+	}
+	if e.ever < e.auditedEver {
+		fail("ever-infected decreased: %d -> %d", e.auditedEver, e.ever)
+	}
+	e.auditedEver = e.ever
+
+	if len(v) > 0 {
+		return fmt.Errorf("%w at tick %d: %s", ErrInvariant, e.tick, strings.Join(v, "; "))
 	}
 	return nil
 }

@@ -18,15 +18,15 @@ import (
 //	go test ./internal/sim -run xxx -bench BenchmarkEngineTick -count 10 | benchstat old.txt -
 func benchEngineTick(b *testing.B, cfg Config) {
 	b.Helper()
+	cfg.Net = BuildNet(cfg.Graph)
 	if err := cfg.Validate(); err != nil {
 		b.Fatal(err)
 	}
-	ns := newNetState(cfg.Graph)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		eng, err := newEngine(cfg, ns)
+		eng, err := New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

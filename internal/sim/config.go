@@ -255,11 +255,12 @@ type Config struct {
 	// called from worker goroutines and must be safe for concurrent
 	// calls with distinct run values. Single-engine runs ignore it.
 	CollectorFactory func(run int) obs.Collector
-	// Check enables the per-tick invariant audit: every tick the
-	// engine's O(1) counters and active-set bitmaps are cross-checked
-	// against ground truth recomputed from first principles. A violation
-	// aborts the run with an error matching obs.ErrInvariant. Costs
-	// O(links + nodes) per tick; meant for tests, CI, and debugging.
+	// Check enables the per-tick invariant audit (Engine.audit): every
+	// tick the engine's O(1) counters and active-set bitmaps are
+	// cross-checked against ground truth recomputed from the packet
+	// arena and the node states. A violation aborts the run with an
+	// error matching ErrInvariant. Costs O(links + nodes + queued
+	// packets) per tick; meant for tests, CI, and debugging.
 	Check bool
 
 	// RecordInfections keeps a per-infection genealogy log (tick, victim,

@@ -102,9 +102,8 @@ func MultiRun(ctx context.Context, cfg Config, runs int, opts ...runner.Option) 
 	// state (link enumeration, structural router) once; it is read-only
 	// after construction. A caller-supplied Config.Net (a sweep sharing
 	// one topology across batches) is reused as-is.
-	ns := cfg.Net.state()
-	if ns == nil {
-		ns = newNetState(cfg.Graph)
+	if cfg.Net == nil {
+		cfg.Net = BuildNet(cfg.Graph)
 	}
 
 	// results/done are committed under mu: with a per-task deadline the
@@ -139,7 +138,7 @@ func MultiRun(ctx context.Context, cfg Config, runs int, opts ...runner.Option) 
 				return runner.Report{}, fmt.Errorf("sim: run %d: resume: %w", r, rerr)
 			}
 			if snap != nil {
-				eng, rerr = restoreEngine(c, snap, ns)
+				eng, rerr = Restore(c, snap)
 				if rerr != nil {
 					return runner.Report{}, fmt.Errorf("sim: run %d: %w", r, rerr)
 				}
@@ -147,7 +146,7 @@ func MultiRun(ctx context.Context, cfg Config, runs int, opts ...runner.Option) 
 		}
 		if eng == nil {
 			var nerr error
-			eng, nerr = newEngine(c, ns)
+			eng, nerr = New(c)
 			if nerr != nil {
 				return runner.Report{}, fmt.Errorf("sim: run %d: %w", r, nerr)
 			}

@@ -216,12 +216,15 @@ type Engine struct {
 	// collector receives per-tick metrics and events when non-nil; the
 	// prev* fields turn the cumulative counters into per-tick deltas.
 	collector   obs.Collector
-	auditor     obs.Auditor
 	prevGen     uint64
 	prevDeliv   uint64
 	prevDrop    uint64
 	prevEver    int
 	prevRemoved int
+
+	// auditedEver is ever-infected as of the last audit, so the audit
+	// can check that it never decreases.
+	auditedEver int
 
 	// limiterSlot[u] indexes node u's contact limiter in limiterTab
 	// (-1 for unfiltered nodes); nil slice means no host limiting at
@@ -256,23 +259,6 @@ type Engine struct {
 	capScratch []capSlot
 }
 
-// netState is the immutable, graph-derived routing state every replica
-// of a config shares: the stable directed-link enumeration plus the
-// structural router (see routing.Structural). Built once per graph
-// (MultiRun shares one across all replicas; New builds a private one)
-// and safe for concurrent readers.
-type netState struct {
-	links      *routing.Links
-	structural *routing.Structural
-}
-
-// newNetState builds the routing state for g. The router is nil when g
-// is disconnected, which every engine constructor rejects first.
-func newNetState(g *topology.Graph) *netState {
-	links := routing.EnumerateLinks(g)
-	return &netState{links: links, structural: routing.NewStructural(g, links)}
-}
-
 // stateOf reads node u's packed 2-bit state.
 func (e *Engine) stateOf(u int) uint8 {
 	return uint8(e.stateBits[u>>5]>>(uint(u&31)*2)) & 3
@@ -300,31 +286,25 @@ func (e *Engine) limitedRank(li int) int {
 		bits.OnesCount64(e.linkLimitedBits[w]&(1<<(uint(li)&63)-1))
 }
 
-// New builds an engine from cfg. The topology must be connected.
-func New(cfg Config) (*Engine, error) { return newEngine(cfg, nil) }
-
-// newEngine builds an engine, reusing prebuilt shared routing state
-// when supplied (replicas of the same config route over the same
-// graph, so MultiRun builds the netState once for all of them).
-func newEngine(cfg Config, ns *netState) (*Engine, error) {
+// New builds an engine from cfg. The topology must be connected. The
+// engine routes over cfg.Net, or over a private Net built from
+// cfg.Graph when that is nil.
+func New(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if !cfg.Graph.Connected() {
 		return nil, topology.ErrDisconnected
 	}
-	if ns == nil {
-		ns = cfg.Net.state()
-	}
-	if ns == nil {
-		ns = newNetState(cfg.Graph)
+	if cfg.Net == nil {
+		cfg.Net = BuildNet(cfg.Graph)
 	}
 	n := cfg.Graph.N()
 	e := &Engine{
 		cfg:          cfg,
 		streams:      newStreamTable(cfg.Seed, n),
-		links:        ns.links,
-		structural:   ns.structural,
+		links:        cfg.Net.links,
+		structural:   cfg.Net.structural,
 		n:            n,
 		stateBits:    make([]uint64, (n+31)/32),
 		pickerSlot:   make([]int32, n),
@@ -653,7 +633,7 @@ func (e *Engine) Run() *Result {
 // simulated so far together with ctx's error; the per-tick slices then
 // hold fewer than Config.Ticks entries. With Config.Check set, every
 // tick ends with an invariant audit; a violation stops the run and
-// returns the partial series with an error matching obs.ErrInvariant.
+// returns the partial series with an error matching ErrInvariant.
 func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	if e.res == nil {
 		e.res = &Result{
@@ -711,8 +691,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 		e.record(res)
 		e.observe()
 		if e.cfg.Check {
-			if aerr := e.audit(); aerr != nil {
-				err = aerr
+			if err = e.audit(); err != nil {
 				break
 			}
 		}

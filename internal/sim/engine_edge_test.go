@@ -8,33 +8,6 @@ import (
 	"repro/internal/worm"
 )
 
-// checkActiveSets verifies the dense-layout invariants after a run: the
-// infected bitset mirrors the state slice, the queue bitset marks
-// exactly the links with a non-zero count, and each link's count equals
-// the arena entries queued on it.
-func checkActiveSets(t *testing.T, e *Engine) {
-	t.Helper()
-	for u := 0; u < e.n; u++ {
-		bit := e.infectedBits[u>>6]&(1<<(uint(u)&63)) != 0
-		if want := e.stateOf(u) == stateInfected; bit != want {
-			t.Errorf("node %d: infected bit %v, state infected %v", u, bit, want)
-		}
-	}
-	onLink := make([]int32, e.links.Count())
-	for _, q := range e.arena {
-		onLink[q.link]++
-	}
-	for li, n := range e.queueLen {
-		bit := e.queueBits[li>>6]&(1<<(uint(li)&63)) != 0
-		if want := n > 0; bit != want {
-			t.Errorf("link %d: queue bit %v, count %d", li, bit, n)
-		}
-		if n != onLink[li] {
-			t.Errorf("link %d: count %d, arena holds %d", li, n, onLink[li])
-		}
-	}
-}
-
 func TestActiveSetInvariantsAfterRun(t *testing.T) {
 	for name, cfg := range goldenScenarios(t) {
 		eng, err := New(cfg)
@@ -42,7 +15,9 @@ func TestActiveSetInvariantsAfterRun(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		eng.Run()
-		checkActiveSets(t, eng)
+		if err := eng.audit(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 
@@ -86,7 +61,9 @@ func TestNodeCapZeroBudgetQueues(t *testing.T) {
 				i, res.Backlog[i-1], res.Backlog[i])
 		}
 	}
-	checkActiveSets(t, eng)
+	if err := eng.audit(); err != nil {
+		t.Error(err)
+	}
 }
 
 // With PolicyDrop the same zero-budget hub discards its queues every
@@ -112,7 +89,9 @@ func TestNodeCapZeroBudgetDrops(t *testing.T) {
 			t.Fatalf("tick %d: backlog %d, want <= 4 under PolicyDrop", i, b)
 		}
 	}
-	checkActiveSets(t, eng)
+	if err := eng.audit(); err != nil {
+		t.Error(err)
+	}
 }
 
 // MaxQueue DropTail on the dense queues: buffers never exceed the bound
@@ -152,7 +131,9 @@ func TestMaxQueueDropTail(t *testing.T) {
 	if got := res.FinalEverInfected(); got != 1 {
 		t.Errorf("ever infected %v, want full saturation despite DropTail", got)
 	}
-	checkActiveSets(t, eng)
+	if err := eng.audit(); err != nil {
+		t.Error(err)
+	}
 }
 
 // Immunization with Mu=1 empties the infected active set mid-run: the
@@ -187,7 +168,9 @@ func TestImmunizationEmptiesActiveSet(t *testing.T) {
 			t.Errorf("infected bitset word %d = %x after total immunization", w, word)
 		}
 	}
-	checkActiveSets(t, eng)
+	if err := eng.audit(); err != nil {
+		t.Error(err)
+	}
 }
 
 // A capped hub with a tiny budget still makes progress (round-robin
@@ -205,7 +188,9 @@ func TestNodeCapSmallBudgetProgresses(t *testing.T) {
 	if got := res.FinalEverInfected(); got != 1 {
 		t.Errorf("ever infected %v, want 1 (cap 1 only delays saturation)", got)
 	}
-	checkActiveSets(t, eng)
+	if err := eng.audit(); err != nil {
+		t.Error(err)
+	}
 }
 
 // A capped router's packets leave in round-robin send order, and
@@ -231,6 +216,7 @@ func TestNodeCapDeliversInSendOrder(t *testing.T) {
 	first, second := leaves[0], leaves[1]
 	for _, v := range []int{first, first, second, second} {
 		eng.routePacket(0, packet{src: 0, dst: int32(v)})
+		eng.genCount++
 	}
 	// Hub 0's adjacency slot k is the link to leaf k+1.
 	eng.rrPos[0] = int32(second - 1)
@@ -248,5 +234,7 @@ func TestNodeCapDeliversInSendOrder(t *testing.T) {
 	if len(eng.arena) != 2 {
 		t.Errorf("%d packets left queued, want 2 (one per link beyond the budget)", len(eng.arena))
 	}
-	checkActiveSets(t, eng)
+	if err := eng.audit(); err != nil {
+		t.Error(err)
+	}
 }

@@ -258,83 +258,6 @@ func TestGoldenSeriesAudited(t *testing.T) {
 	}
 }
 
-// TestAuditCatchesCorruption seeds live engines with single-field
-// state corruption and checks the per-tick audit reports it as an
-// obs.ErrInvariant before the run completes.
-func TestAuditCatchesCorruption(t *testing.T) {
-	corruptions := []struct {
-		name    string
-		corrupt func(*Engine)
-	}{
-		{"backlog counter drift", func(e *Engine) {
-			// Three packets queued on link 0 that were never generated:
-			// the backlog no longer reconciles with the flow counters.
-			for range 3 {
-				e.arena = append(e.arena, queued{link: 0, pkt: packet{dst: int32(e.links.To(0))}})
-			}
-			e.queueLen[0] += 3
-			e.queueBits[0] |= 1
-		}},
-		{"link count drift", func(e *Engine) {
-			// Link 0 counts a packet the arena does not hold.
-			e.queueLen[0]++
-			e.queueBits[0] |= 1
-		}},
-		{"infected counter drift", func(e *Engine) { e.infected++ }},
-		{"phantom drop", func(e *Engine) { e.dropCount++ }},
-		{"lost generation", func(e *Engine) { e.genCount += 5 }},
-		{"missing infected bit", func(e *Engine) {
-			// Drop one genuinely infected node from the active set: the
-			// bitset popcount no longer matches the infected counter.
-			for w, word := range e.infectedBits {
-				if word != 0 {
-					e.infectedBits[w] &= word - 1 // clear lowest set bit
-					return
-				}
-			}
-		}},
-	}
-	for _, tt := range corruptions {
-		t.Run(tt.name, func(t *testing.T) {
-			cfg := multiRunConfig(t)
-			cfg.Check = true
-			eng, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tt.corrupt(eng)
-			res, err := eng.RunContext(context.Background())
-			if err == nil {
-				t.Fatal("corrupted engine completed its run under -check")
-			}
-			if !errors.Is(err, obs.ErrInvariant) {
-				t.Errorf("error does not match obs.ErrInvariant: %v", err)
-			}
-			if len(res.Infected) >= cfg.Ticks {
-				t.Errorf("run was not aborted: %d ticks recorded", len(res.Infected))
-			}
-		})
-	}
-}
-
-// TestRunPanicsOnAuditFailure: Run has no error channel, so a violated
-// invariant must not be silently dropped.
-func TestRunPanicsOnAuditFailure(t *testing.T) {
-	cfg := multiRunConfig(t)
-	cfg.Check = true
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.dropCount += 7
-	defer func() {
-		if recover() == nil {
-			t.Error("Run did not panic on a corrupted engine under Check")
-		}
-	}()
-	eng.Run()
-}
-
 // TestMultiRunCounters: batch counter aggregation is deterministic
 // across job counts, and attaching collectors never perturbs the
 // averaged series.

@@ -35,10 +35,9 @@ func BenchmarkEngineTickScale(b *testing.B) {
 		// construction.
 		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) {
 			g, roles := scaleTopology(b, hosts)
-			heap := measureHeap(b, func() any { return newNetState(g) })
-			ns := heap.v.(*netState)
+			heap := measureHeap(b, func() any { return BuildNet(g) })
 			cfg := Config{
-				Graph: g, Roles: roles,
+				Graph: g, Roles: roles, Net: heap.v.(*Net),
 				Beta: 0.8, ScansPerTick: 10,
 				Strategy:        worm.NewRandomFactory(),
 				InitialInfected: max(hosts/100, 1), Ticks: 10, Seed: 11,
@@ -56,7 +55,7 @@ func BenchmarkEngineTickScale(b *testing.B) {
 				b.StopTimer()
 				var eng *Engine
 				h := measureHeap(b, func() any {
-					e, err := newEngine(cfg, ns)
+					e, err := New(cfg)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -142,12 +141,11 @@ func BenchmarkEngineTickQuiescent(b *testing.B) {
 		hosts = 10_000
 	}
 	g, roles := scaleTopology(b, hosts)
-	ns := newNetState(g)
 
 	// Active reference: the scale-suite workload at the same size,
 	// timed over its fixed 10-tick horizon.
 	activeCfg := Config{
-		Graph: g, Roles: roles,
+		Graph: g, Roles: roles, Net: BuildNet(g),
 		Beta: 0.8, ScansPerTick: 10,
 		Strategy:        worm.NewRandomFactory(),
 		InitialInfected: max(hosts/100, 1), Ticks: 10, Seed: 11,
@@ -157,7 +155,7 @@ func BenchmarkEngineTickQuiescent(b *testing.B) {
 	if err := activeCfg.Validate(); err != nil {
 		b.Fatal(err)
 	}
-	activeEng, err := newEngine(activeCfg, ns)
+	activeEng, err := New(activeCfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -176,7 +174,7 @@ func BenchmarkEngineTickQuiescent(b *testing.B) {
 	if err := quiCfg.Validate(); err != nil {
 		b.Fatal(err)
 	}
-	eng, err := newEngine(quiCfg, ns)
+	eng, err := New(quiCfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -366,14 +366,17 @@ func (s *Spec) applyDefense(cfg *sim.Config, i int, d Defense) error {
 			return fmt.Errorf("spec: defense: throttle wants %d hosts, topology has %d", d.Hosts, len(hosts))
 		}
 		// Construct one throttle eagerly so bad parameters surface as a
-		// config error, not a panic inside a worker goroutine.
+		// config error, not a panic inside a worker goroutine. The
+		// engine never drains a delay queue, so each host runs only the
+		// throttle's working set and the period changes nothing; it is
+		// still validated, as a throttle's.
 		if _, err := ratelimit.NewWilliamsonThrottle(d.WorkingSet, d.Period); err != nil {
 			return fmt.Errorf("spec: defense: %w", err)
 		}
-		ws, period := d.WorkingSet, d.Period
+		ws := d.WorkingSet
 		cfg.HostLimiterNodes = append(cfg.HostLimiterNodes, hosts[:d.Hosts]...)
 		cfg.HostLimiterFactory = func() ratelimit.ContactLimiter {
-			l, err := ratelimit.NewWilliamsonThrottle(ws, period)
+			l, err := ratelimit.NewWorkingSet(ws)
 			if err != nil {
 				panic(err) // unreachable: parameters validated above
 			}

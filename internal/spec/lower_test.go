@@ -1,8 +1,11 @@
 package spec
 
 import (
+	"encoding/json"
 	"errors"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -96,5 +99,59 @@ func TestModelUnsupportedKinds(t *testing.T) {
 		if _, err := s.Model(); !errors.Is(err, ErrUnsupported) {
 			t.Errorf("%s: Model error %v, want ErrUnsupported", d.Kind, err)
 		}
+	}
+}
+
+// TestThrottleRestoresWilliamsonCheckpoint: a "throttle" host runs a
+// bare working set, whose checkpoint state is the working set alone,
+// and a version-4 checkpoint written while it ran the full Williamson
+// throttle — its state carrying a delay queue and a drain tick — still
+// restores and finishes the run unchanged.
+func TestThrottleRestoresWilliamsonCheckpoint(t *testing.T) {
+	cfg, err := goldenSpecs()["twolevel-host-throttle"].Config(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := cfg
+	var snap *sim.Snapshot
+	clean.CheckpointEvery = 60
+	clean.Checkpoint = func(s *sim.Snapshot) error {
+		if snap == nil {
+			snap = s
+		}
+		return nil
+	}
+	eng, err := sim.New(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := eng.Run()
+
+	if len(snap.Limiters) == 0 {
+		t.Fatal("checkpoint holds no limiter state")
+	}
+	for i := range snap.Limiters {
+		state := snap.Limiters[i].State
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(state, &keys); err != nil || len(keys) != 1 || keys["lru"] == nil {
+			t.Fatalf("limiter state %s, want the working set alone", state)
+		}
+		legacy := strings.TrimSuffix(string(state), "}") + `,"queue":[7,8,9],"last_drain":12}`
+		snap.Limiters[i].State = json.RawMessage(legacy)
+	}
+	file, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := sim.DecodeSnapshot(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := sim.Restore(cfg, decoded)
+	if err != nil {
+		t.Fatalf("Williamson-era checkpoint rejected: %v", err)
+	}
+	if got := resumed.Run(); !reflect.DeepEqual(got, want) {
+		t.Error("resuming the Williamson-era checkpoint diverged from the uninterrupted run")
 	}
 }

@@ -144,7 +144,10 @@ type Defense struct {
 	// Overrides pins per-node filtered scan rates for "overrides"
 	// (keys are decimal node IDs — JSON objects key on strings).
 	Overrides map[string]float64 `json:"overrides,omitempty"`
-	// WorkingSet/Period/Hosts parameterize "throttle" (Williamson).
+	// WorkingSet/Period/Hosts parameterize "throttle" (Williamson). The
+	// engine never releases a denied contact later, so each host runs
+	// the working set alone (ratelimit.WorkingSet): Period, the delay
+	// queue's drain period, must be >= 1 but changes nothing.
 	WorkingSet int   `json:"working_set,omitempty"`
 	Period     int64 `json:"period,omitempty"`
 	Hosts      int   `json:"hosts,omitempty"`
